@@ -22,12 +22,10 @@ from .protocol import (
     Player,
     ProtocolInstance,
     ProtocolTranscript,
-    expected_sum,
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
     make_players,
-    run_reconstruction,
     verify_hash,
 )
 from .qudit import (
@@ -65,7 +63,6 @@ __all__ = [
     "choose_modulus",
     "deal",
     "eval_poly",
-    "expected_sum",
     "field_inv",
     "hash_to_field",
     "instance_from_deal",
@@ -76,7 +73,6 @@ __all__ = [
     "make_players",
     "measure",
     "run_attack",
-    "run_reconstruction",
     "shadow",
     "verify_hash",
 ]

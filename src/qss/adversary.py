@@ -13,12 +13,12 @@ honest shot series bit for bit, which the control tests rely on.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import chisquare
 
 from .protocol import (
     Channel,
@@ -139,8 +139,27 @@ def tv_distance(counts_a: Counter, counts_b: Counter, total_a: int, total_b: int
 
 def uniformity_pvalue(counts: Counter, d: int) -> float:
     """Chi-square p-value against the uniform distribution on [0, d)."""
-    observed = np.array([counts.get(v, 0) for v in range(d)])
-    return float(chisquare(observed).pvalue)
+    observed = np.array([counts.get(v, 0) for v in range(d)], dtype=float)
+    expected = observed.mean()
+    return _chi2_sf(float(((observed - expected) ** 2 / expected).sum()), d - 1)
+
+
+def _chi2_sf(x: float, k: int) -> float:
+    """Survival function of the chi-square law with k >= 1 degrees of
+    freedom, in closed form for integer k. With y = x/2:
+
+    - even k: exp(-y) sum_{j < k/2} y^j / j!, a Poisson tail;
+    - odd k: erfc(sqrt y) + exp(-y) sum_{j < (k-1)/2} y^(j+1/2) / Gamma(j+3/2).
+
+    Each term is exp of its logarithm, so large x and k cannot overflow.
+    """
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    head, a0 = (math.erfc(math.sqrt(y)), 0.5) if k % 2 else (0.0, 0.0)
+    log_y = math.log(y)
+    terms = [math.exp((a0 + j) * log_y - y - math.lgamma(a0 + j + 1)) for j in range(k // 2)]
+    return min(1.0, math.fsum([head, *terms]))
 
 
 def _measure_resend_hook(state: QuditState, rng: np.random.Generator, ctx: HookContext) -> QuditState:
@@ -222,16 +241,19 @@ def _conditioned_leakage(
     histograms = []
     for salt, value in enumerate(spec.hypotheses, start=1):
         forced = instance.with_shadow(position, value)
-        series = run_shot_series(forced, spec.shots, _salted_seed(spec.seed, salt), channel)
+        seed = np.random.SeedSequence([spec.seed, salt])
+        series = run_shot_series(forced, spec.shots, seed, channel)
         histograms.append(collect(series))
     return tv_distance(histograms[0], histograms[1], spec.shots, spec.shots), histograms
 
 
-def _intercept_attack(instance: ProtocolInstance, spec: AttackSpec, hook) -> AttackReport:
+def _intercept_attack(
+    instance: ProtocolInstance, spec: AttackSpec, hook, **channel_fields
+) -> AttackReport:
     channel = None
     if spec.active:
         _validate_hop(instance, spec.hop_index)
-        channel = Channel.ring(instance.t, hooks={spec.hop_index: hook})
+        channel = Channel(hooks={spec.hop_index: hook}, **channel_fields)
     transcripts = run_shot_series(instance, spec.shots, spec.seed, channel)
     observations = _flat_observations(transcripts)
     leakage = None
@@ -266,24 +288,10 @@ def run_entangle_measure(instance: ProtocolInstance, spec: AttackSpec) -> Attack
     """Simplified entangle-measure model: copy T onto a private register at
     one hop, forward T untouched, and measure the private register after the
     reconstructor's uncopy."""
-    channel = None
-    if spec.active:
-        _validate_hop(instance, spec.hop_index)
-        channel = Channel.ring(
-            instance.t,
-            hooks={spec.hop_index: _entangle_hook},
-            post_uncopy=_probe_ancilla_hook,
-            ancilla_register=ADVERSARY_REGISTER,
-        )
-    transcripts = run_shot_series(instance, spec.shots, spec.seed, channel)
-    observations = _flat_observations(transcripts)
-    leakage = None
-    extra: dict = {"hop_index": spec.hop_index}
-    if spec.active and spec.hypotheses is not None:
-        leakage, _ = _conditioned_leakage(instance, spec, channel, 1, _flat_observations)
-        extra["hypotheses"] = list(spec.hypotheses)
-    chi2 = uniformity_pvalue(observations, instance.modulus.d) if spec.active else None
-    return _summarize(spec.kind, spec.shots, transcripts, observations, leakage, chi2, extra)
+    return _intercept_attack(
+        instance, spec, _entangle_hook,
+        post_uncopy=_probe_ancilla_hook, ancilla_register=ADVERSARY_REGISTER,
+    )
 
 
 def run_forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
@@ -335,7 +343,7 @@ def run_collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackR
         )
     first_hook = _fourier_intercept_hook if spec.escalate else _measure_resend_hook
     hooks = {position - 2: first_hook, position - 1: _measure_resend_hook}
-    channel = Channel.ring(t, hooks=hooks) if spec.active else None
+    channel = Channel(hooks=hooks) if spec.active else None
 
     def joint(transcripts: list[ProtocolTranscript]) -> Counter:
         return Counter(tuple(_secret_pass_values(tr)) for tr in transcripts)
@@ -359,7 +367,3 @@ def run_attack(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
         "collusion_probe": run_collusion_probe,
     }[spec.kind]
     return runner(instance, spec)
-
-
-def _salted_seed(seed: int, salt: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([seed, salt])

@@ -63,13 +63,7 @@ def _envelope(args: argparse.Namespace, **body) -> dict:
     return {"version": __version__, "config": config, "seed": args.seed, **body}
 
 
-def _require_json(args: argparse.Namespace) -> None:
-    if getattr(args, "format", "json") != "json":
-        raise QssError(f"{args.command} only supports --format json")
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    _require_json(args)
     config = DealerConfig(
         n=args.n, t=args.t, secret=args.secret, rng_seed=args.seed, d_override=args.d
     )
@@ -80,7 +74,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _require_json(args)
+    if args.shots < 1:
+        raise QssError("--shots must be at least 1")
     if args.preset is not None:
         n = int(args.preset.split("-", 1)[1])
         d, c, fallback = resolve_preset(n, args.c)
@@ -110,7 +105,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    _require_json(args)
     config = DealerConfig(
         n=args.n, t=args.t, secret=args.secret, rng_seed=args.seed, d_override=args.d
     )
@@ -191,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--d", type=int, default=None, help="pin the prime modulus")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    run_p.add_argument("--format", choices=("json", "csv"), default="json")
     run_p.set_defaults(func=cmd_run)
 
     sim_p = sub.add_parser("simulate", help="shot-count experiment presets")
@@ -206,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--shots", type=int, default=8192)
     sim_p.add_argument("--seed", type=int, default=0)
     sim_p.add_argument("--out", default=None)
-    sim_p.add_argument("--format", choices=("json", "csv"), default="json")
     sim_p.set_defaults(func=cmd_simulate)
 
     atk_p = sub.add_parser("attack", help="run an attack scenario")
@@ -225,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     atk_p.add_argument("--escalate", action="store_true", help="colluders disturb the ring")
     atk_p.add_argument("--out", default=None)
-    atk_p.add_argument("--format", choices=("json", "csv"), default="json")
     atk_p.set_defaults(func=cmd_attack)
 
     swp_p = sub.add_parser("sweep", help="cross product of (d, t, n) honest runs to CSV")

@@ -72,27 +72,18 @@ Hook = Callable[[QuditState, np.random.Generator, HookContext], QuditState]
 
 @dataclass(frozen=True)
 class Channel:
-    """Ordered ring P1 -> P2 -> ... -> Pt -> P1 with optional adversary hooks.
+    """Adversary hooks on the ring P1 -> P2 -> ... -> Pt -> P1.
 
-    hooks maps a 0-based hop index (hop j carries T from position j+1 to
-    position j+2, the last hop returning to P1) to a Hook. post_uncopy fires
-    after P1's uncopy, just before the ancilla measurement. ancilla_register,
-    when set, adds a third register of the same dimension for the adversary.
+    A ring of t > 1 players has t hops; a lone reconstructor has none. hooks
+    maps a 0-based hop index (hop j carries T from position j+1 to position
+    j+2, the last hop returning to P1) to a Hook. post_uncopy fires after
+    P1's uncopy, just before the ancilla measurement. ancilla_register, when
+    set, adds a third register of the same dimension for the adversary.
     """
 
-    hops: tuple[tuple[int, int], ...]
     hooks: Mapping[int, Hook] = dataclass_field(default_factory=dict)
     post_uncopy: Hook | None = None
     ancilla_register: str | None = None
-
-    @classmethod
-    def ring(cls, t: int, **kwargs) -> "Channel":
-        if t < 1:
-            raise ValueError("need at least one player")
-        if t == 1:
-            return cls(hops=(), **kwargs)
-        hops = tuple((j, j % t + 1) for j in range(1, t + 1))
-        return cls(hops=hops, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -171,7 +162,7 @@ class ProtocolInstance:
         rng: np.random.Generator | None = None,
     ) -> ProtocolTranscript:
         if channel is None:
-            channel = Channel.ring(self.t)
+            channel = Channel()
         if rng is None:
             rng = np.random.default_rng(seed)
         return _execute(self, channel, rng, seed)
@@ -241,32 +232,9 @@ def instance_from_shadows(
     )
 
 
-def run_reconstruction(
-    players: list[Player],
-    channel: Channel | None = None,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> ProtocolTranscript:
-    """Execute both passes for a qualified subset and return the transcript."""
-    return instance_from_players(players).run(channel=channel, seed=seed, rng=rng)
-
-
 def verify_hash(f0: FieldElement, g0: FieldElement, d: PrimeModulus) -> bool:
     """Final check of a run: SHA1 of the recovered secret, mod d, against g(0)'."""
     return hash_to_field(f0.value, d).value == g0.value
-
-
-def expected_sum(players: list[Player], pass_name: PassName = "secret") -> FieldElement:
-    """Classical oracle: sum of shadows mod d, no quantum simulation."""
-    if not players:
-        raise ValueError("player list must not be empty")
-    xs = [p.packet.x for p in players]
-    modulus = xs[0].modulus
-    total = FieldElement(0, modulus)
-    for p in players:
-        share = p.packet.f_share if pass_name == "secret" else p.packet.g_share
-        total = total + shadow(share, p.packet.x, xs)
-    return total
 
 
 def _execute(
@@ -276,11 +244,10 @@ def _execute(
     seed: int | None,
 ) -> ProtocolTranscript:
     t = instance.t
-    expected_hops = 0 if t == 1 else t
-    if len(channel.hops) != expected_hops:
-        raise ValueError(
-            f"channel has {len(channel.hops)} hops, expected {expected_hops} for t={t}"
-        )
+    hops = t if t > 1 else 0
+    stray = [k for k in channel.hooks if k not in range(hops)]
+    if stray:
+        raise ValueError(f"channel hooks {stray} lie outside the {hops} hops of a t={t} ring")
     registers = (HOME, TRANSMITTED)
     if channel.ancilla_register is not None:
         registers = registers + (channel.ancilla_register,)
@@ -296,7 +263,9 @@ def _execute(
         ("secret", instance.shadows_secret),
         ("hash", instance.shadows_hash),
     ):
-        anc, value = _run_pass(layout, instance.modulus, shadows, channel, rng, pass_name, events)
+        anc, value = _run_pass(
+            layout, instance.modulus, shadows, hops, channel, rng, pass_name, events
+        )
         ancilla.append(anc)
         if anc != 0:
             verdict = VERDICT_ABORT_ANCILLA
@@ -331,6 +300,7 @@ def _run_pass(
     layout: RegisterLayout,
     modulus: PrimeModulus,
     shadows: tuple[int, ...],
+    hops: int,
     channel: Channel,
     rng: np.random.Generator,
     pass_name: str,
@@ -344,7 +314,7 @@ def _run_pass(
     state = apply_qft(state, HOME)
     state = apply_copy(state, HOME, TRANSMITTED)
 
-    for hop_index in range(len(channel.hops)):
+    for hop_index in range(hops):
         hook = channel.hooks.get(hop_index)
         if hook is not None:
             ctx = _context(pass_name, hop_index, "hop", events)

@@ -5,9 +5,10 @@ significant base-d digit of the flat amplitude index, so for registers
 (H, T) the basis state |h>|t> sits at index h*d + t.
 
 Gates are pure functions returning new states. Each gate re-checks the
-2-norm and raises NotNormalized if it drifted beyond 1e-9. The per-gate
-tables (QFT matrix, copy permutation, phase diagonal) are cached per
-dimension, which keeps the shot loops cheap.
+2-norm and raises NotNormalized if it drifted beyond 1e-9. A single-register
+gate acts on the state viewed as (d**axis, d, rest), so every axis takes the
+same path. The per-gate tables (QFT matrix, copy permutation, phase column)
+sit in bounded caches keyed by dimension, which keeps the shot loops cheap.
 """
 from __future__ import annotations
 
@@ -28,6 +29,9 @@ from .field import FieldElement
 
 _GATE_NORM_TOL = 1e-9
 _MEASURE_NORM_TOL = 1e-6
+# Largest state vector a layout may ask for: 2**24 complex amplitudes is
+# 256 MB, plus an int64 copy permutation of the same length.
+MAX_AMPLITUDES = 2**24
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,11 @@ class RegisterLayout:
             raise ValueOutOfRange("layout supports 1 to 3 registers")
         if len(set(self.registers)) != len(self.registers):
             raise ValueOutOfRange("register labels must be unique")
+        if self.d ** len(self.registers) > MAX_AMPLITUDES:
+            raise ValueOutOfRange(
+                f"{len(self.registers)} registers of dimension {self.d} need "
+                f"{self.d ** len(self.registers)} amplitudes, above the budget of {MAX_AMPLITUDES}"
+            )
 
     @property
     def qubits_per_register(self) -> int:
@@ -78,14 +87,15 @@ class QuditState:
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
+    def split(self, register: str) -> np.ndarray:
+        """Amplitudes viewed as (d**axis, d, rest), the register in the middle."""
+        d = self.layout.d
+        return self.amplitudes.reshape(d ** self.layout.axis(register), d, -1)
+
     def marginal(self, register: str) -> np.ndarray:
         """Probability distribution of one register, other registers traced out."""
-        axis = self.layout.axis(register)
-        d, k = self.layout.d, len(self.layout.registers)
-        probs = (self.amplitudes.real**2 + self.amplitudes.imag**2).reshape(
-            (d**axis, d, d ** (k - axis - 1))
-        )
-        return probs.sum(axis=(0, 2))
+        amps = self.split(register)
+        return (amps.real**2 + amps.imag**2).sum(axis=(0, 2))
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,7 @@ def basis_state(layout: RegisterLayout, values: dict[str, int]) -> QuditState:
     return QuditState(layout, amps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _qft_matrix(d: int) -> np.ndarray:
     q = np.arange(d)
     m = np.exp(2j * np.pi * np.outer(q, q) / d) / math.sqrt(d)
@@ -119,14 +129,14 @@ def _qft_matrix(d: int) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _iqft_matrix(d: int) -> np.ndarray:
     m = _qft_matrix(d).conj()
     m.setflags(write=False)
     return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _copy_table(d: int) -> np.ndarray:
     """Target-value table of the copy gate: entry [a, b] is the target value
     that basis pair (a, b) maps to.
@@ -145,7 +155,7 @@ def _copy_table(d: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _copy_permutation(d: int, k: int, c_axis: int, t_axis: int) -> np.ndarray:
     """Flat gather indices realizing the copy gate on a d**k state: the gate
     is an involution, so out = amps[perm] with perm[dest] = source = dest
@@ -158,27 +168,13 @@ def _copy_permutation(d: int, k: int, c_axis: int, t_axis: int) -> np.ndarray:
     return perm
 
 
-def _phase_diagonal(d: int, shadow_value: int, k: int, axis: int) -> np.ndarray:
-    # Caching every (d, shadow) diagonal only pays off for the small d the
-    # protocol actually runs at; large d would hoard memory.
-    if d <= 64:
-        return _phase_diagonal_cached(d, shadow_value, k, axis)
-    return _build_phase_diagonal(d, shadow_value, k, axis)
-
-
-@lru_cache(maxsize=None)
-def _phase_diagonal_cached(d: int, shadow_value: int, k: int, axis: int) -> np.ndarray:
-    full = _build_phase_diagonal(d, shadow_value, k, axis)
-    full.setflags(write=False)
-    return full
-
-
-def _build_phase_diagonal(d: int, shadow_value: int, k: int, axis: int) -> np.ndarray:
-    """exp(2 pi i * s * value / d) broadcast over the full flat index space."""
-    phases = np.exp(2j * np.pi * shadow_value * np.arange(d) / d)
-    shape = [1] * k
-    shape[axis] = d
-    return np.broadcast_to(phases.reshape(shape), (d,) * k).reshape(-1).copy()
+@lru_cache(maxsize=256)
+def _phase_column(d: int, shadow_value: int) -> np.ndarray:
+    """exp(2 pi i * s * value / d) for value in [0, d), as a (d, 1) column
+    that broadcasts over a state split at the register's axis."""
+    phases = np.exp(2j * np.pi * shadow_value * np.arange(d) / d).reshape(d, 1)
+    phases.setflags(write=False)
+    return phases
 
 
 def _check_norm(amps: np.ndarray, tol: float) -> None:
@@ -188,15 +184,7 @@ def _check_norm(amps: np.ndarray, tol: float) -> None:
 
 
 def _apply_matrix(state: QuditState, register: str, matrix: np.ndarray) -> QuditState:
-    axis = state.layout.axis(register)
-    d, k = state.layout.d, len(state.layout.registers)
-    amps = state.amplitudes
-    if axis == 0:
-        out = (matrix @ amps.reshape(d, -1)).reshape(-1)
-    elif axis == k - 1:
-        out = (amps.reshape(-1, d) @ matrix.T).reshape(-1)
-    else:
-        out = np.einsum("ij,ajb->aib", matrix, amps.reshape(d, d, d)).reshape(-1)
+    out = (matrix @ state.split(register)).reshape(-1)
     _check_norm(out, _GATE_NORM_TOL)
     return QuditState(state.layout, out)
 
@@ -238,13 +226,9 @@ def apply_shadow_phase(state: QuditState, register: str, shadow: FieldElement) -
         raise ModulusMismatch(
             f"shadow modulus {shadow.modulus.d} != register dimension {state.layout.d}"
         )
-    layout = state.layout
-    diag = _phase_diagonal(
-        layout.d, shadow.value, len(layout.registers), layout.axis(register)
-    )
-    out = state.amplitudes * diag
+    out = (state.split(register) * _phase_column(state.layout.d, shadow.value)).reshape(-1)
     _check_norm(out, _GATE_NORM_TOL)
-    return QuditState(layout, out)
+    return QuditState(state.layout, out)
 
 
 def measure(state: QuditState, register: str, rng: np.random.Generator) -> MeasurementOutcome:
@@ -260,9 +244,7 @@ def measure(state: QuditState, register: str, rng: np.random.Generator) -> Measu
     # draw never lands past the last value with positive probability.
     value = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
     value = min(value, state.layout.d - 1)
-    axis = state.layout.axis(register)
-    d, k = state.layout.d, len(state.layout.registers)
-    shaped = state.amplitudes.reshape((d**axis, d, d ** (k - axis - 1)))
+    shaped = state.split(register)
     collapsed = np.zeros_like(shaped)
     collapsed[:, value, :] = shaped[:, value, :] / math.sqrt(probs[value])
     post = QuditState(state.layout, collapsed.reshape(-1))

@@ -24,7 +24,6 @@ from qss.dealer import DealerConfig, deal, hash_to_field
 from qss.errors import PresetInfeasible
 from qss.field import FieldElement, PrimeModulus, interpolate_at_zero
 from qss.protocol import (
-    expected_sum,
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
@@ -159,7 +158,7 @@ def test_criterion_4_classical_oracle_equivalence(recovery_grid):
     records, _ = recovery_grid
     mismatches = 0
     for d, t, n, subset, secret, players, tr in records:
-        via_sum = expected_sum(players, "secret").value
+        via_sum = instance_from_players(players).expected_value("secret")
         points = [(p.packet.x, p.packet.f_share) for p in players]
         via_interp = interpolate_at_zero(points).value
         if not (tr.f0 == via_sum == via_interp):

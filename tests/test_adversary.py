@@ -7,6 +7,7 @@ import pytest
 
 from qss.adversary import (
     AttackSpec,
+    _chi2_sf,
     run_attack,
     run_collusion_probe,
     run_entangle_measure,
@@ -359,6 +360,57 @@ class TestReportShape:
         assert uniformity_pvalue(biased, 3) < 1e-3
         flat = Counter({0: 333, 1: 333, 2: 334})
         assert uniformity_pvalue(flat, 3) > 0.9
+
+
+class TestChiSquareSurvival:
+    """The closed-form chi-square survival function behind uniformity_pvalue."""
+
+    DOF = list(range(1, 40)) + [100, 126, 250, 506, 1008, 1022]
+    # Upper-tail probabilities from 1e-12 to 1 - 1e-6.
+    TAILS = [10.0**e for e in range(-12, 0)] + [0.25, 0.5, 0.75] + [1 - 10.0**-e for e in range(1, 7)]
+
+    @pytest.mark.parametrize(
+        "x, k, p",
+        [
+            (3.8414588206941285, 1, 0.05),
+            (18.30703805327515, 10, 0.05),
+            (135.80672317102676, 100, 0.01),
+            (96.12556491301818, 39, 1e-6),
+            (70.83842825582607, 7, 1e-12),
+            (1021.3334107000704, 1022, 0.5),
+        ],
+    )
+    def test_table_values(self, x, k, p):
+        assert _chi2_sf(x, k) == pytest.approx(p, rel=1e-9)
+
+    def test_even_dof_is_poisson_tail(self):
+        for x in (0.1, 1.0, 7.5, 40.0):
+            assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+            assert _chi2_sf(x, 4) == pytest.approx(math.exp(-x / 2) * (1 + x / 2), rel=1e-14)
+
+    def test_limits(self):
+        for k in (1, 2, 3, 1022):
+            assert _chi2_sf(0.0, k) == 1.0
+            assert _chi2_sf(1e6, k) == 0.0
+        assert 0.0 <= _chi2_sf(1e-300, 1) <= 1.0
+
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for k in self.DOF:
+            for p in self.TAILS:
+                x = float(stats.chi2.isf(p, k))
+                assert _chi2_sf(x, k) == pytest.approx(stats.chi2.sf(x, k), rel=1e-9), (x, k)
+
+    def test_uniformity_pvalue_matches_scipy_chisquare(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(8)
+        for d in (2, 3, 5, 7, 127):
+            for weights in (np.ones(d), rng.random(d)):
+                draws = rng.choice(d, size=500, p=weights / weights.sum())
+                counts = Counter(int(v) for v in draws)
+                observed = [counts.get(v, 0) for v in range(d)]
+                want = stats.chisquare(observed).pvalue
+                assert uniformity_pvalue(counts, d) == pytest.approx(want, rel=1e-9, abs=1e-300)
 
 
 class TestCollisionResistanceStructure:

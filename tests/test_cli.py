@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qss
 from qss.cli import main, resolve_preset
-from qss.errors import PresetInfeasible
+from qss.errors import PresetInfeasible, ValueOutOfRange
+from qss.qudit import RegisterLayout
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +28,7 @@ class TestRun:
         assert blob["transcript"]["verdict"] == "accepted"
         assert blob["transcript"]["f0"] == 4
         assert blob["version"] and blob["config"]["n"] == 5 and blob["seed"] == 1
+        assert "format" not in blob["config"]
 
     def test_single_player_trivial(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--n", "3", "--t", "1", "--secret", "0")
@@ -118,6 +125,14 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--n", "4", "--shots", "8")
         assert code == 2
 
+    def test_shots_below_one_exits_2(self, capsys):
+        for shots in ("0", "-3"):
+            code, out, err = run_cli(
+                capsys, "simulate", "--preset", "players-3", "--shots", shots
+            )
+            assert code == 2 and out == ""
+            assert "shots" in err
+
 
 class TestAttack:
     def test_intercept_resend_report(self, capsys):
@@ -155,11 +170,29 @@ class TestAttack:
         assert code == 2
 
     def test_csv_format_rejected_for_reports(self, capsys):
-        code, _, err = run_cli(
-            capsys, "attack", "--attack", "forgery", "--n", "4", "--t", "3",
-            "--shots", "4", "--format", "csv",
+        # Reports are JSON only; --format exists only on sweep.
+        for argv in (
+            ["attack", "--attack", "forgery", "--n", "4", "--t", "3", "--shots", "4",
+             "--format", "csv"],
+            ["run", "--n", "4", "--t", "2", "--secret", "1", "--format", "json"],
+            ["simulate", "--preset", "players-3", "--shots", "4", "--format", "json"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--format" in capsys.readouterr().err
+
+    def test_oversized_ancilla_layout_exits_2(self, capsys):
+        # Checked at the layout level first: without the amplitude budget the
+        # call below would allocate a 1009**3 state, about 16 GB.
+        with pytest.raises(ValueOutOfRange):
+            RegisterLayout(d=1009, registers=("H", "T", "E"))
+        code, out, err = run_cli(
+            capsys, "attack", "--attack", "entangle_measure", "--n", "1000", "--t", "2",
+            "--shots", "1",
         )
-        assert code == 2 and "json" in err
+        assert code == 2 and out == ""
+        assert "budget" in err
 
 
 class TestSweep:
@@ -203,3 +236,14 @@ class TestSweep:
         assert code == 0
         blob = json.loads(out)
         assert all(row["correct"] for row in blob["rows"])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(qss.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, qss.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

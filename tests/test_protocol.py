@@ -12,12 +12,10 @@ from qss.field import FieldElement, PrimeModulus, interpolate_at_zero
 from qss.protocol import (
     Channel,
     ProtocolInstance,
-    expected_sum,
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
     make_players,
-    run_reconstruction,
     verify_hash,
 )
 
@@ -35,7 +33,7 @@ class TestHonestRuns:
     def test_recovers_secret(self):
         for n, t, secret, seed in [(5, 3, 4, 1), (4, 2, 0, 9), (6, 4, 5, 3)]:
             players = build_players(n, t, secret, seed)
-            tr = run_reconstruction(players, seed=seed)
+            tr = instance_from_players(players).run(seed=seed)
             assert tr.verdict == "accepted"
             assert tr.f0 == secret
             assert tr.ancilla == (0, 0)
@@ -45,18 +43,18 @@ class TestHonestRuns:
             for secret in (0, 1, d - 1):
                 for subset in itertools.combinations(range(1, n + 1), t):
                     players = build_players(n, t, secret, seed=42, subset=subset, d_override=d)
-                    tr = run_reconstruction(players, seed=7)
+                    tr = instance_from_players(players).run(seed=7)
                     assert tr.accepted and tr.f0 == secret, (d, n, t, subset, secret)
 
     def test_single_player(self):
         players = build_players(3, 1, 0, seed=0)
-        tr = run_reconstruction(players, seed=0)
+        tr = instance_from_players(players).run(seed=0)
         assert tr.accepted and tr.f0 == 0 and tr.t == 1
 
     def test_deterministic_given_seed(self):
         players = build_players(5, 3, 2, seed=4)
-        a = run_reconstruction(players, seed=123)
-        b = run_reconstruction(players, seed=123)
+        a = instance_from_players(players).run(seed=123)
+        b = instance_from_players(players).run(seed=123)
         assert a == b
 
     def test_every_shot_lands_on_shadow_sum(self):
@@ -70,10 +68,10 @@ class TestHonestRuns:
     def test_order_independence_of_hops(self):
         # Permuting P2..Pt must not change f(0)' (phase additivity).
         base = build_players(6, 4, 2, seed=11, d_override=7)
-        reference = run_reconstruction(base, seed=5).f0
+        reference = instance_from_players(base).run(seed=5).f0
         for perm in itertools.permutations(base[1:]):
             players = make_players([p.packet for p in [base[0], *perm]])
-            assert run_reconstruction(players, seed=5).f0 == reference
+            assert instance_from_players(players).run(seed=5).f0 == reference
 
 
 class TestShadowLevelPipeline:
@@ -96,19 +94,20 @@ class TestClassicalEquivalence:
     def test_quantum_equals_interpolation_and_shadow_sum(self):
         for d, n, t, secret in [(5, 4, 3, 2), (7, 6, 2, 6), (11, 5, 4, 10)]:
             players = build_players(n, t, secret, seed=13, d_override=d)
-            tr = run_reconstruction(players, seed=21)
-            via_sum = expected_sum(players, "secret")
+            inst = instance_from_players(players)
+            tr = inst.run(seed=21)
+            via_sum = inst.expected_value("secret")
             points = [(p.packet.x, p.packet.f_share) for p in players]
-            assert tr.f0 == via_sum.value == interpolate_at_zero(points).value == secret
+            assert tr.f0 == via_sum == interpolate_at_zero(points).value == secret
 
     def test_hash_pass_equivalence(self):
         players = build_players(5, 3, 1, seed=17)
-        tr = run_reconstruction(players, seed=2)
-        assert tr.g0 == expected_sum(players, "hash").value
+        inst = instance_from_players(players)
+        assert inst.run(seed=2).g0 == inst.expected_value("hash")
 
-    def test_expected_sum_empty_rejected(self):
+    def test_expected_value_empty_rejected(self):
         with pytest.raises(ValueError):
-            expected_sum([])
+            instance_from_players([]).expected_value("secret")
 
 
 class TestAbortSoundness:
@@ -189,21 +188,30 @@ class TestValidation:
         _, a = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=0))
         _, b = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=0, d_override=7))
         with pytest.raises(InconsistentPackets):
-            run_reconstruction(make_players([a[0], b[1]]))
+            instance_from_players(make_players([a[0], b[1]])).run()
 
     def test_duplicate_points_rejected(self):
         _, packets = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=0))
         with pytest.raises(InconsistentPackets):
-            run_reconstruction(make_players([packets[0], packets[0]]))
+            instance_from_players(make_players([packets[0], packets[0]])).run()
 
     def test_subset_size_must_match_t(self):
         with pytest.raises(InconsistentPackets):
             instance_from_deal(DealerConfig(n=4, t=3, secret=0, rng_seed=0), subset=(1, 2))
 
     def test_channel_hop_count_checked(self):
-        players = build_players(4, 3, 1, seed=1)
+        # A t=3 ring has hops 0..2; a lone reconstructor has none.
+        def noop(state, rng, ctx):
+            return state
+
+        inst = instance_from_players(build_players(4, 3, 1, seed=1))
+        inst.run(channel=Channel(hooks={2: noop}), seed=0)
+        for key in (3, -1):
+            with pytest.raises(ValueError):
+                inst.run(channel=Channel(hooks={key: noop}), seed=0)
+        single = instance_from_players(build_players(3, 1, 0, seed=0))
         with pytest.raises(ValueError):
-            run_reconstruction(players, channel=Channel(hops=((1, 2),)))
+            single.run(channel=Channel(hooks={0: noop}), seed=0)
 
     def test_shadow_instance_lengths(self):
         with pytest.raises(InconsistentPackets):
@@ -213,7 +221,7 @@ class TestValidation:
 class TestTranscript:
     def test_json_schema(self):
         players = build_players(5, 3, 4, seed=1)
-        tr = run_reconstruction(players, seed=1)
+        tr = instance_from_players(players).run(seed=1)
         blob = tr.to_json()
         assert sorted(blob) == [
             "ancilla", "d", "f0", "g0", "seed", "shots", "t", "verdict", "xs",
@@ -233,8 +241,8 @@ class TestTranscript:
             return QuditState(state.layout, rolled.reshape(-1))
 
         players = build_players(4, 2, 1, seed=2, d_override=5)
-        channel = Channel.ring(2, hooks={0: shift_t})
-        tr = run_reconstruction(players, channel=channel, seed=9)
+        channel = Channel(hooks={0: shift_t})
+        tr = instance_from_players(players).run(channel=channel, seed=9)
         assert tr.verdict == "abort_ancilla"
         assert len(tr.ancilla) == 1 and tr.ancilla[0] != 0
         assert tr.f0 is None and tr.g0 is None
@@ -248,8 +256,8 @@ class TestHookPlumbing:
             ctx.record({"value": ctx.hop_index})
             return state
 
-        channel = Channel.ring(3, hooks={0: spy, 2: spy})
-        tr = run_reconstruction(players, channel=channel, seed=0)
+        channel = Channel(hooks={0: spy, 2: spy})
+        tr = instance_from_players(players).run(channel=channel, seed=0)
         assert [e[:2] for e in tr.hook_events] == [
             ("secret", 0), ("secret", 2), ("hash", 0), ("hash", 2),
         ]
@@ -261,6 +269,6 @@ class TestHookPlumbing:
             ctx.record({"value": 1})
             return state
 
-        channel = Channel.ring(3, hooks={0: spy})
-        tr = run_reconstruction(players, channel=channel, seed=0)
+        channel = Channel(hooks={0: spy})
+        tr = instance_from_players(players).run(channel=channel, seed=0)
         assert "hook_events" not in tr.to_json()

@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qss.errors import (
 )
 from qss.field import FieldElement, PrimeModulus
 from qss.qudit import (
+    MAX_AMPLITUDES,
     RegisterLayout,
     QuditState,
     apply_copy,
@@ -53,6 +55,16 @@ class TestLayout:
     def test_unknown_register(self):
         with pytest.raises(UnknownRegister):
             layout(3, "H", "T").axis("E")
+
+    def test_amplitude_budget(self):
+        # The largest layouts in use fit: three registers at d=127 and two
+        # at the d cap of 1024.
+        assert 127**3 <= MAX_AMPLITUDES and 1024**2 <= MAX_AMPLITUDES
+        RegisterLayout(d=127, registers=("H", "T", "E"))
+        RegisterLayout(d=1024, registers=("H", "T"))
+        # choose_modulus(1000) = 1009: a 1009**3 state would be about 16 GB.
+        with pytest.raises(ValueOutOfRange, match="budget"):
+            RegisterLayout(d=1009, registers=("H", "T", "E"))
 
 
 class TestBasisState:
@@ -123,6 +135,44 @@ class TestQft:
             ):
                 out = gate(psi)
                 assert abs(out.norm() - 1.0) < 1e-9
+
+
+class TestReferenceOperators:
+    """Each single-register gate, on every axis of 1-, 2- and 3-register
+    layouts, equals I (x) ... (x) U (x) ... (x) I built with np.kron from the
+    gate's textbook d x d matrix."""
+
+    @staticmethod
+    def full_matrix(lay, gate):
+        dim = lay.d ** len(lay.registers)
+        columns = [gate(QuditState(lay, np.eye(dim)[i])).amplitudes for i in range(dim)]
+        return np.stack(columns, axis=1)
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("d", (2, 3, 5, 7))
+    def test_gates_match_kron_reference(self, d, k):
+        lay = layout(d, *("H", "T", "E")[:k])
+        q = np.arange(d)
+        qft = np.array(
+            [[cmath.exp(2j * cmath.pi * a * b / d) / math.sqrt(d) for b in q] for a in q]
+        )
+        s = d - 1
+        shadow_s = FieldElement(s, PrimeModulus(d))
+        gates = [
+            (apply_qft, qft),
+            (apply_iqft, qft.conj().T),
+            (
+                lambda state, reg: apply_shadow_phase(state, reg, shadow_s),
+                np.diag([cmath.exp(2j * cmath.pi * s * v / d) for v in q]),
+            ),
+        ]
+        for axis, register in enumerate(lay.registers):
+            for gate, single in gates:
+                factors = [np.eye(d)] * k
+                factors[axis] = single
+                reference = reduce(np.kron, factors)
+                got = self.full_matrix(lay, lambda state: gate(state, register))
+                assert np.max(np.abs(got - reference)) < 1e-12, (d, k, axis, gate)
 
 
 class TestCopy:
