@@ -1,8 +1,10 @@
 """Attack scenarios as channel hooks plus empirical detection/leakage stats.
 
 Every runner follows the same recipe: build a ring channel with the attack
-hook(s) installed, run independently seeded shots, and distill the per-shot
-transcripts into an AttackReport. "Information gain" claims are measured as
+hook(s) installed, run a series of shots that all draw from one generator
+seeded once per series, and distill the per-shot transcripts into an
+AttackReport. Inside a run only measurements draw from that generator; the
+hooks measure through ctx.measure. "Information gain" claims are measured as
 the total-variation distance between the adversary's observation
 distributions under two forced shadow hypotheses; "detected" means the run
 ended in any abort.
@@ -28,7 +30,7 @@ from .protocol import (
     TRANSMITTED,
     VERDICT_ABORT_HASH,
 )
-from .qudit import QuditState, apply_copy, apply_iqft, measure
+from .qudit import QuditState, apply_copy, apply_iqft
 
 ADVERSARY_REGISTER = "E"
 
@@ -94,12 +96,6 @@ def _key(k) -> str:
     return ",".join(str(v) for v in k) if isinstance(k, tuple) else str(k)
 
 
-def shot_seeds(seed: int | np.random.SeedSequence, shots: int) -> list[np.random.SeedSequence]:
-    """Independent per-shot seed sequences; shared by honest and attack series."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return root.spawn(shots)
-
-
 def run_shot_series(
     instance: ProtocolInstance,
     shots: int,
@@ -107,13 +103,14 @@ def run_shot_series(
     channel: Channel | None = None,
     per_shot=None,
 ) -> list[ProtocolTranscript]:
-    """Run `shots` independent executions. `per_shot(instance, rng)` may swap
-    in a mutated instance (e.g. a forged shadow) before each run."""
+    """Run `shots` executions, all drawing from one generator seeded once.
+    `per_shot(instance, rng)` may swap in a mutated instance (e.g. a forged
+    shadow) before each run; it draws from the same generator."""
+    rng = np.random.default_rng(seed)
     out = []
-    for child in shot_seeds(seed, shots):
-        rng = np.random.default_rng(child)
+    for _ in range(shots):
         inst = per_shot(instance, rng) if per_shot is not None else instance
-        out.append(inst.run(channel=channel, rng=rng))
+        out.append(inst.run(channel=channel, seed=rng))
     return out
 
 
@@ -162,27 +159,20 @@ def _chi2_sf(x: float, k: int) -> float:
     return min(1.0, math.fsum([head, *terms]))
 
 
-def _measure_resend_hook(state: QuditState, rng: np.random.Generator, ctx: HookContext) -> QuditState:
-    out = measure(state, TRANSMITTED, rng)
-    ctx.record({"value": out.value})
-    return out.post_state
+def _measure_resend_hook(state: QuditState, ctx: HookContext) -> QuditState:
+    return ctx.measure(state, TRANSMITTED)
 
 
-def _fourier_intercept_hook(state: QuditState, rng: np.random.Generator, ctx: HookContext) -> QuditState:
-    state = apply_iqft(state, TRANSMITTED)
-    out = measure(state, TRANSMITTED, rng)
-    ctx.record({"value": out.value})
-    return out.post_state
+def _fourier_intercept_hook(state: QuditState, ctx: HookContext) -> QuditState:
+    return ctx.measure(apply_iqft(state, TRANSMITTED), TRANSMITTED)
 
 
-def _entangle_hook(state: QuditState, rng: np.random.Generator, ctx: HookContext) -> QuditState:
+def _entangle_hook(state: QuditState, ctx: HookContext) -> QuditState:
     return apply_copy(state, TRANSMITTED, ADVERSARY_REGISTER)
 
 
-def _probe_ancilla_hook(state: QuditState, rng: np.random.Generator, ctx: HookContext) -> QuditState:
-    out = measure(state, ADVERSARY_REGISTER, rng)
-    ctx.record({"value": out.value})
-    return out.post_state
+def _probe_ancilla_hook(state: QuditState, ctx: HookContext) -> QuditState:
+    return ctx.measure(state, ADVERSARY_REGISTER)
 
 
 def _secret_pass_values(transcript: ProtocolTranscript) -> list[int]:
@@ -217,13 +207,6 @@ def _summarize(
     )
 
 
-def _validate_hop(instance: ProtocolInstance, hop_index: int) -> None:
-    if instance.t < 2:
-        raise ValueError("interception needs at least one hop (t >= 2)")
-    if not 0 <= hop_index < instance.t:
-        raise ValueError(f"hop_index {hop_index} out of range for t={instance.t}")
-
-
 def _flat_observations(transcripts) -> Counter:
     return Counter(v for tr in transcripts for v in _secret_pass_values(tr))
 
@@ -250,10 +233,7 @@ def _conditioned_leakage(
 def _intercept_attack(
     instance: ProtocolInstance, spec: AttackSpec, hook, **channel_fields
 ) -> AttackReport:
-    channel = None
-    if spec.active:
-        _validate_hop(instance, spec.hop_index)
-        channel = Channel(hooks={spec.hop_index: hook}, **channel_fields)
+    channel = Channel(hooks={spec.hop_index: hook}, **channel_fields) if spec.active else None
     transcripts = run_shot_series(instance, spec.shots, spec.seed, channel)
     observations = _flat_observations(transcripts)
     leakage = None

@@ -21,7 +21,8 @@ from .adversary import ATTACK_KINDS, AttackSpec, run_attack, run_shot_series
 from .dealer import DealerConfig, choose_modulus
 from .errors import PresetInfeasible, QssError
 from .field import is_prime
-from .protocol import instance_from_deal
+from .protocol import HOME, TRANSMITTED, instance_from_deal
+from .qudit import RegisterLayout
 
 PRESET_PLAYERS = (3, 4, 15)
 MAX_PRESET_QUBITS = 3
@@ -133,6 +134,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for n in range(t, args.n_max + 1)
         if n < d
     ]
+    if cells:
+        # Fail on the largest modulus before running any cell.
+        RegisterLayout(d=max(d for d, _, _ in cells), registers=(HOME, TRANSMITTED))
     children = np.random.SeedSequence(args.seed).spawn(len(cells)) if cells else []
     for (d, t, n), child in zip(cells, children):
         cell_seed = int(child.generate_state(1, dtype=np.uint64)[0])
@@ -140,7 +144,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         secret = int(rng.integers(d))
         config = DealerConfig(n=n, t=t, secret=secret, rng_seed=cell_seed, d_override=d)
         instance = instance_from_deal(config)
-        transcript = instance.run(rng=rng)
+        transcript = instance.run(seed=rng)
         rows.append(
             {
                 "d": d,

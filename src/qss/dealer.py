@@ -62,18 +62,22 @@ def hash_to_field(secret: int, d: PrimeModulus) -> FieldElement:
     return FieldElement(int.from_bytes(digest, "big") % d.d, d)
 
 
+def resolve_modulus(config: DealerConfig) -> PrimeModulus:
+    """The prime a deal works over: d_override when set, else choose_modulus(n)."""
+    if config.d_override is None:
+        return choose_modulus(config.n)
+    if config.d_override <= config.n:
+        raise ValueOutOfRange(
+            f"d={config.d_override} must exceed n={config.n} for distinct share points"
+        )
+    return PrimeModulus(config.d_override)
+
+
 def deal(config: DealerConfig) -> tuple[PrimeModulus, list[SharePacket]]:
     """Draw both polynomials from the seeded rng and evaluate at x = 1..n."""
     if not 1 <= config.t <= config.n:
         raise InvalidThreshold(f"need 1 <= t <= n, got t={config.t}, n={config.n}")
-    if config.d_override is not None:
-        if config.d_override <= config.n:
-            raise ValueOutOfRange(
-                f"d={config.d_override} must exceed n={config.n} for distinct share points"
-            )
-        modulus = PrimeModulus(config.d_override)
-    else:
-        modulus = choose_modulus(config.n)
+    modulus = resolve_modulus(config)
     if not 0 <= config.secret < modulus.d:
         raise SecretOutOfRange(f"secret {config.secret} not in [0, {modulus.d})")
 

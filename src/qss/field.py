@@ -108,10 +108,6 @@ class Polynomial:
     def modulus(self) -> PrimeModulus:
         return self.coefficients[0].modulus
 
-    @property
-    def constant_term(self) -> FieldElement:
-        return self.coefficients[0]
-
 
 def field_inv(a: FieldElement) -> FieldElement:
     """Multiplicative inverse in Z_d (Fermat: a**(d-2))."""

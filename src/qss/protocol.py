@@ -15,7 +15,9 @@ iff both ancilla outcomes were 0 and SHA1(f(0)') mod d equals g(0)'.
 The channel is an in-process token ring: per-hop adversary hooks stand in
 for whatever sits on the (otherwise assumed authenticated) quantum link.
 Hooks may only act on the transmitted register and the optional adversary
-ancilla; H never leaves P1.
+ancilla; H never leaves P1. A hook is called as hook(state, ctx) and returns
+the state to forward. Only measurements draw from the run's generator, so a
+hook measures through ctx.measure and never sees the generator itself.
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ from typing import Callable, Literal, Mapping
 
 import numpy as np
 
-from .dealer import DealerConfig, SharePacket, deal, hash_to_field
+from .dealer import DealerConfig, SharePacket, deal, hash_to_field, resolve_modulus
 from .errors import InconsistentPackets
-from .field import FieldElement, PrimeModulus, shadow
+from .field import FieldElement, PrimeModulus, lagrange_coeff
 from .qudit import (
     RegisterLayout,
     QuditState,
@@ -58,16 +60,17 @@ class Player:
 
 @dataclass(frozen=True)
 class HookContext:
-    """What an adversary hook gets to know: which pass, which hop, and a
-    callback that files an observation into the transcript."""
+    """What an adversary hook gets to know: pass, hop (None after P1's uncopy),
+    record(payload) to file an observation, and measure(state, register) to
+    measure with the run's generator, file {"value": outcome} and collapse."""
 
     pass_name: str
     hop_index: int | None
-    stage: Literal["hop", "post_uncopy"]
     record: Callable[[dict], None]
+    measure: Callable[[QuditState, str], QuditState]
 
 
-Hook = Callable[[QuditState, np.random.Generator, HookContext], QuditState]
+Hook = Callable[[QuditState, HookContext], QuditState]
 
 
 @dataclass(frozen=True)
@@ -158,14 +161,14 @@ class ProtocolInstance:
     def run(
         self,
         channel: Channel | None = None,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> ProtocolTranscript:
+        """One two-pass run drawing from default_rng(seed); a Generator is used
+        as is. The transcript records seed only when it is an int."""
         if channel is None:
             channel = Channel()
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        return _execute(self, channel, rng, seed)
+        rng = np.random.default_rng(seed)
+        return _execute(self, channel, rng, seed if isinstance(seed, int) else None)
 
 
 def make_players(packets: list[SharePacket]) -> list[Player]:
@@ -188,11 +191,12 @@ def instance_from_players(players: list[Player], secret: int | None = None) -> P
     if len({x.value for x in xs}) != len(xs):
         raise InconsistentPackets("packets repeat evaluation points")
     modulus = moduli.pop()
+    weights = [lagrange_coeff(x, xs) for x in xs]
     return ProtocolInstance(
         modulus=modulus,
         xs=tuple(x.value for x in xs),
-        shadows_secret=tuple(shadow(p.packet.f_share, p.packet.x, xs).value for p in players),
-        shadows_hash=tuple(shadow(p.packet.g_share, p.packet.x, xs).value for p in players),
+        shadows_secret=tuple((p.packet.f_share * w).value for p, w in zip(players, weights)),
+        shadows_hash=tuple((p.packet.g_share * w).value for p, w in zip(players, weights)),
         players=tuple(players),
         secret=secret,
     )
@@ -201,7 +205,9 @@ def instance_from_players(players: list[Player], secret: int | None = None) -> P
 def instance_from_deal(
     config: DealerConfig, subset: tuple[int, ...] | None = None
 ) -> ProtocolInstance:
-    """Deal per config and assemble the qualified subset (default P1..Pt)."""
+    """Deal per config and assemble the qualified subset (default P1..Pt),
+    rejecting a modulus too large for the register layout before dealing."""
+    RegisterLayout(d=resolve_modulus(config).d, registers=(HOME, TRANSMITTED))
     _, packets = deal(config)
     ids = subset if subset is not None else tuple(range(1, config.t + 1))
     if len(ids) != config.t:
@@ -317,16 +323,14 @@ def _run_pass(
     for hop_index in range(hops):
         hook = channel.hooks.get(hop_index)
         if hook is not None:
-            ctx = _context(pass_name, hop_index, "hop", events)
-            state = hook(state, rng, ctx)
+            state = hook(state, _context(pass_name, hop_index, rng, events))
         if hop_index < t - 1:
             s = FieldElement(shadows[hop_index + 1], modulus)
             state = apply_shadow_phase(state, TRANSMITTED, s)
 
     state = apply_copy(state, HOME, TRANSMITTED)
     if channel.post_uncopy is not None:
-        ctx = _context(pass_name, None, "post_uncopy", events)
-        state = channel.post_uncopy(state, rng, ctx)
+        state = channel.post_uncopy(state, _context(pass_name, None, rng, events))
 
     check = measure(state, TRANSMITTED, rng)
     if check.value != 0:
@@ -336,8 +340,15 @@ def _run_pass(
     return 0, outcome.value
 
 
-def _context(pass_name: str, hop_index: int | None, stage: str, events: list) -> HookContext:
+def _context(
+    pass_name: str, hop_index: int | None, rng: np.random.Generator, events: list
+) -> HookContext:
     def record(payload: dict) -> None:
         events.append((pass_name, hop_index, dict(payload)))
 
-    return HookContext(pass_name=pass_name, hop_index=hop_index, stage=stage, record=record)
+    def measure_and_record(state: QuditState, register: str) -> QuditState:
+        out = measure(state, register, rng)
+        record({"value": out.value})
+        return out.post_state
+
+    return HookContext(pass_name, hop_index, record, measure_and_record)

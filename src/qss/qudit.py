@@ -8,7 +8,9 @@ Gates are pure functions returning new states. Each gate re-checks the
 2-norm and raises NotNormalized if it drifted beyond 1e-9. A single-register
 gate acts on the state viewed as (d**axis, d, rest), so every axis takes the
 same path. The per-gate tables (QFT matrix, copy permutation, phase column)
-sit in bounded caches keyed by dimension, which keeps the shot loops cheap.
+sit in caches keyed by dimension, which keeps the shot loops cheap. Callers
+work at one d at a time, so each d x d table keeps one entry and the copy
+permutation the two a three-register run alternates between.
 """
 from __future__ import annotations
 
@@ -121,7 +123,7 @@ def basis_state(layout: RegisterLayout, values: dict[str, int]) -> QuditState:
     return QuditState(layout, amps)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _qft_matrix(d: int) -> np.ndarray:
     q = np.arange(d)
     m = np.exp(2j * np.pi * np.outer(q, q) / d) / math.sqrt(d)
@@ -129,14 +131,14 @@ def _qft_matrix(d: int) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _iqft_matrix(d: int) -> np.ndarray:
     m = _qft_matrix(d).conj()
     m.setflags(write=False)
     return m
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _copy_table(d: int) -> np.ndarray:
     """Target-value table of the copy gate: entry [a, b] is the target value
     that basis pair (a, b) maps to.
@@ -155,15 +157,16 @@ def _copy_table(d: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _copy_permutation(d: int, k: int, c_axis: int, t_axis: int) -> np.ndarray:
     """Flat gather indices realizing the copy gate on a d**k state: the gate
     is an involution, so out = amps[perm] with perm[dest] = source = dest
-    with the target digit re-mapped through _copy_table."""
-    idx = np.arange(d**k)
-    digits = [(idx // d ** (k - 1 - axis)) % d for axis in range(k)]
-    new_target = _copy_table(d)[digits[c_axis], digits[t_axis]]
-    perm = idx + (new_target - digits[t_axis]) * d ** (k - 1 - t_axis)
+    with the target digit re-mapped through _copy_table. The shift comes
+    from sparse digit grids, so the only d**k array built is perm itself."""
+    grid = np.indices((d,) * k, sparse=True)
+    perm = np.arange(d**k).reshape((d,) * k)
+    perm += (_copy_table(d)[grid[c_axis], grid[t_axis]] - grid[t_axis]) * d ** (k - 1 - t_axis)
+    perm = perm.reshape(-1)
     perm.setflags(write=False)
     return perm
 

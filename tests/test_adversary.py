@@ -8,6 +8,7 @@ import pytest
 from qss.adversary import (
     AttackSpec,
     _chi2_sf,
+    _measure_resend_hook,
     run_attack,
     run_collusion_probe,
     run_entangle_measure,
@@ -21,7 +22,7 @@ from qss.adversary import (
 )
 from qss.dealer import DealerConfig, hash_to_field
 from qss.field import Polynomial, PrimeModulus, eval_poly
-from qss.protocol import instance_from_deal
+from qss.protocol import Channel, instance_from_deal
 
 
 def instance(n=4, t=3, secret=1, seed=5, d=5):
@@ -52,6 +53,31 @@ class TestSpecValidation:
         single = instance_from_deal(DealerConfig(n=3, t=1, secret=0, rng_seed=0))
         with pytest.raises(ValueError):
             run_intercept_resend(single, AttackSpec(kind="intercept_resend", shots=2))
+
+
+class TestShotSeries:
+    def test_one_generator_per_series(self):
+        inst = instance()
+        channel = Channel(hooks={0: _measure_resend_hook})
+        for s in (0, 7, np.random.SeedSequence([3, 1])):
+            series = run_shot_series(inst, 5, seed=s, channel=channel)
+            g = np.random.default_rng(s)
+            manual = [inst.run(channel=channel, seed=g) for _ in range(5)]
+            assert series_digest(series) == series_digest(manual)
+            assert [tr.hook_events for tr in series] == [tr.hook_events for tr in manual]
+
+    def test_per_shot_draws_before_each_run(self):
+        inst = instance()
+
+        def forge(base, rng):
+            return base.with_shadow(2, int(rng.integers(5)))
+
+        series = run_shot_series(inst, 5, seed=4, per_shot=forge)
+        g = np.random.default_rng(4)
+        manual = []
+        for _ in range(5):
+            manual.append(forge(inst, g).run(seed=g))
+        assert series_digest(series) == series_digest(manual)
 
 
 class TestControlRuns:

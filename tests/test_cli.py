@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import qss
+import qss.cli
+import qss.protocol
 from qss.cli import main, resolve_preset
 from qss.errors import PresetInfeasible, ValueOutOfRange
 from qss.qudit import RegisterLayout
@@ -43,6 +45,16 @@ class TestRun:
     def test_secret_out_of_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--n", "3", "--t", "2", "--secret", "99")
         assert code == 2
+
+    def test_modulus_above_cap_exits_2_before_dealing(self, capsys, monkeypatch):
+        def no_deal(config):
+            raise AssertionError("dealt despite an oversized modulus")
+
+        monkeypatch.setattr(qss.protocol, "deal", no_deal)
+        for argv in (("--n", "400000", "--t", "2"), ("--n", "3", "--t", "2", "--d", "1031")):
+            code, out, err = run_cli(capsys, "run", *argv, "--secret", "1")
+            assert code == 2 and out == ""
+            assert "1024" in err
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "a.json"
@@ -216,6 +228,17 @@ class TestSweep:
         )
         assert code == 0
         assert out == "d,t,n,seed,verdict,f0,expected,correct\r\n"
+
+    def test_modulus_above_cap_exits_2_before_any_cell(self, capsys, monkeypatch):
+        def no_cell(config):
+            raise AssertionError("ran a cell despite an oversized modulus")
+
+        monkeypatch.setattr(qss.cli, "instance_from_deal", no_cell)
+        code, out, err = run_cli(
+            capsys, "sweep", "--d-max", "1100", "--t-max", "1", "--n-max", "1"
+        )
+        assert code == 2 and out == ""
+        assert "1024" in err
 
     def test_sweep_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "a.csv"

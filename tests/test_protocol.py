@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qss.dealer import DealerConfig, deal, hash_to_field
 from qss.errors import InconsistentPackets
-from qss.field import FieldElement, PrimeModulus, interpolate_at_zero
+from qss.field import FieldElement, PrimeModulus, interpolate_at_zero, shadow
 from qss.protocol import (
     Channel,
     ProtocolInstance,
@@ -99,6 +99,13 @@ class TestClassicalEquivalence:
             via_sum = inst.expected_value("secret")
             points = [(p.packet.x, p.packet.f_share) for p in players]
             assert tr.f0 == via_sum == interpolate_at_zero(points).value == secret
+            xs = [p.packet.x for p in players]
+            assert inst.shadows_secret == tuple(
+                shadow(p.packet.f_share, p.packet.x, xs).value for p in players
+            )
+            assert inst.shadows_hash == tuple(
+                shadow(p.packet.g_share, p.packet.x, xs).value for p in players
+            )
 
     def test_hash_pass_equivalence(self):
         players = build_players(5, 3, 1, seed=17)
@@ -201,7 +208,7 @@ class TestValidation:
 
     def test_channel_hop_count_checked(self):
         # A t=3 ring has hops 0..2; a lone reconstructor has none.
-        def noop(state, rng, ctx):
+        def noop(state, ctx):
             return state
 
         inst = instance_from_players(build_players(4, 3, 1, seed=1))
@@ -235,7 +242,7 @@ class TestTranscript:
         # to cancel, so the pass-1 ancilla check must fire and end the run.
         from qss.qudit import QuditState
 
-        def shift_t(state, rng, ctx):
+        def shift_t(state, ctx):
             d = state.layout.d
             rolled = np.roll(state.amplitudes.reshape(d, d), 1, axis=1)
             return QuditState(state.layout, rolled.reshape(-1))
@@ -252,7 +259,7 @@ class TestHookPlumbing:
     def test_hooks_fire_once_per_pass_in_order(self):
         players = build_players(4, 3, 1, seed=3)
 
-        def spy(state, rng, ctx):
+        def spy(state, ctx):
             ctx.record({"value": ctx.hop_index})
             return state
 
@@ -262,10 +269,30 @@ class TestHookPlumbing:
             ("secret", 0), ("secret", 2), ("hash", 0), ("hash", 2),
         ]
 
+    def test_ctx_measure_files_value_and_collapses(self):
+        players = build_players(4, 3, 1, seed=3, d_override=5)
+        returned = []
+
+        def probe(state, ctx):
+            out = ctx.measure(state, "T")
+            returned.append(out)
+            return out
+
+        for seed in range(6):
+            returned.clear()
+            tr = instance_from_players(players).run(channel=Channel(hooks={1: probe}), seed=seed)
+            # one event per pass that ran, filed at the hook's hop
+            assert len(tr.hook_events) == len(tr.ancilla) == len(returned)
+            for (pass_name, hop, payload), out in zip(tr.hook_events, returned):
+                assert hop == 1 and payload.keys() == {"value"}
+                point_mass = np.zeros(5)
+                point_mass[payload["value"]] = 1.0
+                np.testing.assert_allclose(out.marginal("T"), point_mass, atol=1e-12)
+
     def test_hook_events_not_serialized(self):
         players = build_players(4, 3, 1, seed=3)
 
-        def spy(state, rng, ctx):
+        def spy(state, ctx):
             ctx.record({"value": 1})
             return state
 

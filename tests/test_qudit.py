@@ -23,6 +23,9 @@ from qss.qudit import (
     apply_shadow_phase,
     basis_state,
     measure,
+    _copy_permutation,
+    _copy_table,
+    _iqft_matrix,
     _qft_matrix,
 )
 
@@ -234,6 +237,28 @@ class TestCopy:
             back = apply_copy(out, "H", "T")
             assert np.allclose(back.amplitudes, psi.amplitudes)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_axis_pair_matches_digit_reference(self, k):
+        # out[dest] = in[dest with the target digit t replaced by c XOR t,
+        # or left as t when the XOR falls outside [0, d)].
+        regs = ("H", "T", "E")[:k]
+        rng = np.random.default_rng(13)
+        for d in (2, 3, 5, 6):
+            psi = random_state(layout(d, *regs), rng)
+            amps = psi.amplitudes.reshape((d,) * k)
+            for c in range(k):
+                for t in range(k):
+                    if c == t:
+                        continue
+                    out = apply_copy(psi, regs[c], regs[t]).amplitudes.reshape((d,) * k)
+                    ref = np.empty_like(amps)
+                    for dest in np.ndindex(*amps.shape):
+                        src = list(dest)
+                        if dest[c] ^ dest[t] < d:
+                            src[t] = dest[c] ^ dest[t]
+                        ref[dest] = amps[tuple(src)]
+                    assert np.array_equal(out, ref), (d, c, t)
+
     def test_full_matrix_is_xor_permutation(self):
         # Build the gate's full matrix column by column: it must be a
         # permutation (hence unitary) that acts as bitwise XOR wherever the
@@ -380,3 +405,24 @@ class TestHonestPipeline:
                 idx = expected * d + 0
                 assert abs(abs(state.amplitudes[idx]) - 1.0) < 1e-9
                 assert measure(state, "H", rng).value == expected
+
+
+class TestCaches:
+    def test_one_dimension_at_a_time(self):
+        # One entry per d-keyed table; the copy permutation keeps both
+        # directions of a three-register run (H -> T and T -> E).
+        caches = {_qft_matrix: 1, _iqft_matrix: 1, _copy_table: 1, _copy_permutation: 2}
+        for d in (5, 7, 5):
+            state = basis_state(layout(d, "H", "T", "E"), {"H": 1, "T": 0, "E": 0})
+            state = apply_qft(state, "H")
+            state = apply_copy(state, "H", "T")
+            state = apply_copy(state, "T", "E")
+            apply_iqft(state, "H")
+            for cache, size in caches.items():
+                assert cache.cache_info().currsize == size, cache
+            hits = {cache: cache.cache_info().hits for cache in caches}
+            # every live entry belongs to the current d
+            _qft_matrix(d), _iqft_matrix(d), _copy_table(d)
+            _copy_permutation(d, 3, 0, 1), _copy_permutation(d, 3, 1, 2)
+            for cache, size in caches.items():
+                assert cache.cache_info().hits == hits[cache] + size, cache
