@@ -1,16 +1,22 @@
 """Attack scenarios as channel hooks plus empirical detection/leakage stats.
 
 Every runner follows the same recipe: build a ring channel with the attack
-hook(s) installed, run a series of shots that all draw from one generator
-seeded once per series, and distill the per-shot transcripts into an
-AttackReport. Inside a run only measurements draw from that generator; the
-hooks measure through ctx.measure. "Information gain" claims are measured as
-the total-variation distance between the adversary's observation
-distributions under two forced shadow hypotheses; "detected" means the run
-ended in any abort.
+hook(s) installed, simulate a shot series drawing from one generator seeded
+once per series, and distill the series into an AttackReport. "Information
+gain" claims are measured as the total-variation distance between the
+adversary's observation distributions under two forced shadow hypotheses;
+"detected" means the run ended in any abort.
+
+A series is simulated by split_shot_series, which runs each distinct
+measurement branch once: at every measurement one multinomial draw splits
+the shots across the outcomes, and the series comes back as
+(transcript, count) pairs whose number does not grow with the shots. It has
+the law of running every shot on its own. run_shot_series does exactly that,
+one ProtocolInstance.run per shot; it is kept as the per-shot reference the
+tests check the splitting engine against.
 
 With `active=False` no hook is installed and the runner reproduces the
-honest shot series bit for bit, which the control tests rely on.
+honest series, which the control tests check through series_digest.
 """
 from __future__ import annotations
 
@@ -18,19 +24,30 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .protocol import (
     Channel,
     HookContext,
+    PassName,
+    PassResult,
     ProtocolInstance,
     ProtocolTranscript,
     TRANSMITTED,
     VERDICT_ABORT_HASH,
+    run_pass,
+    transcript_of,
 )
-from .qudit import QuditState, apply_copy, apply_iqft
+from .qudit import (
+    MeasurementOutcome,
+    QuditState,
+    apply_copy,
+    apply_iqft,
+    collapse,
+    outcome_probabilities,
+)
 
 ADVERSARY_REGISTER = "E"
 
@@ -96,6 +113,10 @@ def _key(k) -> str:
     return ",".join(str(v) for v in k) if isinstance(k, tuple) else str(k)
 
 
+# A shot series as (transcript, shots) pairs.
+Leaves = list[tuple[ProtocolTranscript, int]]
+
+
 def run_shot_series(
     instance: ProtocolInstance,
     shots: int,
@@ -103,9 +124,11 @@ def run_shot_series(
     channel: Channel | None = None,
     per_shot=None,
 ) -> list[ProtocolTranscript]:
-    """Run `shots` executions, all drawing from one generator seeded once.
-    `per_shot(instance, rng)` may swap in a mutated instance (e.g. a forged
-    shadow) before each run; it draws from the same generator."""
+    """Per-shot reference: `shots` executions of ProtocolInstance.run, all
+    drawing from one generator seeded once. `per_shot(instance, rng)` may swap
+    in a mutated instance (e.g. a forged shadow) before each run; it draws
+    from the same generator. The attack runners and `simulate` use
+    split_shot_series instead; the tests check it against this reference."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(shots):
@@ -114,15 +137,97 @@ def run_shot_series(
     return out
 
 
-def series_digest(transcripts: Iterable[ProtocolTranscript]) -> str:
-    """Stable fingerprint of a transcript series; lets tests check that two
-    runs (e.g. a disabled attack and the honest baseline) agree shot for shot."""
+def split_shot_series(
+    instance: ProtocolInstance,
+    shots: int,
+    seed: int | np.random.SeedSequence,
+    channel: Channel | None = None,
+) -> Leaves:
+    """`shots` runs of the instance, simulated once per distinct measurement
+    branch and drawn from one generator seeded once. Returns (transcript,
+    count) pairs whose counts sum to `shots`; the transcripts record no seed.
+    The series has the law of run_shot_series with the same arguments."""
+    return _split(instance, shots, np.random.default_rng(seed), channel or Channel())
+
+
+def _split(
+    instance: ProtocolInstance, shots: int, rng: np.random.Generator, channel: Channel
+) -> Leaves:
+    # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
+    # passes of one shot are independent, so the hash-pass leaves are dealt
+    # out to the secret-pass leaves by a uniformly random pairing of their
+    # shots: one multivariate hypergeometric draw per secret-pass leaf.
+    secret = _pass_leaves(instance, channel, "secret", shots, rng)
+    out = [(transcript_of(instance, [p]), n) for p, n in secret if p.ancilla != 0]
+    passed = [(p, n) for p, n in secret if p.ancilla == 0]
+    if not passed:
+        return out
+    hashed = _pass_leaves(instance, channel, "hash", sum(n for _, n in passed), rng)
+    left = np.array([n for _, n in hashed])
+    for i, (p, n) in enumerate(passed):
+        dealt = left if i == len(passed) - 1 else rng.multivariate_hypergeometric(left, n)
+        left = left - dealt
+        out += [(transcript_of(instance, [p, h]), int(m)) for (h, _), m in zip(hashed, dealt) if m]
+    return out
+
+
+def _pass_leaves(
+    instance: ProtocolInstance,
+    channel: Channel,
+    pass_name: PassName,
+    shots: int,
+    rng: np.random.Generator,
+) -> list[tuple[PassResult, int]]:
+    """Walk one pass's measurement tree with `shots` shots. Each measurement
+    splits its shots across the outcomes with one multinomial draw; the pass
+    goes on into the first outcome that got any, and each other such outcome
+    is replayed from the start with the outcomes before it forced, so hooks
+    run unchanged. Returns (pass result, shots) per leaf."""
+    leaves = []
+    pending = [((), shots)]
+    while pending:
+        prefix, count = pending.pop()
+        path: list[int] = []
+
+        def measure_branch(state: QuditState, register: str) -> MeasurementOutcome:
+            nonlocal count
+            probs = outcome_probabilities(state, register)
+            if len(path) < len(prefix):
+                value = prefix[len(path)]
+            else:
+                counts = rng.multinomial(count, probs / probs.sum())
+                hit = np.flatnonzero(counts)
+                value, count = int(hit[0]), int(counts[hit[0]])
+                pending.extend(((*path, int(v)), int(counts[v])) for v in hit[:0:-1])
+            path.append(value)
+            return collapse(state, register, value, probs)
+
+        leaves.append((run_pass(instance, channel, pass_name, measure_branch), count))
+    return leaves
+
+
+def tally(leaves: Leaves, key: Callable[[ProtocolTranscript], object]) -> Counter:
+    """Shots per key(transcript) over a series."""
+    out: Counter = Counter()
+    for tr, n in leaves:
+        out[key(tr)] += n
+    return out
+
+
+def series_digest(series: Iterable) -> str:
+    """Order-free fingerprint of a transcript series: SHA1 over the sorted
+    (line, count) pairs of its transcript multiset. Takes a per-shot list of
+    transcripts or (transcript, count) pairs, so a disabled attack can be
+    checked against the honest baseline however either was simulated."""
+    counts: Counter = Counter()
+    for item in series:
+        tr, n = (item, 1) if isinstance(item, ProtocolTranscript) else item
+        counts[
+            f"{tr.verdict}|{tr.f0}|{tr.g0}|{tr.ancilla}|{tr.shadows_secret}|{tr.shadows_hash}"
+        ] += n
     h = hashlib.sha1()
-    for tr in transcripts:
-        h.update(
-            f"{tr.verdict}|{tr.f0}|{tr.g0}|{tr.ancilla}|"
-            f"{tr.shadows_secret}|{tr.shadows_hash}\n".encode()
-        )
+    for line, n in sorted(counts.items()):
+        h.update(f"{line}|{n}\n".encode())
     return h.hexdigest()
 
 
@@ -182,18 +287,17 @@ def _secret_pass_values(transcript: ProtocolTranscript) -> list[int]:
 def _summarize(
     kind: str,
     shots: int,
-    transcripts: Iterable[ProtocolTranscript],
+    leaves: Leaves,
     observations: Counter,
     leakage: float | None,
     chi2_pvalue: float | None,
     extra: dict,
 ) -> AttackReport:
-    transcripts = list(transcripts)
-    n = len(transcripts)
-    detected = sum(1 for tr in transcripts if not tr.accepted)
-    ancilla = sum(1 for tr in transcripts if tr.ancilla and tr.ancilla[0] != 0)
-    hashes = sum(1 for tr in transcripts if tr.verdict == VERDICT_ABORT_HASH)
-    extra = {**extra, "series_digest": series_digest(transcripts)}
+    n = sum(count for _, count in leaves)
+    detected = sum(count for tr, count in leaves if not tr.accepted)
+    ancilla = sum(count for tr, count in leaves if tr.ancilla and tr.ancilla[0] != 0)
+    hashes = sum(count for tr, count in leaves if tr.verdict == VERDICT_ABORT_HASH)
+    extra = {**extra, "series_digest": series_digest(leaves)}
     return AttackReport(
         kind=kind,
         shots=shots,
@@ -207,8 +311,12 @@ def _summarize(
     )
 
 
-def _flat_observations(transcripts) -> Counter:
-    return Counter(v for tr in transcripts for v in _secret_pass_values(tr))
+def _flat_observations(leaves: Leaves) -> Counter:
+    out: Counter = Counter()
+    for tr, n in leaves:
+        for v in _secret_pass_values(tr):
+            out[v] += n
+    return out
 
 
 def _conditioned_leakage(
@@ -225,8 +333,7 @@ def _conditioned_leakage(
     for salt, value in enumerate(spec.hypotheses, start=1):
         forced = instance.with_shadow(position, value)
         seed = np.random.SeedSequence([spec.seed, salt])
-        series = run_shot_series(forced, spec.shots, seed, channel)
-        histograms.append(collect(series))
+        histograms.append(collect(split_shot_series(forced, spec.shots, seed, channel)))
     return tv_distance(histograms[0], histograms[1], spec.shots, spec.shots), histograms
 
 
@@ -234,8 +341,8 @@ def _intercept_attack(
     instance: ProtocolInstance, spec: AttackSpec, hook, **channel_fields
 ) -> AttackReport:
     channel = Channel(hooks={spec.hop_index: hook}, **channel_fields) if spec.active else None
-    transcripts = run_shot_series(instance, spec.shots, spec.seed, channel)
-    observations = _flat_observations(transcripts)
+    leaves = split_shot_series(instance, spec.shots, spec.seed, channel)
+    observations = _flat_observations(leaves)
     leakage = None
     extra: dict = {"hop_index": spec.hop_index}
     if spec.active and spec.hypotheses is not None:
@@ -247,7 +354,7 @@ def _intercept_attack(
             {_key(k): v for k, v in sorted(h.items())} for h in histograms
         ]
     chi2 = uniformity_pvalue(observations, instance.modulus.d) if spec.active else None
-    return _summarize(spec.kind, spec.shots, transcripts, observations, leakage, chi2, extra)
+    return _summarize(spec.kind, spec.shots, leaves, observations, leakage, chi2, extra)
 
 
 def run_intercept_resend(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
@@ -284,28 +391,33 @@ def run_forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
     d = instance.modulus.d
     true_value = instance.shadows_secret[position - 1]
 
-    def forge(inst: ProtocolInstance, rng: np.random.Generator) -> ProtocolInstance:
-        if spec.fake_shadow is not None:
-            fake = spec.fake_shadow
-        else:
-            # Uniform over Z_d minus the true value.
-            fake = (true_value + 1 + int(rng.integers(d - 1))) % d
-        inst = inst.with_shadow(position, fake)
+    def forge(fake: int) -> ProtocolInstance:
+        inst = instance.with_shadow(position, fake)
         if spec.fake_hash_shadow is not None:
             inst = inst.with_shadow(position, spec.fake_hash_shadow, "hash")
         return inst
 
-    per_shot = forge if spec.active else None
-    transcripts = run_shot_series(instance, spec.shots, spec.seed, None, per_shot)
-    observations = Counter(tr.f0 for tr in transcripts)
-    forged = [tr for tr in transcripts if tr.shadows_secret[position - 1] != true_value]
-    residual = sum(1 for tr in forged if tr.accepted)
+    rng = np.random.default_rng(spec.seed)
+    if not spec.active:
+        mix = [(instance, spec.shots)]
+    elif spec.fake_shadow is not None:
+        mix = [(forge(spec.fake_shadow), spec.shots)]
+    else:
+        # Each shot's fake is uniform over Z_d minus the true value: one
+        # multinomial split of the shots over the d - 1 wrong values.
+        counts = rng.multinomial(spec.shots, np.full(d - 1, 1 / (d - 1)))
+        mix = [(forge((true_value + 1 + k) % d), int(n)) for k, n in enumerate(counts) if n]
+    leaves = [leaf for inst, n in mix for leaf in _split(inst, n, rng, Channel())]
+    observations = tally(leaves, lambda tr: tr.f0)
+    residual = sum(
+        n for tr, n in leaves if tr.shadows_secret[position - 1] != true_value and tr.accepted
+    )
     extra = {
         "target_position": position,
         "true_shadow": true_value,
         "residual_collision_shots": residual,
     }
-    return _summarize(spec.kind, spec.shots, transcripts, observations, None, None, extra)
+    return _summarize(spec.kind, spec.shots, leaves, observations, None, None, extra)
 
 
 def run_collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
@@ -325,17 +437,17 @@ def run_collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackR
     hooks = {position - 2: first_hook, position - 1: _measure_resend_hook}
     channel = Channel(hooks=hooks) if spec.active else None
 
-    def joint(transcripts: list[ProtocolTranscript]) -> Counter:
-        return Counter(tuple(_secret_pass_values(tr)) for tr in transcripts)
+    def joint(leaves: Leaves) -> Counter:
+        return tally(leaves, lambda tr: tuple(_secret_pass_values(tr)))
 
-    transcripts = run_shot_series(instance, spec.shots, spec.seed, channel)
-    observations = joint(transcripts) if spec.active else Counter()
+    leaves = split_shot_series(instance, spec.shots, spec.seed, channel)
+    observations = joint(leaves) if spec.active else Counter()
     leakage = None
     extra: dict = {"middle_position": position, "colluders": [position - 1, position + 1]}
     if spec.active and spec.hypotheses is not None:
         leakage, _ = _conditioned_leakage(instance, spec, channel, position, joint)
         extra["hypotheses"] = list(spec.hypotheses)
-    return _summarize(spec.kind, spec.shots, transcripts, observations, leakage, None, extra)
+    return _summarize(spec.kind, spec.shots, leaves, observations, leakage, None, extra)
 
 
 def run_attack(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:

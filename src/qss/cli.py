@@ -12,12 +12,11 @@ import csv
 import io
 import json
 import sys
-from collections import Counter
 
 import numpy as np
 
 from . import __version__
-from .adversary import ATTACK_KINDS, AttackSpec, run_attack, run_shot_series
+from .adversary import ATTACK_KINDS, AttackSpec, run_attack, split_shot_series, tally
 from .dealer import DealerConfig, choose_modulus
 from .errors import PresetInfeasible, QssError
 from .field import is_prime
@@ -89,8 +88,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     secret = args.secret % d
     config = DealerConfig(n=n, t=t, secret=secret, rng_seed=args.seed, d_override=d)
     instance = instance_from_deal(config)
-    transcripts = run_shot_series(instance, args.shots, args.seed)
-    histogram = Counter(tr.f0 for tr in transcripts)
+    leaves = split_shot_series(instance, args.shots, args.seed)
+    histogram = tally(leaves, lambda tr: tr.f0)
     expected = instance.expected_value("secret")
     payload = _envelope(
         args,
@@ -98,8 +97,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         shots=args.shots,
         histogram={str(k): v for k, v in sorted(histogram.items(), key=lambda kv: str(kv[0]))},
         expected=expected,
-        all_correct=all(tr.accepted and tr.f0 == expected for tr in transcripts),
-        ancilla_all_zero=all(all(a == 0 for a in tr.ancilla) for tr in transcripts),
+        all_correct=all(tr.accepted and tr.f0 == expected for tr, _ in leaves),
+        ancilla_all_zero=all(all(a == 0 for a in tr.ancilla) for tr, _ in leaves),
     )
     _emit(payload, args.out)
     return 0 if payload["all_correct"] else 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,8 +63,12 @@ def hash_to_field(secret: int, d: PrimeModulus) -> FieldElement:
     return FieldElement(int.from_bytes(digest, "big") % d.d, d)
 
 
+@lru_cache(maxsize=1)
 def resolve_modulus(config: DealerConfig) -> PrimeModulus:
-    """The prime a deal works over: d_override when set, else choose_modulus(n)."""
+    """The prime a deal works over: d_override when set, else choose_modulus(n).
+
+    instance_from_deal resolves it to check the register cap before dealing;
+    the one-entry cache hands deal that same resolution."""
     if config.d_override is None:
         return choose_modulus(config.n)
     if config.d_override <= config.n:

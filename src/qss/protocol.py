@@ -18,12 +18,16 @@ Hooks may only act on the transmitted register and the optional adversary
 ancilla; H never leaves P1. A hook is called as hook(state, ctx) and returns
 the state to forward. Only measurements draw from the run's generator, so a
 hook measures through ctx.measure and never sees the generator itself.
+
+A pass resolves all its measurements through one measurement function
+(run_pass): ProtocolInstance.run draws each outcome from its generator, and
+adversary.split_shot_series splits a whole shot series across the outcomes.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Callable, Literal, Mapping
+from typing import Callable, Literal, Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .dealer import DealerConfig, SharePacket, deal, hash_to_field, resolve_modu
 from .errors import InconsistentPackets
 from .field import FieldElement, PrimeModulus, lagrange_coeff
 from .qudit import (
+    MeasurementOutcome,
     RegisterLayout,
     QuditState,
     apply_copy,
@@ -71,6 +76,8 @@ class HookContext:
 
 
 Hook = Callable[[QuditState, HookContext], QuditState]
+# measure_fn(state, register): how a pass resolves each of its measurements.
+Measure = Callable[[QuditState, str], MeasurementOutcome]
 
 
 @dataclass(frozen=True)
@@ -243,12 +250,68 @@ def verify_hash(f0: FieldElement, g0: FieldElement, d: PrimeModulus) -> bool:
     return hash_to_field(f0.value, d).value == g0.value
 
 
+class PassResult(NamedTuple):
+    """One pass of a run: its ancilla outcome, the H outcome (None after an
+    ancilla abort) and the hook observations it filed, in order."""
+
+    ancilla: int
+    value: int | None
+    events: tuple[tuple[str, int | None, dict], ...]
+
+
 def _execute(
     instance: ProtocolInstance,
     channel: Channel,
     rng: np.random.Generator,
     seed: int | None,
 ) -> ProtocolTranscript:
+    def measure_with_rng(state: QuditState, register: str) -> MeasurementOutcome:
+        return measure(state, register, rng)
+
+    passes = []
+    for pass_name in ("secret", "hash"):
+        passes.append(run_pass(instance, channel, pass_name, measure_with_rng))
+        if passes[-1].ancilla != 0:
+            break
+    return transcript_of(instance, passes, seed)
+
+
+def transcript_of(
+    instance: ProtocolInstance, passes: list[PassResult], seed: int | None = None
+) -> ProtocolTranscript:
+    """The transcript of a run whose passes, secret first, gave `passes`. A
+    run stops after the first pass whose ancilla is nonzero."""
+    ancilla = tuple(p.ancilla for p in passes)
+    f0 = passes[0].value
+    g0 = passes[1].value if len(passes) > 1 else None
+    if any(ancilla):
+        verdict = VERDICT_ABORT_ANCILLA
+    elif verify_hash(instance.modulus.element(f0), instance.modulus.element(g0), instance.modulus):
+        verdict = VERDICT_ACCEPTED
+    else:
+        verdict = VERDICT_ABORT_HASH
+    return ProtocolTranscript(
+        d=instance.modulus.d,
+        t=instance.t,
+        xs=instance.xs,
+        shadows_secret=instance.shadows_secret,
+        shadows_hash=instance.shadows_hash,
+        ancilla=ancilla,
+        f0=f0,
+        g0=g0,
+        verdict=verdict,
+        seed=seed,
+        hook_events=tuple(e for p in passes for e in p.events),
+    )
+
+
+def run_pass(
+    instance: ProtocolInstance, channel: Channel, pass_name: PassName, measure_fn: Measure
+) -> PassResult:
+    """One pass of the ring on the secret or hash shadows. Every measurement,
+    the hooks' included, goes through measure_fn(state, register), which
+    picks the outcome: a draw from a generator in a per-shot run, a forced or
+    split outcome in a shot-splitting series."""
     t = instance.t
     hops = t if t > 1 else 0
     stray = [k for k in channel.hooks if k not in range(hops)]
@@ -258,64 +321,11 @@ def _execute(
     if channel.ancilla_register is not None:
         registers = registers + (channel.ancilla_register,)
     layout = RegisterLayout(d=instance.modulus.d, registers=registers)
-
+    shadows = instance.shadows_secret if pass_name == "secret" else instance.shadows_hash
     events: list[tuple[str, int | None, dict]] = []
-    ancilla: list[int] = []
-    f0: int | None = None
-    g0: int | None = None
-    verdict = VERDICT_ACCEPTED
 
-    for pass_name, shadows in (
-        ("secret", instance.shadows_secret),
-        ("hash", instance.shadows_hash),
-    ):
-        anc, value = _run_pass(
-            layout, instance.modulus, shadows, hops, channel, rng, pass_name, events
-        )
-        ancilla.append(anc)
-        if anc != 0:
-            verdict = VERDICT_ABORT_ANCILLA
-            break
-        if pass_name == "secret":
-            f0 = value
-        else:
-            g0 = value
-
-    if verdict == VERDICT_ACCEPTED:
-        ok = verify_hash(
-            instance.modulus.element(f0), instance.modulus.element(g0), instance.modulus
-        )
-        verdict = VERDICT_ACCEPTED if ok else VERDICT_ABORT_HASH
-
-    return ProtocolTranscript(
-        d=instance.modulus.d,
-        t=t,
-        xs=instance.xs,
-        shadows_secret=instance.shadows_secret,
-        shadows_hash=instance.shadows_hash,
-        ancilla=tuple(ancilla),
-        f0=f0,
-        g0=g0,
-        verdict=verdict,
-        seed=seed,
-        hook_events=tuple(events),
-    )
-
-
-def _run_pass(
-    layout: RegisterLayout,
-    modulus: PrimeModulus,
-    shadows: tuple[int, ...],
-    hops: int,
-    channel: Channel,
-    rng: np.random.Generator,
-    pass_name: str,
-    events: list,
-) -> tuple[int, int | None]:
-    t = len(shadows)
-    values = {HOME: shadows[0], TRANSMITTED: 0}
-    if channel.ancilla_register is not None:
-        values[channel.ancilla_register] = 0
+    values = dict.fromkeys(registers, 0)
+    values[HOME] = shadows[0]
     state = basis_state(layout, values)
     state = apply_qft(state, HOME)
     state = apply_copy(state, HOME, TRANSMITTED)
@@ -323,31 +333,30 @@ def _run_pass(
     for hop_index in range(hops):
         hook = channel.hooks.get(hop_index)
         if hook is not None:
-            state = hook(state, _context(pass_name, hop_index, rng, events))
+            state = hook(state, _context(pass_name, hop_index, measure_fn, events))
         if hop_index < t - 1:
-            s = FieldElement(shadows[hop_index + 1], modulus)
+            s = FieldElement(shadows[hop_index + 1], instance.modulus)
             state = apply_shadow_phase(state, TRANSMITTED, s)
 
     state = apply_copy(state, HOME, TRANSMITTED)
     if channel.post_uncopy is not None:
-        state = channel.post_uncopy(state, _context(pass_name, None, rng, events))
+        state = channel.post_uncopy(state, _context(pass_name, None, measure_fn, events))
 
-    check = measure(state, TRANSMITTED, rng)
+    check = measure_fn(state, TRANSMITTED)
     if check.value != 0:
-        return check.value, None
+        return PassResult(check.value, None, tuple(events))
     state = apply_iqft(check.post_state, HOME)
-    outcome = measure(state, HOME, rng)
-    return 0, outcome.value
+    return PassResult(0, measure_fn(state, HOME).value, tuple(events))
 
 
 def _context(
-    pass_name: str, hop_index: int | None, rng: np.random.Generator, events: list
+    pass_name: str, hop_index: int | None, measure_fn: Measure, events: list
 ) -> HookContext:
     def record(payload: dict) -> None:
         events.append((pass_name, hop_index, dict(payload)))
 
     def measure_and_record(state: QuditState, register: str) -> QuditState:
-        out = measure(state, register, rng)
+        out = measure_fn(state, register)
         record({"value": out.value})
         return out.post_state
 

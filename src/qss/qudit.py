@@ -7,10 +7,12 @@ significant base-d digit of the flat amplitude index, so for registers
 Gates are pure functions returning new states. Each gate re-checks the
 2-norm and raises NotNormalized if it drifted beyond 1e-9. A single-register
 gate acts on the state viewed as (d**axis, d, rest), so every axis takes the
-same path. The per-gate tables (QFT matrix, copy permutation, phase column)
-sit in caches keyed by dimension, which keeps the shot loops cheap. Callers
-work at one d at a time, so each d x d table keeps one entry and the copy
-permutation the two a three-register run alternates between.
+same path. A measurement is outcome_probabilities (the norm-checked law of
+one register) followed by collapse onto one outcome; measure draws the
+outcome in between. The per-gate tables (QFT matrix, copy permutation,
+phase column) sit in caches keyed by dimension. Callers work at one d at a
+time, so each d x d table keeps one entry and the copy permutation the two
+a three-register run alternates between.
 """
 from __future__ import annotations
 
@@ -234,21 +236,35 @@ def apply_shadow_phase(state: QuditState, register: str, shadow: FieldElement) -
     return QuditState(state.layout, out)
 
 
+def outcome_probabilities(state: QuditState, register: str) -> np.ndarray:
+    """Distribution of a computational-basis measurement of one register,
+    after the measurement norm check."""
+    _check_norm(state.amplitudes, _MEASURE_NORM_TOL)
+    return state.marginal(register)
+
+
+def collapse(
+    state: QuditState, register: str, value: int, probs: np.ndarray
+) -> MeasurementOutcome:
+    """Outcome `value` of measuring `register`: the state projected onto it and
+    renormalised by its probability probs[value] (see outcome_probabilities)."""
+    shaped = state.split(register)
+    collapsed = np.zeros_like(shaped)
+    collapsed[:, value, :] = shaped[:, value, :] / math.sqrt(probs[value])
+    post = QuditState(state.layout, collapsed.reshape(-1))
+    return MeasurementOutcome(register=register, value=value, post_state=post)
+
+
 def measure(state: QuditState, register: str, rng: np.random.Generator) -> MeasurementOutcome:
     """Projective measurement of one register in the computational basis.
 
     Samples from the register marginal by inverse CDF, so the outcome is a
     deterministic function of the rng stream.
     """
-    _check_norm(state.amplitudes, _MEASURE_NORM_TOL)
-    probs = state.marginal(register)
+    probs = outcome_probabilities(state, register)
     cdf = np.cumsum(probs)
     # Scaling by cdf[-1] absorbs sub-tolerance norm error and guarantees the
     # draw never lands past the last value with positive probability.
     value = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
     value = min(value, state.layout.d - 1)
-    shaped = state.split(register)
-    collapsed = np.zeros_like(shaped)
-    collapsed[:, value, :] = shaped[:, value, :] / math.sqrt(probs[value])
-    post = QuditState(state.layout, collapsed.reshape(-1))
-    return MeasurementOutcome(register=register, value=value, post_state=post)
+    return collapse(state, register, value, probs)

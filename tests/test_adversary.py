@@ -5,10 +5,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import qss.protocol
 from qss.adversary import (
+    ADVERSARY_REGISTER,
     AttackSpec,
     _chi2_sf,
+    _entangle_hook,
+    _fourier_intercept_hook,
     _measure_resend_hook,
+    _probe_ancilla_hook,
     run_attack,
     run_collusion_probe,
     run_entangle_measure,
@@ -17,12 +22,15 @@ from qss.adversary import (
     run_intercept_resend,
     run_shot_series,
     series_digest,
+    split_shot_series,
+    tally,
     tv_distance,
     uniformity_pvalue,
 )
+from qss.cli import main
 from qss.dealer import DealerConfig, hash_to_field
 from qss.field import Polynomial, PrimeModulus, eval_poly
-from qss.protocol import Channel, instance_from_deal
+from qss.protocol import Channel, instance_from_deal, instance_from_shadows
 
 
 def instance(n=4, t=3, secret=1, seed=5, d=5):
@@ -78,6 +86,128 @@ class TestShotSeries:
         for _ in range(5):
             manual.append(forge(inst, g).run(seed=g))
         assert series_digest(series) == series_digest(manual)
+
+
+def secret_pass_values(tr):
+    return tuple(payload["value"] for name, _, payload in tr.hook_events if name == "secret")
+
+
+def tv_bound(categories, shots):
+    """A bound, fixed before sampling, on the TV distance between two
+    empirical laws of `shots` draws each from one law over `categories`
+    values. The expected distance is sum_k sqrt(p_k (1 - p_k) / (pi shots))
+    <= sqrt(categories / (pi shots)); the bound is 3.5 times that."""
+    return 2 * math.sqrt(categories / shots)
+
+
+class TestSplitSeriesMatchesPerShot:
+    """The shot-splitting engine against the per-shot reference: same law of
+    observations and of verdicts, and every shot accounted for."""
+
+    SHOTS = 4000
+    INTERCEPT = Channel(hooks={0: _measure_resend_hook})
+    IQFT = Channel(hooks={0: _fourier_intercept_hook})
+    ENTANGLE = Channel(
+        hooks={0: _entangle_hook}, post_uncopy=_probe_ancilla_hook,
+        ancilla_register=ADVERSARY_REGISTER,
+    )
+    COLLUDE = Channel(hooks={1: _measure_resend_hook, 2: _measure_resend_hook})
+
+    @pytest.mark.parametrize(
+        # observed: hook measurements per secret pass
+        "label, inst, channel, observed",
+        [
+            ("intercept_resend d=5", instance(), INTERCEPT, 1),
+            ("intercept_iqft d=3", instance(n=2, t=2, secret=2, seed=8, d=3), IQFT, 1),
+            ("intercept_iqft d=5", instance(), IQFT, 1),
+            ("entangle_measure d=3", instance(n=2, t=2, secret=1, seed=11, d=3), ENTANGLE, 1),
+            ("collusion_probe d=3 t=4", instance_from_shadows(3, (1, 2, 0, 1), (1, 1, 1, 1)),
+             COLLUDE, 2),
+        ],
+    )
+    def test_channel_series(self, label, inst, channel, observed):
+        d, shots = inst.modulus.d, self.SHOTS
+        leaves = split_shot_series(inst, shots, seed=90, channel=channel)
+        assert sum(n for _, n in leaves) == shots, label
+        assert all(n > 0 for _, n in leaves), label
+        reference = run_shot_series(inst, shots, seed=91, channel=channel)
+        per_shot = [(tr, 1) for tr in reference]
+        for key, categories in ((secret_pass_values, d**observed), (lambda tr: tr.verdict, 3)):
+            tv = tv_distance(tally(leaves, key), tally(per_shot, key), shots, shots)
+            assert tv <= tv_bound(categories, shots), (label, tv)
+
+    def test_forgery(self):
+        inst, shots = instance(), self.SHOTS
+        position, d = 2, inst.modulus.d
+        true_value = inst.shadows_secret[position - 1]
+
+        def forge(base, rng):
+            return base.with_shadow(position, (true_value + 1 + int(rng.integers(d - 1))) % d)
+
+        report = run_forgery(inst, AttackSpec(kind="forgery", shots=shots, seed=92))
+        assert sum(report.outcome_histogram.values()) == shots
+        reference = run_shot_series(inst, shots, seed=93, per_shot=forge)
+        f0s = Counter(tr.f0 for tr in reference)
+        assert tv_distance(Counter(report.outcome_histogram), f0s, shots, shots) <= tv_bound(
+            d, shots
+        )
+        verdicts = Counter(tr.verdict for tr in reference)
+        rates = {
+            "accepted": 1 - report.detection_rate,
+            "abort_ancilla": report.ancilla_abort_rate,
+            "abort_hash": report.hash_abort_rate,
+        }
+        tv = 0.5 * sum(abs(rates[v] - verdicts[v] / shots) for v in rates)
+        assert tv <= tv_bound(3, shots)
+
+
+class TestWorkPerSeries:
+    """A series runs each distinct measurement branch once, so the number of
+    pass executions (one basis_state call each) does not grow with shots."""
+
+    @staticmethod
+    def passes(monkeypatch, action):
+        calls = []
+        real = qss.protocol.basis_state
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(qss.protocol, "basis_state", counting)
+            action()
+        return len(calls)
+
+    def test_simulate_preset(self, monkeypatch):
+        def simulate(shots):
+            return lambda: main(
+                ["simulate", "--preset", "players-4", "--shots", str(shots), "--seed", "3"]
+            )
+
+        one = self.passes(monkeypatch, simulate(1))
+        million = self.passes(monkeypatch, simulate(1_000_000))
+        assert one == million == 2
+
+    def test_intercept_resend_series(self, monkeypatch):
+        channel = Channel(hooks={0: _measure_resend_hook})
+
+        def series(shots):
+            return lambda: split_shot_series(instance(), shots, seed=5, channel=channel)
+
+        thousand = self.passes(monkeypatch, series(10**3))
+        million = self.passes(monkeypatch, series(10**6))
+        # five intercepted values times five H outcomes, in each pass
+        assert thousand == million == 50
+
+    def test_one_shot_follows_one_path(self, monkeypatch):
+        channel = Channel(
+            hooks={0: _entangle_hook}, post_uncopy=_probe_ancilla_hook,
+            ancilla_register=ADVERSARY_REGISTER,
+        )
+        split = self.passes(monkeypatch, lambda: split_shot_series(instance(), 1, 6, channel))
+        per_shot = self.passes(monkeypatch, lambda: instance().run(channel=channel, seed=6))
+        assert split == per_shot == 2
 
 
 class TestControlRuns:
