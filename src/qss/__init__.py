@@ -8,8 +8,6 @@ __version__ = "0.1.0"
 from .adversary import AttackReport, AttackSpec, run_attack
 from .dealer import DealerConfig, SharePacket, choose_modulus, deal, hash_to_field
 from .field import (
-    FieldElement,
-    Polynomial,
     PrimeModulus,
     eval_poly,
     field_inv,
@@ -45,10 +43,8 @@ __all__ = [
     "AttackSpec",
     "Channel",
     "DealerConfig",
-    "FieldElement",
     "MeasurementOutcome",
     "Player",
-    "Polynomial",
     "PrimeModulus",
     "ProtocolInstance",
     "ProtocolTranscript",

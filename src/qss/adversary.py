@@ -51,14 +51,6 @@ from .qudit import (
 
 ADVERSARY_REGISTER = "E"
 
-ATTACK_KINDS = (
-    "intercept_resend",
-    "intercept_iqft",
-    "entangle_measure",
-    "forgery",
-    "collusion_probe",
-)
-
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -450,12 +442,15 @@ def run_collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackR
     return _summarize(spec.kind, spec.shots, leaves, observations, leakage, None, extra)
 
 
+_RUNNERS: dict[str, Callable[[ProtocolInstance, AttackSpec], AttackReport]] = {
+    "intercept_resend": run_intercept_resend,
+    "intercept_iqft": run_intercept_iqft,
+    "entangle_measure": run_entangle_measure,
+    "forgery": run_forgery,
+    "collusion_probe": run_collusion_probe,
+}
+ATTACK_KINDS = tuple(_RUNNERS)
+
+
 def run_attack(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
-    runner = {
-        "intercept_resend": run_intercept_resend,
-        "intercept_iqft": run_intercept_iqft,
-        "entangle_measure": run_entangle_measure,
-        "forgery": run_forgery,
-        "collusion_probe": run_collusion_probe,
-    }[spec.kind]
-    return runner(instance, spec)
+    return _RUNNERS[spec.kind](instance, spec)

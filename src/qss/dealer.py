@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidThreshold, SecretOutOfRange, ValueOutOfRange
-from .field import FieldElement, Polynomial, PrimeModulus, eval_poly, is_prime
+from .field import PrimeModulus, eval_poly, is_prime
 
 
 @dataclass(frozen=True)
@@ -28,20 +28,20 @@ class DealerConfig:
 
 @dataclass(frozen=True)
 class SharePacket:
-    """One player's view after dealing: x = player_id and both evaluations."""
+    """One player's view after dealing: both evaluations at x = player_id."""
 
     player_id: int
-    x: FieldElement
-    f_share: FieldElement
-    g_share: FieldElement
+    modulus: PrimeModulus
+    f_share: int
+    g_share: int
 
     def to_json(self) -> dict:
         return {
             "player_id": self.player_id,
-            "x": self.x.value,
-            "f_share": self.f_share.value,
-            "g_share": self.g_share.value,
-            "d": self.x.modulus.d,
+            "x": self.player_id,
+            "f_share": self.f_share,
+            "g_share": self.g_share,
+            "d": self.modulus.d,
         }
 
 
@@ -55,12 +55,12 @@ def choose_modulus(n: int) -> PrimeModulus:
     raise AssertionError(f"no prime in ({n}, {2 * n}]")  # unreachable
 
 
-def hash_to_field(secret: int, d: PrimeModulus) -> FieldElement:
+def hash_to_field(secret: int, d: PrimeModulus) -> int:
     """SHA1 of the secret's 8-byte big-endian encoding, reduced mod d."""
-    if secret < 0:
-        raise ValueOutOfRange("secret must be non-negative")
+    if not 0 <= secret < 1 << 64:
+        raise ValueOutOfRange(f"secret {secret} does not fit in 8 unsigned bytes")
     digest = hashlib.sha1(secret.to_bytes(8, "big")).digest()
-    return FieldElement(int.from_bytes(digest, "big") % d.d, d)
+    return int.from_bytes(digest, "big") % d.d
 
 
 @lru_cache(maxsize=1)
@@ -87,14 +87,14 @@ def deal(config: DealerConfig) -> tuple[PrimeModulus, list[SharePacket]]:
         raise SecretOutOfRange(f"secret {config.secret} not in [0, {modulus.d})")
 
     rng = np.random.default_rng(config.rng_seed)
-    f = _random_polynomial(modulus.element(config.secret), config.t, rng)
-    g = _random_polynomial(hash_to_field(config.secret, modulus), config.t, rng)
+    f = _random_polynomial(config.secret, modulus, config.t, rng)
+    g = _random_polynomial(hash_to_field(config.secret, modulus), modulus, config.t, rng)
     packets = [
         SharePacket(
             player_id=i,
-            x=modulus.element(i),
-            f_share=eval_poly(f, modulus.element(i)),
-            g_share=eval_poly(g, modulus.element(i)),
+            modulus=modulus,
+            f_share=eval_poly(f, i, modulus),
+            g_share=eval_poly(g, i, modulus),
         )
         for i in range(1, config.n + 1)
     ]
@@ -102,12 +102,10 @@ def deal(config: DealerConfig) -> tuple[PrimeModulus, list[SharePacket]]:
 
 
 def _random_polynomial(
-    constant: FieldElement, t: int, rng: np.random.Generator
-) -> Polynomial:
-    # Coefficients uniform over all of Z_d; a zero leading coefficient only
-    # lowers the effective degree, which never hurts reconstruction.
-    mod = constant.modulus
-    coeffs = (constant,) + tuple(
-        mod.element(int(v)) for v in rng.integers(0, mod.d, size=t - 1)
-    )
-    return Polynomial(coeffs)
+    constant: int, modulus: PrimeModulus, t: int, rng: np.random.Generator
+) -> tuple[int, ...]:
+    """Coefficients, constant term first, of a degree-(t-1) polynomial.
+
+    Coefficients are uniform over all of Z_d; a zero leading coefficient only
+    lowers the effective degree, which never hurts reconstruction."""
+    return (constant, *rng.integers(0, modulus.d, size=t - 1).tolist())

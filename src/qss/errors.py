@@ -9,10 +9,6 @@ class ZeroInverse(QssError):
     """Multiplicative inverse of zero was requested."""
 
 
-class ModulusMismatch(QssError):
-    """Field elements with different moduli were combined."""
-
-
 class DuplicatePoint(QssError):
     """Interpolation points are not pairwise distinct."""
 

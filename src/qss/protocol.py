@@ -25,7 +25,6 @@ adversary.split_shot_series splits a whole shot series across the outcomes.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Literal, Mapping, NamedTuple
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .dealer import DealerConfig, SharePacket, deal, hash_to_field, resolve_modulus
 from .errors import InconsistentPackets
-from .field import FieldElement, PrimeModulus, lagrange_coeff
+from .field import PrimeModulus, lagrange_coeff
 from .qudit import (
     MeasurementOutcome,
     RegisterLayout,
@@ -129,9 +128,6 @@ class ProtocolTranscript:
             "seed": self.seed,
         }
 
-    def to_json_str(self, shots: int = 1) -> str:
-        return json.dumps(self.to_json(shots), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class ProtocolInstance:
@@ -191,19 +187,20 @@ def instance_from_players(players: list[Player], secret: int | None = None) -> P
         raise ValueError("player list must not be empty")
     if sum(1 for p in players if p.role == "reconstructor") != 1 or players[0].role != "reconstructor":
         raise InconsistentPackets("exactly the first player must be the reconstructor")
-    moduli = {p.packet.x.modulus for p in players}
+    moduli = {p.packet.modulus for p in players}
     if len(moduli) != 1:
         raise InconsistentPackets(f"packets mix moduli: {sorted(m.d for m in moduli)}")
-    xs = [p.packet.x for p in players]
-    if len({x.value for x in xs}) != len(xs):
+    xs = [p.packet.player_id for p in players]
+    if len(set(xs)) != len(xs):
         raise InconsistentPackets("packets repeat evaluation points")
     modulus = moduli.pop()
-    weights = [lagrange_coeff(x, xs) for x in xs]
+    d = modulus.d
+    weights = [lagrange_coeff(x, xs, modulus) for x in xs]
     return ProtocolInstance(
         modulus=modulus,
-        xs=tuple(x.value for x in xs),
-        shadows_secret=tuple((p.packet.f_share * w).value for p, w in zip(players, weights)),
-        shadows_hash=tuple((p.packet.g_share * w).value for p, w in zip(players, weights)),
+        xs=tuple(xs),
+        shadows_secret=tuple(p.packet.f_share * w % d for p, w in zip(players, weights)),
+        shadows_hash=tuple(p.packet.g_share * w % d for p, w in zip(players, weights)),
         players=tuple(players),
         secret=secret,
     )
@@ -245,9 +242,9 @@ def instance_from_shadows(
     )
 
 
-def verify_hash(f0: FieldElement, g0: FieldElement, d: PrimeModulus) -> bool:
+def verify_hash(f0: int, g0: int, d: PrimeModulus) -> bool:
     """Final check of a run: SHA1 of the recovered secret, mod d, against g(0)'."""
-    return hash_to_field(f0.value, d).value == g0.value
+    return hash_to_field(f0, d) == g0
 
 
 class PassResult(NamedTuple):
@@ -286,7 +283,7 @@ def transcript_of(
     g0 = passes[1].value if len(passes) > 1 else None
     if any(ancilla):
         verdict = VERDICT_ABORT_ANCILLA
-    elif verify_hash(instance.modulus.element(f0), instance.modulus.element(g0), instance.modulus):
+    elif verify_hash(f0, g0, instance.modulus):
         verdict = VERDICT_ACCEPTED
     else:
         verdict = VERDICT_ABORT_HASH
@@ -335,8 +332,7 @@ def run_pass(
         if hook is not None:
             state = hook(state, _context(pass_name, hop_index, measure_fn, events))
         if hop_index < t - 1:
-            s = FieldElement(shadows[hop_index + 1], instance.modulus)
-            state = apply_shadow_phase(state, TRANSMITTED, s)
+            state = apply_shadow_phase(state, TRANSMITTED, shadows[hop_index + 1])
 
     state = apply_copy(state, HOME, TRANSMITTED)
     if channel.post_uncopy is not None:

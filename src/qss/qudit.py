@@ -24,12 +24,10 @@ import numpy as np
 
 from .errors import (
     NotNormalized,
-    ModulusMismatch,
     SameRegister,
     UnknownRegister,
     ValueOutOfRange,
 )
-from .field import FieldElement
 
 _GATE_NORM_TOL = 1e-9
 _MEASURE_NORM_TOL = 1e-6
@@ -220,18 +218,17 @@ def apply_copy(state: QuditState, control: str, target: str) -> QuditState:
     return QuditState(layout, out)
 
 
-def apply_shadow_phase(state: QuditState, register: str, shadow: FieldElement) -> QuditState:
+def apply_shadow_phase(state: QuditState, register: str, shadow: int) -> QuditState:
     """Phase-kickback form of the shadow oracle: |k> gains exp(2 pi i s k / d).
 
     The player's eigenstate stays a fixed computational basis state throughout
     the protocol and factors out, so only this diagonal on the transmitted
     register is simulated.
     """
-    if shadow.modulus.d != state.layout.d:
-        raise ModulusMismatch(
-            f"shadow modulus {shadow.modulus.d} != register dimension {state.layout.d}"
-        )
-    out = (state.split(register) * _phase_column(state.layout.d, shadow.value)).reshape(-1)
+    d = state.layout.d
+    if not 0 <= shadow < d:
+        raise ValueOutOfRange(f"shadow {shadow} not in [0, {d})")
+    out = (state.split(register) * _phase_column(d, shadow)).reshape(-1)
     _check_norm(out, _GATE_NORM_TOL)
     return QuditState(state.layout, out)
 

@@ -22,7 +22,7 @@ from qss.adversary import (
 from qss.cli import main, resolve_preset
 from qss.dealer import DealerConfig, deal, hash_to_field
 from qss.errors import PresetInfeasible
-from qss.field import FieldElement, PrimeModulus, interpolate_at_zero
+from qss.field import PrimeModulus, interpolate_at_zero
 from qss.protocol import (
     instance_from_deal,
     instance_from_players,
@@ -137,7 +137,6 @@ def test_criterion_3_qft_round_trip():
     worst_rt, worst_norm = 0.0, 0.0
     for d in (2, 3, 5, 7, 13):
         lay = RegisterLayout(d=d, registers=("H", "T"))
-        one = FieldElement(1, PrimeModulus(d))
         for _ in range(100):
             amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
             psi = QuditState(lay, amps / np.linalg.norm(amps))
@@ -147,7 +146,7 @@ def test_criterion_3_qft_round_trip():
                 lambda s: apply_qft(s, "T"),
                 lambda s: apply_iqft(s, "H"),
                 lambda s: apply_copy(s, "H", "T"),
-                lambda s: apply_shadow_phase(s, "T", one),
+                lambda s: apply_shadow_phase(s, "T", 1),
             ):
                 worst_norm = max(worst_norm, abs(gate(psi).norm() - 1.0))
     ok = worst_rt < 1e-10 and worst_norm < 1e-9
@@ -159,8 +158,8 @@ def test_criterion_4_classical_oracle_equivalence(recovery_grid):
     mismatches = 0
     for d, t, n, subset, secret, players, tr in records:
         via_sum = instance_from_players(players).expected_value("secret")
-        points = [(p.packet.x, p.packet.f_share) for p in players]
-        via_interp = interpolate_at_zero(points).value
+        points = [(p.packet.player_id, p.packet.f_share) for p in players]
+        via_interp = interpolate_at_zero(points, players[0].packet.modulus)
         if not (tr.f0 == via_sum == via_interp):
             mismatches += 1
     report(
@@ -206,11 +205,11 @@ def test_criterion_6_forgery_detection():
     d, secret, shots = 5, 1, 10_000
     start = time.perf_counter()
     mod = PrimeModulus(d)
-    h = hash_to_field(secret, mod).value
+    h = hash_to_field(secret, mod)
     ground_truth = sum(
         1
         for delta in range(1, d)
-        if hash_to_field((secret + delta) % d, mod).value != h
+        if hash_to_field((secret + delta) % d, mod) != h
     ) / (d - 1)
     inst = instance_from_deal(
         DealerConfig(n=4, t=3, secret=secret, rng_seed=60, d_override=d)

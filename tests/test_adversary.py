@@ -29,7 +29,7 @@ from qss.adversary import (
 )
 from qss.cli import main
 from qss.dealer import DealerConfig, hash_to_field
-from qss.field import Polynomial, PrimeModulus, eval_poly
+from qss.field import PrimeModulus, eval_poly
 from qss.protocol import Channel, instance_from_deal, instance_from_shadows
 
 
@@ -236,7 +236,7 @@ class TestControlRuns:
         # shadow lists consistent with secret 1 and its hash.
         from qss.protocol import instance_from_shadows
 
-        h = hash_to_field(1, PrimeModulus(2)).value
+        h = hash_to_field(1, PrimeModulus(2))
         inst = instance_from_shadows(2, (1, 0), (h, 0), secret=1)
         report = run_intercept_resend(
             inst, AttackSpec(kind="intercept_resend", shots=64, seed=1, active=False)
@@ -400,11 +400,11 @@ class TestForgery:
         # d=5, S=1: enumerate every fake shadow delta; none collides, so the
         # empirical detection rate must be exactly 1.
         d, secret = 5, 1
-        h = hash_to_field(secret, PrimeModulus(d)).value
+        h = hash_to_field(secret, PrimeModulus(d))
         ground_truth = sum(
             1
             for delta in range(1, d)
-            if hash_to_field((secret + delta) % d, PrimeModulus(d)).value != h
+            if hash_to_field((secret + delta) % d, PrimeModulus(d)) != h
         ) / (d - 1)
         assert ground_truth == 1.0
         report = run_forgery(
@@ -439,7 +439,7 @@ class TestForgery:
                 continue
             f0 = (base_f - s_true + fake_f) % d
             g0 = (base_g - h_true + fake_g) % d
-            oracle_accepts = hash_to_field(f0, mod).value == g0
+            oracle_accepts = hash_to_field(f0, mod) == g0
             report = run_forgery(
                 inst,
                 AttackSpec(
@@ -591,6 +591,5 @@ class TestCollisionResistanceStructure:
         for hash_value in range(d):
             seen = Counter()
             for b1 in range(d):
-                g = Polynomial((mod.element(hash_value), mod.element(b1)))
-                seen[eval_poly(g, mod.element(1)).value] += 1
+                seen[eval_poly((hash_value, b1), 1, mod)] += 1
             assert set(seen.values()) == {1}  # exactly uniform

@@ -6,14 +6,7 @@ import pytest
 
 from qss.dealer import DealerConfig, SharePacket, choose_modulus, deal, hash_to_field
 from qss.errors import InvalidThreshold, SecretOutOfRange, ValueOutOfRange
-from qss.field import (
-    FieldElement,
-    Polynomial,
-    PrimeModulus,
-    eval_poly,
-    interpolate_at_zero,
-    is_prime,
-)
+from qss.field import PrimeModulus, eval_poly, interpolate_at_zero, is_prime
 
 
 class TestChooseModulus:
@@ -41,12 +34,12 @@ class TestHashToField:
     def test_range(self):
         d = PrimeModulus(2)
         for s in range(16):
-            assert hash_to_field(s, d).value in (0, 1)
+            assert hash_to_field(s, d) in (0, 1)
 
     def test_golden_value(self):
         # SHA1 of eight zero bytes is 05fe405753166f125559e7c9ac558654f107c7e9;
         # that digest as a 160-bit integer is divisible by 7.
-        assert hash_to_field(0, PrimeModulus(7)).value == 0
+        assert hash_to_field(0, PrimeModulus(7)) == 0
         digest = hashlib.sha1(b"\x00" * 8).digest()
         assert int.from_bytes(digest, "big") % 7 == 0
 
@@ -54,11 +47,13 @@ class TestHashToField:
         # Pinning the byte layout: value 1 hashes as 00..01, not as b"1".
         digest = hashlib.sha1(bytes(7) + b"\x01").digest()
         expected = int.from_bytes(digest, "big") % 13
-        assert hash_to_field(1, PrimeModulus(13)).value == expected
+        assert hash_to_field(1, PrimeModulus(13)) == expected
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueOutOfRange):
-            hash_to_field(-1, PrimeModulus(7))
+        # Neither a negative secret nor one past 8 bytes has an encoding.
+        for secret in (-1, 2**64):
+            with pytest.raises(ValueOutOfRange):
+                hash_to_field(secret, PrimeModulus(7))
 
 
 class TestDeal:
@@ -66,7 +61,7 @@ class TestDeal:
         modulus, packets = deal(DealerConfig(n=4, t=1, secret=3, rng_seed=8))
         h = hash_to_field(3, modulus)
         for p in packets:
-            assert p.f_share.value == 3
+            assert p.f_share == 3
             assert p.g_share == h
 
     def test_every_qualified_subset_reconstructs(self):
@@ -74,10 +69,10 @@ class TestDeal:
             modulus, packets = deal(DealerConfig(n=n, t=t, secret=secret, rng_seed=seed))
             h = hash_to_field(secret, modulus)
             for subset in itertools.combinations(packets, t):
-                f_points = [(p.x, p.f_share) for p in subset]
-                g_points = [(p.x, p.g_share) for p in subset]
-                assert interpolate_at_zero(f_points).value == secret
-                assert interpolate_at_zero(g_points) == h
+                f_points = [(p.player_id, p.f_share) for p in subset]
+                g_points = [(p.player_id, p.g_share) for p in subset]
+                assert interpolate_at_zero(f_points, modulus) == secret
+                assert interpolate_at_zero(g_points, modulus) == h
 
     def test_deterministic_given_seed(self):
         config = DealerConfig(n=5, t=3, secret=2, rng_seed=77)
@@ -90,9 +85,8 @@ class TestDeal:
     def test_share_values_in_range(self):
         modulus, packets = deal(DealerConfig(n=6, t=4, secret=0, rng_seed=5))
         for p in packets:
-            assert 0 <= p.f_share.value < modulus.d
-            assert 0 <= p.g_share.value < modulus.d
-            assert p.x.value == p.player_id
+            assert 0 <= p.f_share < modulus.d
+            assert 0 <= p.g_share < modulus.d
 
     def test_secret_out_of_range(self):
         with pytest.raises(SecretOutOfRange):
@@ -122,6 +116,30 @@ class TestDeal:
         blob = packets[0].to_json()
         assert sorted(blob) == ["d", "f_share", "g_share", "player_id", "x"]
         assert all(isinstance(v, int) for v in blob.values())
+        assert blob["x"] == blob["player_id"]
+
+    @pytest.mark.parametrize(
+        "config, d, shares",
+        [
+            (
+                DealerConfig(n=6, t=4, secret=3, rng_seed=11),
+                7,
+                [(1, 0), (1, 1), (5, 2), (1, 6), (5, 2), (5, 0)],
+            ),
+            (
+                DealerConfig(n=5, t=3, secret=42, rng_seed=2024, d_override=101),
+                101,
+                [(33, 86), (59, 57), (19, 70), (14, 24), (44, 20)],
+            ),
+        ],
+    )
+    def test_pinned_shares(self, config, d, shares):
+        # Recorded when shares were still wrapped field elements: a change in
+        # the order or the range of the coefficient draws changes these, and
+        # every attack report with them.
+        modulus, packets = deal(config)
+        assert modulus.d == d
+        assert [(p.f_share, p.g_share) for p in packets] == shares
 
 
 class TestPerfectSecrecy:
@@ -135,12 +153,8 @@ class TestPerfectSecrecy:
             for secret in range(d):
                 views = Counter()
                 for coeffs in itertools.product(range(d), repeat=t - 1):
-                    poly = Polynomial(
-                        (mod.element(secret),) + tuple(mod.element(c) for c in coeffs)
-                    )
-                    view = tuple(
-                        eval_poly(poly, mod.element(x)).value for x in range(1, t)
-                    )
+                    poly = (secret, *coeffs)
+                    view = tuple(eval_poly(poly, x, mod) for x in range(1, t))
                     views[view] += 1
                 view_histograms.append(views)
             # every view equally likely, and the same distribution for all S

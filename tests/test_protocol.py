@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qss.dealer import DealerConfig, deal, hash_to_field
 from qss.errors import InconsistentPackets
-from qss.field import FieldElement, PrimeModulus, interpolate_at_zero, shadow
+from qss.field import PrimeModulus, interpolate_at_zero, shadow
 from qss.protocol import (
     Channel,
     ProtocolInstance,
@@ -97,14 +97,15 @@ class TestClassicalEquivalence:
             inst = instance_from_players(players)
             tr = inst.run(seed=21)
             via_sum = inst.expected_value("secret")
-            points = [(p.packet.x, p.packet.f_share) for p in players]
-            assert tr.f0 == via_sum == interpolate_at_zero(points).value == secret
-            xs = [p.packet.x for p in players]
+            mod = inst.modulus
+            points = [(p.packet.player_id, p.packet.f_share) for p in players]
+            assert tr.f0 == via_sum == interpolate_at_zero(points, mod) == secret
+            xs = [p.packet.player_id for p in players]
             assert inst.shadows_secret == tuple(
-                shadow(p.packet.f_share, p.packet.x, xs).value for p in players
+                shadow(p.packet.f_share, p.packet.player_id, xs, mod) for p in players
             )
             assert inst.shadows_hash == tuple(
-                shadow(p.packet.g_share, p.packet.x, xs).value for p in players
+                shadow(p.packet.g_share, p.packet.player_id, xs, mod) for p in players
             )
 
     def test_hash_pass_equivalence(self):
@@ -124,7 +125,7 @@ class TestAbortSoundness:
         inst = instance_from_deal(
             DealerConfig(n=4, t=3, secret=2, rng_seed=19, d_override=d)
         )
-        h_true = hash_to_field(2, PrimeModulus(d)).value
+        h_true = hash_to_field(2, PrimeModulus(d))
         for position in (1, 2, 3):
             true = inst.shadows_secret[position - 1]
             for fake in range(d):
@@ -133,9 +134,7 @@ class TestAbortSoundness:
                 delta = (fake - true) % d
                 assert tr.f0 == (2 + delta) % d
                 assert tr.ancilla[0] == 0  # a wrong phase never trips the ancilla check
-                expected_detected = (
-                    hash_to_field(tr.f0, PrimeModulus(d)).value != h_true
-                )
+                expected_detected = hash_to_field(tr.f0, PrimeModulus(d)) != h_true
                 assert (tr.verdict == "abort_hash") == expected_detected
                 if delta == 0:
                     assert tr.accepted
@@ -160,13 +159,12 @@ class TestAbortSoundness:
 class TestVerifyHash:
     def test_accepts_true_pair(self):
         d = PrimeModulus(7)
-        f0 = d.element(3)
-        assert verify_hash(f0, hash_to_field(3, d), d)
+        assert verify_hash(3, hash_to_field(3, d), d)
 
     def test_rejects_perturbed_hash(self):
         d = PrimeModulus(7)
         g0 = hash_to_field(3, d)
-        assert not verify_hash(d.element(3), g0 + d.element(1), d)
+        assert not verify_hash(3, (g0 + 1) % 7, d)
 
     def test_false_positive_rate_matches_exhaustive_count(self):
         # d=101, S=17: exactly one other v in Z_d collides with H(17) mod d
@@ -184,7 +182,7 @@ class TestVerifyHash:
         for _ in range(trials):
             v = int(rng.integers(100))
             v = v if v < 17 else v + 1  # uniform over Z_101 minus the secret
-            hits += verify_hash(d.element(v), g0, d)
+            hits += verify_hash(v, g0, d)
         p = len(collisions) / 100
         sigma = (p * (1 - p) / trials) ** 0.5
         assert abs(hits / trials - p) <= 4 * sigma
@@ -234,7 +232,7 @@ class TestTranscript:
             "ancilla", "d", "f0", "g0", "seed", "shots", "t", "verdict", "xs",
         ]
         assert blob["shots"] == 1
-        round_tripped = json.loads(tr.to_json_str())
+        round_tripped = json.loads(json.dumps(tr.to_json(), sort_keys=True))
         assert round_tripped == json.loads(json.dumps(blob))
 
     def test_abort_skips_second_pass(self):

@@ -7,12 +7,10 @@ import pytest
 
 from qss.errors import (
     NotNormalized,
-    ModulusMismatch,
     SameRegister,
     UnknownRegister,
     ValueOutOfRange,
 )
-from qss.field import FieldElement, PrimeModulus
 from qss.qudit import (
     MAX_AMPLITUDES,
     RegisterLayout,
@@ -129,12 +127,11 @@ class TestQft:
         rng = np.random.default_rng(11)
         for d in (2, 3, 5, 7, 13):
             psi = random_state(layout(d, "H", "T"), rng)
-            shadow_one = FieldElement(1, PrimeModulus(d))
             for gate in (
                 lambda s: apply_qft(s, "H"),
                 lambda s: apply_iqft(s, "T"),
                 lambda s: apply_copy(s, "H", "T"),
-                lambda s: apply_shadow_phase(s, "T", shadow_one),
+                lambda s: apply_shadow_phase(s, "T", 1),
             ):
                 out = gate(psi)
                 assert abs(out.norm() - 1.0) < 1e-9
@@ -160,12 +157,11 @@ class TestReferenceOperators:
             [[cmath.exp(2j * cmath.pi * a * b / d) / math.sqrt(d) for b in q] for a in q]
         )
         s = d - 1
-        shadow_s = FieldElement(s, PrimeModulus(d))
         gates = [
             (apply_qft, qft),
             (apply_iqft, qft.conj().T),
             (
-                lambda state, reg: apply_shadow_phase(state, reg, shadow_s),
+                lambda state, reg: apply_shadow_phase(state, reg, s),
                 np.diag([cmath.exp(2j * cmath.pi * s * v / d) for v in q]),
             ),
         ]
@@ -288,12 +284,12 @@ class TestShadowPhase:
     def test_zero_shadow_is_identity(self):
         rng = np.random.default_rng(5)
         psi = random_state(layout(5, "H", "T"), rng)
-        out = apply_shadow_phase(psi, "T", FieldElement(0, PrimeModulus(5)))
+        out = apply_shadow_phase(psi, "T", 0)
         assert np.allclose(out.amplitudes, psi.amplitudes)
 
     def test_d2_shadow_is_z_gate(self):
         plus = apply_qft(basis_state(layout(2), {"H": 0}), "H")
-        out = apply_shadow_phase(plus, "H", FieldElement(1, PrimeModulus(2)))
+        out = apply_shadow_phase(plus, "H", 1)
         r = 1 / math.sqrt(2)
         assert np.allclose(out.amplitudes, [r, -r])
 
@@ -301,22 +297,16 @@ class TestShadowPhase:
         d = 7
         rng = np.random.default_rng(9)
         psi = random_state(layout(d, "H", "T"), rng)
-        mod = PrimeModulus(d)
         for s2, s3 in [(1, 2), (3, 6), (4, 4)]:
-            sequential = apply_shadow_phase(
-                apply_shadow_phase(psi, "T", FieldElement(s2, mod)),
-                "T",
-                FieldElement(s3, mod),
-            )
-            combined = apply_shadow_phase(
-                psi, "T", FieldElement((s2 + s3) % d, mod)
-            )
+            sequential = apply_shadow_phase(apply_shadow_phase(psi, "T", s2), "T", s3)
+            combined = apply_shadow_phase(psi, "T", (s2 + s3) % d)
             assert np.allclose(sequential.amplitudes, combined.amplitudes)
 
-    def test_modulus_mismatch(self):
+    def test_shadow_out_of_range(self):
         psi = basis_state(layout(5, "H", "T"), {"H": 0, "T": 0})
-        with pytest.raises(ModulusMismatch):
-            apply_shadow_phase(psi, "T", FieldElement(1, PrimeModulus(7)))
+        for s in (-1, 5):
+            with pytest.raises(ValueOutOfRange):
+                apply_shadow_phase(psi, "T", s)
 
 
 class TestMeasure:
@@ -356,12 +346,11 @@ class TestHonestPipeline:
     @staticmethod
     def run_pipeline(d, shadows):
         lay = layout(d, "H", "T")
-        mod = PrimeModulus(d)
         state = basis_state(lay, {"H": shadows[0], "T": 0})
         state = apply_qft(state, "H")
         state = apply_copy(state, "H", "T")
         for s in shadows[1:]:
-            state = apply_shadow_phase(state, "T", FieldElement(s, mod))
+            state = apply_shadow_phase(state, "T", s)
         return state, lay
 
     @staticmethod
