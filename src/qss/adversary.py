@@ -28,6 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import ValueOutOfRange
 from .protocol import (
     Channel,
     HookContext,
@@ -453,4 +454,10 @@ ATTACK_KINDS = tuple(_RUNNERS)
 
 
 def run_attack(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
+    d = instance.modulus.d
+    # with_shadow reduces a forced value mod d, so a hypothesis outside
+    # [0, d) would run as another value while the report names it.
+    for value in spec.hypotheses or ():
+        if not 0 <= value < d:
+            raise ValueOutOfRange(f"hypothesis {value} not in [0, {d})")
     return _RUNNERS[spec.kind](instance, spec)

@@ -29,6 +29,7 @@ from qss.adversary import (
 )
 from qss.cli import main
 from qss.dealer import DealerConfig, hash_to_field
+from qss.errors import ValueOutOfRange
 from qss.field import PrimeModulus, eval_poly
 from qss.protocol import Channel, instance_from_deal, instance_from_shadows
 
@@ -61,6 +62,22 @@ class TestSpecValidation:
         single = instance_from_deal(DealerConfig(n=3, t=1, secret=0, rng_seed=0))
         with pytest.raises(ValueError):
             run_intercept_resend(single, AttackSpec(kind="intercept_resend", shots=2))
+
+    def test_hypotheses_in_field_range(self, monkeypatch):
+        # Rejected before any series runs; 0 and d - 1 are accepted.
+        inst = instance(n=4, t=4, d=5)
+        for kind in ("intercept_resend", "collusion_probe"):
+            report = run_attack(inst, AttackSpec(kind=kind, shots=4, hypotheses=(0, 4)))
+            assert report.extra["hypotheses"] == [0, 4]
+
+        def no_series(*args, **kwargs):
+            raise AssertionError("a series ran")
+
+        monkeypatch.setattr("qss.adversary.split_shot_series", no_series)
+        for kind in ("intercept_resend", "collusion_probe"):
+            for hypotheses in ((9, 1), (1, 5), (-1, 2)):
+                with pytest.raises(ValueOutOfRange, match="hypothesis"):
+                    run_attack(inst, AttackSpec(kind=kind, shots=4, hypotheses=hypotheses))
 
 
 class TestShotSeries:

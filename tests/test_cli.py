@@ -175,11 +175,14 @@ class TestAttack:
         assert exc.value.code == 2
 
     def test_bad_hop_exits_2(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "attack", "--attack", "intercept_resend", "--n", "4", "--t", "3",
-            "--d", "5", "--hop", "7", "--shots", "4",
-        )
-        assert code == 2
+        base = ["attack", "--attack", "intercept_resend", "--n", "4", "--t", "3",
+                "--d", "5", "--shots", "4"]
+        # A hypothesis outside [0, d) is rejected the same way, not reduced mod d.
+        for extra in (["--hop", "7"], ["--hypotheses", "9", "1"]):
+            code, out, _ = run_cli(capsys, *base, *extra)
+            assert code == 2 and out == ""
+        code, out, _ = run_cli(capsys, *base, "--hypotheses", "0", "4")
+        assert code == 0 and json.loads(out)["report"]["extra"]["hypotheses"] == [0, 4]
 
     def test_csv_format_rejected_for_reports(self, capsys):
         # Reports are JSON only; --format exists only on sweep.

@@ -21,6 +21,7 @@ from qss.qudit import (
     apply_shadow_phase,
     basis_state,
     measure,
+    _FFT_MIN_D,
     _copy_permutation,
     _copy_table,
     _iqft_matrix,
@@ -112,7 +113,7 @@ class TestQft:
 
     def test_round_trip_random_states(self):
         rng = np.random.default_rng(7)
-        for d in (2, 3, 5, 7, 13):
+        for d in (2, 3, 5, 7, 13, 61, 509):
             lay = layout(d, "H", "T")
             for _ in range(20):
                 psi = random_state(lay, rng)
@@ -144,12 +145,16 @@ class TestReferenceOperators:
 
     @staticmethod
     def full_matrix(lay, gate):
-        dim = lay.d ** len(lay.registers)
-        columns = [gate(QuditState(lay, np.eye(dim)[i])).amplitudes for i in range(dim)]
+        eye = np.eye(lay.d ** len(lay.registers))
+        columns = [gate(QuditState(lay, column)).amplitudes for column in eye]
         return np.stack(columns, axis=1)
 
-    @pytest.mark.parametrize("k", (1, 2, 3))
-    @pytest.mark.parametrize("d", (2, 3, 5, 7))
+    # From d = 41 the QFT runs as an FFT; a 41**3 kron is out of reach, so
+    # those dimensions take one and two registers only.
+    @pytest.mark.parametrize(
+        "d, k",
+        [(d, k) for d in (2, 3, 5, 7) for k in (1, 2, 3)] + [(41, 1), (41, 2)],
+    )
     def test_gates_match_kron_reference(self, d, k):
         lay = layout(d, *("H", "T", "E")[:k])
         q = np.arange(d)
@@ -172,6 +177,48 @@ class TestReferenceOperators:
                 reference = reduce(np.kron, factors)
                 got = self.full_matrix(lay, lambda state: gate(state, register))
                 assert np.max(np.abs(got - reference)) < 1e-12, (d, k, axis, gate)
+
+
+class TestFftPath:
+    """From d = _FFT_MIN_D up, the QFT and its inverse transform only the
+    nonzero fibers (the register's d amplitudes with the other registers
+    fixed). Dense states and states with zero fibers match an einsum with the
+    textbook matrix on every axis, and zero fibers stay exactly 0."""
+
+    @pytest.mark.parametrize(
+        "d, k", [(41, 1), (41, 2), (41, 3), (43, 1), (43, 2), (43, 3), (127, 1), (127, 2)]
+    )
+    def test_matches_einsum_reference(self, d, k):
+        assert d >= _FFT_MIN_D
+        regs = ("H", "T", "E")[:k]
+        lay = layout(d, *regs)
+        q = np.arange(d)
+        # (a * b) % d keeps the phase argument small, so the reference is exact
+        # to rounding at every d.
+        qft = np.array(
+            [[cmath.exp(2j * cmath.pi * (a * b % d) / d) / math.sqrt(d) for b in q] for a in q]
+        )
+        letters = "abc"[:k]
+        rng = np.random.default_rng(d * 10 + k)
+        for axis, register in enumerate(regs):
+            shape = [d] * k
+            shape[axis] = 1
+            patterns = [np.ones(shape, dtype=bool)]
+            for p_keep in (0.5, 0.05):
+                keep = rng.random(shape) < p_keep
+                keep.flat[rng.integers(keep.size)] = True
+                patterns.append(keep)
+            subscripts = f"y{letters[axis]},{letters}->{letters.replace(letters[axis], 'y')}"
+            for keep in patterns:
+                amps = random_state(lay, rng).amplitudes.reshape((d,) * k) * keep
+                psi = QuditState(lay, (amps / np.linalg.norm(amps)).reshape(-1))
+                amps = psi.amplitudes.reshape((d,) * k)
+                for gate, single in ((apply_qft, qft), (apply_iqft, qft.conj().T)):
+                    got = gate(psi, register).amplitudes.reshape((d,) * k)
+                    reference = np.einsum(subscripts, single, amps)
+                    assert np.max(np.abs(got - reference)) < 1e-12, (d, k, axis, gate)
+                    zero = np.broadcast_to(~keep, got.shape)
+                    assert np.all(got[zero] == 0), (d, k, axis, gate)
 
 
 class TestCopy:
@@ -415,3 +462,13 @@ class TestCaches:
             _copy_permutation(d, 3, 0, 1), _copy_permutation(d, 3, 1, 2)
             for cache, size in caches.items():
                 assert cache.cache_info().hits == hits[cache] + size, cache
+
+    def test_fft_dimensions_build_no_matrix(self):
+        _qft_matrix.cache_clear()
+        _iqft_matrix.cache_clear()
+        for d in (_FFT_MIN_D, 127, 509):
+            state = basis_state(layout(d, "H", "T"), {"H": 1, "T": 0})
+            state = apply_qft(apply_qft(state, "H"), "T")
+            apply_iqft(apply_iqft(state, "T"), "H")
+        assert _qft_matrix.cache_info().currsize == 0
+        assert _iqft_matrix.cache_info().currsize == 0
