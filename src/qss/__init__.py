@@ -17,13 +17,11 @@ from .field import (
 )
 from .protocol import (
     Channel,
-    Player,
     ProtocolInstance,
     ProtocolTranscript,
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
-    make_players,
     verify_hash,
 )
 from .qudit import (
@@ -44,7 +42,6 @@ __all__ = [
     "Channel",
     "DealerConfig",
     "MeasurementOutcome",
-    "Player",
     "PrimeModulus",
     "ProtocolInstance",
     "ProtocolTranscript",
@@ -66,7 +63,6 @@ __all__ = [
     "instance_from_shadows",
     "interpolate_at_zero",
     "lagrange_coeff",
-    "make_players",
     "measure",
     "run_attack",
     "shadow",

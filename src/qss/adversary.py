@@ -74,6 +74,8 @@ class AttackSpec:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.shots < 1:
             raise ValueError("shots must be at least 1")
+        if self.kind == "forgery" and self.hypotheses is not None:
+            raise ValueError("forgery has no leakage statistic to condition on hypotheses")
 
 
 @dataclass(frozen=True)

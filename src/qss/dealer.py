@@ -2,8 +2,9 @@
 
 The dealer builds two degree-(t-1) polynomials over Z_d, one hiding the
 secret and one hiding its SHA1 digest reduced mod d, and hands player i the
-pair of evaluations at x = i. Shares travel over an abstract authenticated
-channel; their physical encoding is out of scope here.
+pair of evaluations at x = i as a SharePacket, which also names the modulus.
+The packet is all a player holds. Shares travel over an abstract
+authenticated channel; their physical encoding is out of scope here.
 """
 from __future__ import annotations
 
@@ -34,15 +35,6 @@ class SharePacket:
     modulus: PrimeModulus
     f_share: int
     g_share: int
-
-    def to_json(self) -> dict:
-        return {
-            "player_id": self.player_id,
-            "x": self.player_id,
-            "f_share": self.f_share,
-            "g_share": self.g_share,
-            "d": self.modulus.d,
-        }
 
 
 def choose_modulus(n: int) -> PrimeModulus:
@@ -78,8 +70,9 @@ def resolve_modulus(config: DealerConfig) -> PrimeModulus:
     return PrimeModulus(config.d_override)
 
 
-def deal(config: DealerConfig) -> tuple[PrimeModulus, list[SharePacket]]:
-    """Draw both polynomials from the seeded rng and evaluate at x = 1..n."""
+def deal(config: DealerConfig) -> list[SharePacket]:
+    """Draw both polynomials from the seeded rng and evaluate at x = 1..n;
+    packet i - 1 is player i's, and every packet carries the modulus."""
     if not 1 <= config.t <= config.n:
         raise InvalidThreshold(f"need 1 <= t <= n, got t={config.t}, n={config.n}")
     modulus = resolve_modulus(config)
@@ -98,7 +91,7 @@ def deal(config: DealerConfig) -> tuple[PrimeModulus, list[SharePacket]]:
         )
         for i in range(1, config.n + 1)
     ]
-    return modulus, packets
+    return packets
 
 
 def _random_polynomial(

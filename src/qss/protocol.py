@@ -1,6 +1,7 @@
 """Reconstruction phase: a qualified subset of t players recovers the secret.
 
-Flow per pass (run twice, once for the secret and once for its hash):
+A player is just its share packet, and the subset's first packet is the
+reconstructor P1. Flow per pass (run twice, for the secret and its hash):
 
 1. every player turns their share into a shadow (share times Lagrange weight);
 2. the reconstructor P1 prepares |s1>_H |0>_T, applies the QFT to H and
@@ -56,13 +57,6 @@ VERDICT_ABORT_HASH = "abort_hash"
 
 
 @dataclass(frozen=True)
-class Player:
-    id: int
-    packet: SharePacket
-    role: Literal["reconstructor", "participant"]
-
-
-@dataclass(frozen=True)
 class HookContext:
     """What an adversary hook gets to know: pass, hop (None after P1's uncopy),
     record(payload) to file an observation, and measure(state, register) to
@@ -115,7 +109,7 @@ class ProtocolTranscript:
     def accepted(self) -> bool:
         return self.verdict == VERDICT_ACCEPTED
 
-    def to_json(self, shots: int = 1) -> dict:
+    def to_json(self) -> dict:
         return {
             "d": self.d,
             "t": self.t,
@@ -124,7 +118,7 @@ class ProtocolTranscript:
             "f0": self.f0,
             "g0": self.g0,
             "ancilla": list(self.ancilla),
-            "shots": shots,
+            "shots": 1,
             "seed": self.seed,
         }
 
@@ -143,8 +137,6 @@ class ProtocolInstance:
     xs: tuple[int, ...]
     shadows_secret: tuple[int, ...]
     shadows_hash: tuple[int, ...]
-    players: tuple[Player, ...] | None = None
-    secret: int | None = None
 
     @property
     def t(self) -> int:
@@ -174,23 +166,14 @@ class ProtocolInstance:
         return _execute(self, channel, rng, seed if isinstance(seed, int) else None)
 
 
-def make_players(packets: list[SharePacket]) -> list[Player]:
-    """Wrap a qualified subset, first packet becoming the reconstructor P1."""
-    return [
-        Player(id=p.player_id, packet=p, role="reconstructor" if i == 0 else "participant")
-        for i, p in enumerate(packets)
-    ]
-
-
-def instance_from_players(players: list[Player], secret: int | None = None) -> ProtocolInstance:
-    if not players:
-        raise ValueError("player list must not be empty")
-    if sum(1 for p in players if p.role == "reconstructor") != 1 or players[0].role != "reconstructor":
-        raise InconsistentPackets("exactly the first player must be the reconstructor")
-    moduli = {p.packet.modulus for p in players}
+def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:
+    """Assemble a qualified subset from its share packets; the first is P1."""
+    if not packets:
+        raise ValueError("packet list must not be empty")
+    moduli = {p.modulus for p in packets}
     if len(moduli) != 1:
         raise InconsistentPackets(f"packets mix moduli: {sorted(m.d for m in moduli)}")
-    xs = [p.packet.player_id for p in players]
+    xs = [p.player_id for p in packets]
     if len(set(xs)) != len(xs):
         raise InconsistentPackets("packets repeat evaluation points")
     modulus = moduli.pop()
@@ -199,33 +182,22 @@ def instance_from_players(players: list[Player], secret: int | None = None) -> P
     return ProtocolInstance(
         modulus=modulus,
         xs=tuple(xs),
-        shadows_secret=tuple(p.packet.f_share * w % d for p, w in zip(players, weights)),
-        shadows_hash=tuple(p.packet.g_share * w % d for p, w in zip(players, weights)),
-        players=tuple(players),
-        secret=secret,
+        shadows_secret=tuple(p.f_share * w % d for p, w in zip(packets, weights)),
+        shadows_hash=tuple(p.g_share * w % d for p, w in zip(packets, weights)),
     )
 
 
-def instance_from_deal(
-    config: DealerConfig, subset: tuple[int, ...] | None = None
-) -> ProtocolInstance:
-    """Deal per config and assemble the qualified subset (default P1..Pt),
-    rejecting a modulus too large for the register layout before dealing."""
+def instance_from_deal(config: DealerConfig) -> ProtocolInstance:
+    """Deal per config and assemble P1..Pt, rejecting a modulus too large for
+    the register layout before dealing."""
     RegisterLayout(d=resolve_modulus(config).d, registers=(HOME, TRANSMITTED))
-    _, packets = deal(config)
-    ids = subset if subset is not None else tuple(range(1, config.t + 1))
-    if len(ids) != config.t:
-        raise InconsistentPackets(f"qualified subset must have t={config.t} members")
-    by_id = {p.player_id: p for p in packets}
-    players = make_players([by_id[i] for i in ids])
-    return instance_from_players(players, secret=config.secret)
+    return instance_from_players(deal(config)[: config.t])
 
 
 def instance_from_shadows(
     d: int,
     shadows_secret: tuple[int, ...],
     shadows_hash: tuple[int, ...] | None = None,
-    secret: int | None = None,
 ) -> ProtocolInstance:
     """Shadow-level instance for harness runs that bypass the dealing phase."""
     modulus = PrimeModulus(d)
@@ -238,7 +210,6 @@ def instance_from_shadows(
         xs=tuple(range(1, len(shadows_secret) + 1)),
         shadows_secret=tuple(v % d for v in shadows_secret),
         shadows_hash=tuple(v % d for v in shadows_hash),
-        secret=secret,
     )
 
 

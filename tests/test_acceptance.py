@@ -27,7 +27,6 @@ from qss.protocol import (
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
-    make_players,
 )
 from qss.qudit import (
     RegisterLayout,
@@ -72,11 +71,11 @@ def recovery_grid():
     for d, t, n, subset, secret, seed in grid_cells():
         key = (d, t, n, secret, seed)
         if key not in deals:
-            _, packets = deal(
+            packets = deal(
                 DealerConfig(n=n, t=t, secret=secret, rng_seed=seed, d_override=d)
             )
             deals[key] = {p.player_id: p for p in packets}
-        players = make_players([deals[key][i] for i in subset])
+        players = [deals[key][i] for i in subset]
         transcript = instance_from_players(players).run(seed=seed + 1)
         records.append((d, t, n, subset, secret, players, transcript))
     elapsed = time.perf_counter() - start
@@ -158,8 +157,8 @@ def test_criterion_4_classical_oracle_equivalence(recovery_grid):
     mismatches = 0
     for d, t, n, subset, secret, players, tr in records:
         via_sum = instance_from_players(players).expected_value("secret")
-        points = [(p.packet.player_id, p.packet.f_share) for p in players]
-        via_interp = interpolate_at_zero(points, players[0].packet.modulus)
+        points = [(p.player_id, p.f_share) for p in players]
+        via_interp = interpolate_at_zero(points, players[0].modulus)
         if not (tr.f0 == via_sum == via_interp):
             mismatches += 1
     report(

