@@ -1,22 +1,20 @@
 """Attack scenarios as channel hooks plus empirical detection/leakage stats.
 
-Every runner follows the same recipe: build a ring channel with the attack
-hook(s) installed, simulate a shot series drawing from one generator seeded
-once per series, and distill the series into an AttackReport. "Information
-gain" claims are measured as the total-variation distance between the
-adversary's observation distributions under two forced shadow hypotheses;
-"detected" means the run ended in any abort.
+Every runner follows the same recipe: build the attacked ring (a channel
+with the attack hooks installed, or forged shadows), simulate a shot series
+drawing from one generator seeded once per series, and distill the series
+into an AttackReport. "Information gain" claims are measured as the
+total-variation distance between the adversary's observation distributions
+under two forced shadow hypotheses; "detected" means the run ended in any
+abort.
 
-A series is simulated by split_shot_series, which runs each distinct
+Every series starts at split_shot_series, which runs each distinct
 measurement branch once: at every measurement one multinomial draw splits
 the shots across the outcomes, and the series comes back as
 (transcript, count) pairs whose number does not grow with the shots. It has
 the law of running every shot on its own. run_shot_series does exactly that,
 one ProtocolInstance.run per shot; it is kept as the per-shot reference the
 tests check the splitting engine against.
-
-With `active=False` no hook is installed and the runner reproduces the
-honest series, which the control tests check through series_digest.
 """
 from __future__ import annotations
 
@@ -60,12 +58,8 @@ class AttackSpec:
     player_id: int | None = None
     shots: int = 8192
     seed: int = 0
-    active: bool = True
     # Two shadow values to condition the leakage statistic on; None skips it.
     hypotheses: tuple[int, int] | None = None
-    # Forgery only: pin the fake shadows instead of drawing them per shot.
-    fake_shadow: int | None = None
-    fake_hash_shadow: int | None = None
     # Collusion only: colluders disturb the ring (Fourier-basis intercept).
     escalate: bool = False
 
@@ -76,6 +70,10 @@ class AttackSpec:
             raise ValueError("shots must be at least 1")
         if self.kind == "forgery" and self.hypotheses is not None:
             raise ValueError("forgery has no leakage statistic to condition on hypotheses")
+        if self.escalate and self.kind != "collusion_probe":
+            raise ValueError(f"{self.kind} has no colluders to escalate")
+        if self.player_id is not None and self.kind not in ("forgery", "collusion_probe"):
+            raise ValueError(f"{self.kind} intercepts a hop and targets no player")
 
 
 @dataclass(frozen=True)
@@ -135,19 +133,16 @@ def run_shot_series(
 def split_shot_series(
     instance: ProtocolInstance,
     shots: int,
-    seed: int | np.random.SeedSequence,
+    seed: int | np.random.SeedSequence | np.random.Generator,
     channel: Channel | None = None,
 ) -> Leaves:
     """`shots` runs of the instance, simulated once per distinct measurement
-    branch and drawn from one generator seeded once. Returns (transcript,
-    count) pairs whose counts sum to `shots`; the transcripts record no seed.
-    The series has the law of run_shot_series with the same arguments."""
-    return _split(instance, shots, np.random.default_rng(seed), channel or Channel())
-
-
-def _split(
-    instance: ProtocolInstance, shots: int, rng: np.random.Generator, channel: Channel
-) -> Leaves:
+    branch and drawn from one generator seeded once; a Generator passed as
+    `seed` is drawn from as it is. Returns (transcript, count) pairs whose
+    counts sum to `shots`; the transcripts record no seed. The series has the
+    law of run_shot_series with the same arguments."""
+    rng = np.random.default_rng(seed)
+    channel = channel or Channel()
     # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
     # passes of one shot are independent, so the hash-pass leaves are dealt
     # out to the secret-pass leaves by a uniformly random pairing of their
@@ -212,8 +207,8 @@ def tally(leaves: Leaves, key: Callable[[ProtocolTranscript], object]) -> Counte
 def series_digest(series: Iterable) -> str:
     """Order-free fingerprint of a transcript series: SHA1 over the sorted
     (line, count) pairs of its transcript multiset. Takes a per-shot list of
-    transcripts or (transcript, count) pairs, so a disabled attack can be
-    checked against the honest baseline however either was simulated."""
+    transcripts or (transcript, count) pairs, so the split engine can be
+    checked against the per-shot reference series."""
     counts: Counter = Counter()
     for item in series:
         tr, n = (item, 1) if isinstance(item, ProtocolTranscript) else item
@@ -279,6 +274,11 @@ def _secret_pass_values(transcript: ProtocolTranscript) -> list[int]:
     return [payload["value"] for pass_name, _, payload in transcript.hook_events if pass_name == "secret"]
 
 
+def _intercepted_value(transcript: ProtocolTranscript) -> int:
+    # An intercept runner's hook measures exactly once in the secret pass.
+    return _secret_pass_values(transcript)[0]
+
+
 def _summarize(
     kind: str,
     shots: int,
@@ -306,49 +306,41 @@ def _summarize(
     )
 
 
-def _flat_observations(leaves: Leaves) -> Counter:
-    out: Counter = Counter()
-    for tr, n in leaves:
-        for v in _secret_pass_values(tr):
-            out[v] += n
-    return out
-
-
 def _conditioned_leakage(
     instance: ProtocolInstance,
     spec: AttackSpec,
     channel: Channel,
     position: int,
-    collect,
+    key: Callable[[ProtocolTranscript], object],
 ) -> tuple[float, list[Counter]]:
     """Re-run the series with one player's shadow forced to each hypothesis
     value (all else fixed) and return the TV distance between the two
-    observation distributions."""
+    distributions of key(transcript)."""
     histograms = []
     for salt, value in enumerate(spec.hypotheses, start=1):
         forced = instance.with_shadow(position, value)
         seed = np.random.SeedSequence([spec.seed, salt])
-        histograms.append(collect(split_shot_series(forced, spec.shots, seed, channel)))
+        histograms.append(tally(split_shot_series(forced, spec.shots, seed, channel), key))
     return tv_distance(histograms[0], histograms[1], spec.shots, spec.shots), histograms
 
 
 def _intercept_attack(
     instance: ProtocolInstance, spec: AttackSpec, hook, **channel_fields
 ) -> AttackReport:
-    channel = Channel(hooks={spec.hop_index: hook}, **channel_fields) if spec.active else None
+    channel = Channel(hooks={spec.hop_index: hook}, **channel_fields)
     leaves = split_shot_series(instance, spec.shots, spec.seed, channel)
-    observations = _flat_observations(leaves)
+    observations = tally(leaves, _intercepted_value)
     leakage = None
     extra: dict = {"hop_index": spec.hop_index}
-    if spec.active and spec.hypotheses is not None:
+    if spec.hypotheses is not None:
         leakage, histograms = _conditioned_leakage(
-            instance, spec, channel, 1, _flat_observations
+            instance, spec, channel, 1, _intercepted_value
         )
         extra["hypotheses"] = list(spec.hypotheses)
         extra["hypothesis_histograms"] = [
             {_key(k): v for k, v in sorted(h.items())} for h in histograms
         ]
-    chi2 = uniformity_pvalue(observations, instance.modulus.d) if spec.active else None
+    chi2 = uniformity_pvalue(observations, instance.modulus.d)
     return _summarize(spec.kind, spec.shots, leaves, observations, leakage, chi2, extra)
 
 
@@ -377,36 +369,26 @@ def run_entangle_measure(instance: ProtocolInstance, spec: AttackSpec) -> Attack
 
 
 def run_forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
-    """One player runs the secret pass with a fake shadow (uniform over the
-    wrong values unless pinned). Detection happens at the hash comparison;
-    shots accepted despite a wrong shadow are counted as residual collisions."""
+    """One player runs the secret pass with a fake shadow, drawn per shot
+    uniformly over the d - 1 wrong values. Detection happens at the hash
+    comparison; shots accepted despite the wrong shadow are counted as
+    residual collisions."""
     position = spec.player_id if spec.player_id is not None else min(2, instance.t)
     if not 1 <= position <= instance.t:
         raise ValueError(f"player position {position} out of range for t={instance.t}")
     d = instance.modulus.d
     true_value = instance.shadows_secret[position - 1]
-
-    def forge(fake: int) -> ProtocolInstance:
-        inst = instance.with_shadow(position, fake)
-        if spec.fake_hash_shadow is not None:
-            inst = inst.with_shadow(position, spec.fake_hash_shadow, "hash")
-        return inst
-
     rng = np.random.default_rng(spec.seed)
-    if not spec.active:
-        mix = [(instance, spec.shots)]
-    elif spec.fake_shadow is not None:
-        mix = [(forge(spec.fake_shadow), spec.shots)]
-    else:
-        # Each shot's fake is uniform over Z_d minus the true value: one
-        # multinomial split of the shots over the d - 1 wrong values.
-        counts = rng.multinomial(spec.shots, np.full(d - 1, 1 / (d - 1)))
-        mix = [(forge((true_value + 1 + k) % d), int(n)) for k, n in enumerate(counts) if n]
-    leaves = [leaf for inst, n in mix for leaf in _split(inst, n, rng, Channel())]
+    # One multinomial split of the shots over the d - 1 wrong values, then one
+    # series per forged instance, all drawing from the same generator.
+    counts = rng.multinomial(spec.shots, np.full(d - 1, 1 / (d - 1)))
+    leaves: Leaves = []
+    for k, n in enumerate(counts):
+        if n:
+            forged = instance.with_shadow(position, (true_value + 1 + k) % d)
+            leaves += split_shot_series(forged, int(n), rng)
     observations = tally(leaves, lambda tr: tr.f0)
-    residual = sum(
-        n for tr, n in leaves if tr.shadows_secret[position - 1] != true_value and tr.accepted
-    )
+    residual = sum(n for tr, n in leaves if tr.accepted)
     extra = {
         "target_position": position,
         "true_shadow": true_value,
@@ -430,16 +412,16 @@ def run_collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackR
         )
     first_hook = _fourier_intercept_hook if spec.escalate else _measure_resend_hook
     hooks = {position - 2: first_hook, position - 1: _measure_resend_hook}
-    channel = Channel(hooks=hooks) if spec.active else None
+    channel = Channel(hooks=hooks)
 
-    def joint(leaves: Leaves) -> Counter:
-        return tally(leaves, lambda tr: tuple(_secret_pass_values(tr)))
+    def joint(transcript: ProtocolTranscript) -> tuple[int, ...]:
+        return tuple(_secret_pass_values(transcript))
 
     leaves = split_shot_series(instance, spec.shots, spec.seed, channel)
-    observations = joint(leaves) if spec.active else Counter()
+    observations = tally(leaves, joint)
     leakage = None
     extra: dict = {"middle_position": position, "colluders": [position - 1, position + 1]}
-    if spec.active and spec.hypotheses is not None:
+    if spec.hypotheses is not None:
         leakage, _ = _conditioned_leakage(instance, spec, channel, position, joint)
         extra["hypotheses"] = list(spec.hypotheses)
     return _summarize(spec.kind, spec.shots, leaves, observations, leakage, None, extra)

@@ -85,15 +85,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise QssError("explicit simulation needs --n, --t and --d")
         n, t, d = args.n, args.t, args.d
         c, fallback = (d - 1).bit_length(), False
-    secret = args.secret % d
-    config = DealerConfig(n=n, t=t, secret=secret, rng_seed=args.seed, d_override=d)
+    config = DealerConfig(n=n, t=t, secret=args.secret, rng_seed=args.seed, d_override=d)
     instance = instance_from_deal(config)
     leaves = split_shot_series(instance, args.shots, args.seed)
     histogram = tally(leaves, lambda tr: tr.f0)
     expected = instance.expected_value("secret")
     payload = _envelope(
         args,
-        resolved={"n": n, "t": t, "d": d, "c": c, "fallback": fallback, "secret": secret},
+        resolved={"n": n, "t": t, "d": d, "c": c, "fallback": fallback, "secret": args.secret},
         shots=args.shots,
         histogram={str(k): v for k, v in sorted(histogram.items(), key=lambda kv: str(kv[0]))},
         expected=expected,
@@ -141,7 +140,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cell_seed = int(child.generate_state(1, dtype=np.uint64)[0])
         rng = np.random.default_rng(cell_seed)
         secret = int(rng.integers(d))
-        config = DealerConfig(n=n, t=t, secret=secret, rng_seed=cell_seed, d_override=d)
+        # A dealer seeded with cell_seed would draw the secret again as a1.
+        dealer_seed = int(rng.integers(2**63))
+        config = DealerConfig(n=n, t=t, secret=secret, rng_seed=dealer_seed, d_override=d)
         instance = instance_from_deal(config)
         transcript = instance.run(seed=rng)
         rows.append(

@@ -64,6 +64,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             run_intercept_resend(single, AttackSpec(kind="intercept_resend", shots=2))
 
+    def test_fields_are_what_an_attack_takes(self):
+        assert [f.name for f in dataclasses.fields(AttackSpec)] == [
+            "kind", "hop_index", "player_id", "shots", "seed", "hypotheses", "escalate",
+        ]
+
+    def test_escalate_only_for_collusion(self):
+        AttackSpec(kind="collusion_probe", shots=4, escalate=True)
+        for kind in ("intercept_resend", "intercept_iqft", "entangle_measure", "forgery"):
+            with pytest.raises(ValueError, match="escalate"):
+                AttackSpec(kind=kind, shots=4, escalate=True)
+
+    def test_intercepts_target_no_player(self):
+        for kind in ("forgery", "collusion_probe"):
+            AttackSpec(kind=kind, shots=4, player_id=3)
+        for kind in ("intercept_resend", "intercept_iqft", "entangle_measure"):
+            with pytest.raises(ValueError, match="player"):
+                AttackSpec(kind=kind, shots=4, player_id=1)
+
     def test_forgery_takes_no_hypotheses(self):
         # Forgery reports no leakage statistic, so hypotheses would be ignored.
         with pytest.raises(ValueError, match="hypotheses"):
@@ -244,29 +262,21 @@ class TestControlRuns:
             "collusion_probe": instance(n=4, t=4, secret=secret, d=5),
         }
         for kind, inst in insts.items():
-            honest = run_shot_series(inst, 40, seed=33)
-            report = run_attack(inst, AttackSpec(kind=kind, shots=40, seed=33, active=False))
-            assert report.detection_rate == 0.0, kind
-            # shot-for-shot identical to the honest baseline
-            assert report.extra["series_digest"] == series_digest(honest), kind
-            if kind == "forgery":
-                # forgery reports recovered values, which are all the secret
-                assert report.outcome_histogram == {secret: 40}
-            else:
-                assert report.outcome_histogram == {}, kind
+            # With no hook installed every shot is accepted on the secret,
+            # and the split engine matches the per-shot reference exactly.
+            leaves = split_shot_series(inst, 40, 33)
+            assert all(tr.accepted for tr, _ in leaves), kind
+            assert tally(leaves, lambda tr: tr.f0) == {secret: 40}, kind
+            assert series_digest(leaves) == series_digest(run_shot_series(inst, 40, 33)), kind
 
     def test_control_detection_rate_zero_d2(self):
         # d=2 control: the only d=2 ring lives at the shadow level, so build
         # shadow lists consistent with secret 1 and its hash.
-        from qss.protocol import instance_from_shadows
-
         h = hash_to_field(1, PrimeModulus(2))
         inst = instance_from_shadows(2, (1, 0), (h, 0))
-        report = run_intercept_resend(
-            inst, AttackSpec(kind="intercept_resend", shots=64, seed=1, active=False)
-        )
-        assert report.detection_rate == 0.0
-        assert report.ancilla_abort_rate == 0.0
+        leaves = split_shot_series(inst, 64, 1)
+        assert sum(n for _, n in leaves) == 64
+        assert all(tr.accepted and tr.ancilla == (0, 0) for tr, _ in leaves)
 
 
 class TestInterceptResend:
@@ -438,14 +448,6 @@ class TestForgery:
         assert report.ancilla_abort_rate == 0.0
         assert report.extra["residual_collision_shots"] == 0
 
-    def test_degenerate_fake_equals_true(self):
-        inst = instance()
-        true = inst.shadows_secret[1]
-        report = run_forgery(
-            inst, AttackSpec(kind="forgery", shots=200, seed=14, fake_shadow=true)
-        )
-        assert report.detection_rate == 0.0
-
     def test_residual_collision_search_d3(self):
         # Exhaustive over all (fake_f, fake_g) pairs at d=3, t=2: the run is
         # accepted exactly when the forged f(0)' and g(0)' still satisfy the
@@ -464,26 +466,24 @@ class TestForgery:
             f0 = (base_f - s_true + fake_f) % d
             g0 = (base_g - h_true + fake_g) % d
             oracle_accepts = hash_to_field(f0, mod) == g0
-            report = run_forgery(
-                inst,
-                AttackSpec(
-                    kind="forgery",
-                    shots=8,
-                    seed=16,
-                    fake_shadow=fake_f,
-                    fake_hash_shadow=fake_g,
-                ),
-            )
-            if oracle_accepts:
-                assert report.detection_rate == 0.0
-                assert report.extra["residual_collision_shots"] == 8
-                found_residual += 1
-            else:
-                assert report.detection_rate == 1.0
-                assert report.extra["residual_collision_shots"] == 0
+            forged = inst.with_shadow(2, fake_f).with_shadow(2, fake_g, "hash")
+            leaves = split_shot_series(forged, 8, 16)
+            accepted = sum(n for tr, n in leaves if tr.accepted)
+            assert accepted == (8 if oracle_accepts else 0)
+            found_residual += oracle_accepts
         # SHA1 of the small inputs is constant mod 3, so exactly the
         # fake_g == true hash shadow column collides.
         assert found_residual == 2
+
+    def test_uniform_forgery_always_collides_d3(self):
+        # SHA1 of 0, 1 and 2 is 2 mod 3, so every forged f(0)' still matches
+        # the untouched hash shadow sum and no shot is detected.
+        mod = PrimeModulus(3)
+        assert {hash_to_field(v, mod) for v in range(3)} == {2}
+        inst = instance(n=2, t=2, secret=1, seed=15, d=3)
+        report = run_forgery(inst, AttackSpec(kind="forgery", shots=300, seed=16))
+        assert report.detection_rate == 0.0
+        assert report.extra["residual_collision_shots"] == 300
 
     def test_target_position_validated(self):
         with pytest.raises(ValueError):

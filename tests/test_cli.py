@@ -10,7 +10,9 @@ import qss
 import qss.cli
 import qss.protocol
 from qss.cli import main, resolve_preset
+from qss.dealer import deal
 from qss.errors import PresetInfeasible, ValueOutOfRange
+from qss.protocol import instance_from_deal
 from qss.qudit import RegisterLayout
 
 
@@ -43,8 +45,15 @@ class TestRun:
         assert "error" in err
 
     def test_secret_out_of_range_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "run", "--n", "3", "--t", "2", "--secret", "99")
-        assert code == 2
+        # simulate rejects the secret too, rather than running it mod d.
+        for argv in (
+            ("run", "--n", "3", "--t", "2", "--secret", "99"),
+            ("simulate", "--n", "4", "--t", "2", "--d", "7", "--secret", "9", "--shots", "8"),
+            ("simulate", "--n", "4", "--t", "2", "--d", "7", "--secret", "-1", "--shots", "8"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "secret" in err
 
     def test_modulus_above_cap_exits_2_before_dealing(self, capsys, monkeypatch):
         def no_deal(config):
@@ -177,11 +186,16 @@ class TestAttack:
     def test_bad_hop_exits_2(self, capsys):
         base = ["attack", "--n", "4", "--t", "3", "--d", "5", "--shots", "4"]
         # A hypothesis outside [0, d) is rejected the same way, not reduced mod
-        # d; forgery, which has no leakage statistic, takes no hypotheses.
+        # d; forgery, which has no leakage statistic, takes no hypotheses; only
+        # colluders escalate, and an intercept targets a hop, not a player.
         for kind, extra in (
             ("intercept_resend", ["--hop", "7"]),
             ("intercept_resend", ["--hypotheses", "9", "1"]),
             ("forgery", ["--hypotheses", "0", "1"]),
+            ("forgery", ["--escalate"]),
+            ("intercept_iqft", ["--escalate"]),
+            ("intercept_resend", ["--player", "2"]),
+            ("entangle_measure", ["--player", "2"]),
         ):
             code, out, _ = run_cli(capsys, *base, "--attack", kind, *extra)
             assert code == 2 and out == ""
@@ -259,6 +273,25 @@ class TestSweep:
             )
             contents.append(path.read_bytes())
         assert contents[0] == contents[1]
+
+    def test_dealer_seed_independent_of_secret(self, capsys, monkeypatch):
+        # At t=2 the first coefficient a1 = f(1) - s; were it the secret, the
+        # single share f(1) = 2s would reveal it.
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            return instance_from_deal(config)
+
+        monkeypatch.setattr(qss.cli, "instance_from_deal", record)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--d-max", "13", "--t-max", "2", "--n-max", "6", "--seed", "4"
+        )
+        assert code == 0
+        pairs = [c for c in configs if c.t == 2]
+        assert len(pairs) > 10
+        same = sum((deal(c)[0].f_share - c.secret) % c.d_override == c.secret for c in pairs)
+        assert same < len(pairs) / 2
 
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(
