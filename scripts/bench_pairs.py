@@ -21,6 +21,12 @@ working tree than on the parent. It also holds `failed`/`attempted` per run
 and the environment block `bench/run.py` records. One invocation writes the
 whole record, so every pair in it measures the same two trees; an existing
 file of the same label is replaced. Standard library only.
+
+Each pair also compares the output digests of its two runs: for every
+invocation index both sides reached (runs are time-bounded, so the sides
+reach different counts), the stdout SHA-256 must match. The pair records how
+many indices it compared and which keys differed, but not the digests. The
+script exits 1 if any pair mismatched.
 """
 from __future__ import annotations
 
@@ -52,8 +58,8 @@ def export(rev: str, dest: Path) -> None:
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced bench/run.py process in `tree`: its result line and the
-    environment block of its results file."""
+    """One untraced bench/run.py process in `tree`: its result line, and the
+    environment block and output digests of its results file."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -69,6 +75,16 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         "failed": result["failed"],
         "attempted": result["attempted"],
         "environment": record["environment"],
+        "digests": record["digests"],
+    }
+
+
+def compare_digests(parent: dict, change: dict) -> dict:
+    """The invocation keys both digest maps hold, and those whose digests differ."""
+    common = parent.keys() & change.keys()
+    return {
+        "compared": len(common),
+        "mismatched": sorted(k for k in common if parent[k] != change[k]),
     }
 
 
@@ -133,6 +149,7 @@ def main(argv=None) -> int:
         "environment": None,
         "workloads": {},
     }
+    mismatched_pairs = 0
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         export(args.parent, parent_tree)
@@ -151,12 +168,19 @@ def main(argv=None) -> int:
                 }
                 for side in order:
                     pair[side]["loadavg_start"] = pair[side].pop("environment")["loadavg_start"]
+                pair["digests"] = compare_digests(
+                    pair["parent"].pop("digests"), pair["change"].pop("digests")
+                )
+                mismatched_pairs += bool(pair["digests"]["mismatched"])
                 pairs.append(pair)
                 record["workloads"][key].update(summarize(pairs, spec["end_to_end"]))
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
                 rps = {side: round(pair[side]["metrics"]["runs_per_s"], 4) for side in order}
-                print(f"{key} pair {len(pairs)}: runs_per_s {rps}", flush=True)
-    return 0
+                digests = pair["digests"]
+                print(f"{key} pair {len(pairs)}: runs_per_s {rps}, digests "
+                      f"{len(digests['mismatched'])}/{digests['compared']} mismatched",
+                      flush=True)
+    return 1 if mismatched_pairs else 0
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ total-variation distance between the adversary's observation distributions
 under two forced shadow hypotheses; "detected" means the run ended in any
 abort.
 
-Every series starts at split_shot_series, which runs each distinct
-measurement branch once: at every measurement one multinomial draw splits
-the shots across the outcomes, and the series comes back as
+Every series starts at protocol.split_shot_series, which runs each
+distinct measurement branch once: at every measurement one multinomial draw
+splits the shots across the outcomes, and the series comes back as
 (transcript, count) pairs whose number does not grow with the shots. It has
 the law of running every shot on its own. run_shot_series does exactly that,
 one ProtocolInstance.run per shot; it is kept as the per-shot reference the
@@ -29,24 +29,13 @@ import numpy as np
 from .errors import ValueOutOfRange
 from .protocol import (
     Channel,
-    HookContext,
-    PassName,
-    PassResult,
     ProtocolInstance,
     ProtocolTranscript,
     TRANSMITTED,
     VERDICT_ABORT_HASH,
-    run_pass,
-    transcript_of,
+    split_shot_series,
 )
-from .qudit import (
-    MeasurementOutcome,
-    QuditState,
-    apply_copy,
-    apply_iqft,
-    collapse,
-    outcome_probabilities,
-)
+from .qudit import QuditState, apply_copy, apply_iqft
 
 ADVERSARY_REGISTER = "E"
 
@@ -72,8 +61,11 @@ class AttackSpec:
             raise ValueError("forgery has no leakage statistic to condition on hypotheses")
         if self.escalate and self.kind != "collusion_probe":
             raise ValueError(f"{self.kind} has no colluders to escalate")
-        if self.player_id is not None and self.kind not in ("forgery", "collusion_probe"):
+        targets_player = self.kind in ("forgery", "collusion_probe")
+        if self.player_id is not None and not targets_player:
             raise ValueError(f"{self.kind} intercepts a hop and targets no player")
+        if self.hop_index != 0 and targets_player:
+            raise ValueError(f"{self.kind} targets a player and intercepts no hop")
 
 
 @dataclass(frozen=True)
@@ -128,72 +120,6 @@ def run_shot_series(
         inst = per_shot(instance, rng) if per_shot is not None else instance
         out.append(inst.run(channel=channel, seed=rng))
     return out
-
-
-def split_shot_series(
-    instance: ProtocolInstance,
-    shots: int,
-    seed: int | np.random.SeedSequence | np.random.Generator,
-    channel: Channel | None = None,
-) -> Leaves:
-    """`shots` runs of the instance, simulated once per distinct measurement
-    branch and drawn from one generator seeded once; a Generator passed as
-    `seed` is drawn from as it is. Returns (transcript, count) pairs whose
-    counts sum to `shots`; the transcripts record no seed. The series has the
-    law of run_shot_series with the same arguments."""
-    rng = np.random.default_rng(seed)
-    channel = channel or Channel()
-    # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
-    # passes of one shot are independent, so the hash-pass leaves are dealt
-    # out to the secret-pass leaves by a uniformly random pairing of their
-    # shots: one multivariate hypergeometric draw per secret-pass leaf.
-    secret = _pass_leaves(instance, channel, "secret", shots, rng)
-    out = [(transcript_of(instance, [p]), n) for p, n in secret if p.ancilla != 0]
-    passed = [(p, n) for p, n in secret if p.ancilla == 0]
-    if not passed:
-        return out
-    hashed = _pass_leaves(instance, channel, "hash", sum(n for _, n in passed), rng)
-    left = np.array([n for _, n in hashed])
-    for i, (p, n) in enumerate(passed):
-        dealt = left if i == len(passed) - 1 else rng.multivariate_hypergeometric(left, n)
-        left = left - dealt
-        out += [(transcript_of(instance, [p, h]), int(m)) for (h, _), m in zip(hashed, dealt) if m]
-    return out
-
-
-def _pass_leaves(
-    instance: ProtocolInstance,
-    channel: Channel,
-    pass_name: PassName,
-    shots: int,
-    rng: np.random.Generator,
-) -> list[tuple[PassResult, int]]:
-    """Walk one pass's measurement tree with `shots` shots. Each measurement
-    splits its shots across the outcomes with one multinomial draw; the pass
-    goes on into the first outcome that got any, and each other such outcome
-    is replayed from the start with the outcomes before it forced, so hooks
-    run unchanged. Returns (pass result, shots) per leaf."""
-    leaves = []
-    pending = [((), shots)]
-    while pending:
-        prefix, count = pending.pop()
-        path: list[int] = []
-
-        def measure_branch(state: QuditState, register: str) -> MeasurementOutcome:
-            nonlocal count
-            probs = outcome_probabilities(state, register)
-            if len(path) < len(prefix):
-                value = prefix[len(path)]
-            else:
-                counts = rng.multinomial(count, probs / probs.sum())
-                hit = np.flatnonzero(counts)
-                value, count = int(hit[0]), int(counts[hit[0]])
-                pending.extend(((*path, int(v)), int(counts[v])) for v in hit[:0:-1])
-            path.append(value)
-            return collapse(state, register, value, probs)
-
-        leaves.append((run_pass(instance, channel, pass_name, measure_branch), count))
-    return leaves
 
 
 def tally(leaves: Leaves, key: Callable[[ProtocolTranscript], object]) -> Counter:
@@ -254,20 +180,20 @@ def _chi2_sf(x: float, k: int) -> float:
     return min(1.0, math.fsum([head, *terms]))
 
 
-def _measure_resend_hook(state: QuditState, ctx: HookContext) -> QuditState:
-    return ctx.measure(state, TRANSMITTED)
+def _measure_resend_hook(state: QuditState, measure) -> QuditState:
+    return measure(state, TRANSMITTED)
 
 
-def _fourier_intercept_hook(state: QuditState, ctx: HookContext) -> QuditState:
-    return ctx.measure(apply_iqft(state, TRANSMITTED), TRANSMITTED)
+def _fourier_intercept_hook(state: QuditState, measure) -> QuditState:
+    return measure(apply_iqft(state, TRANSMITTED), TRANSMITTED)
 
 
-def _entangle_hook(state: QuditState, ctx: HookContext) -> QuditState:
+def _entangle_hook(state: QuditState, measure) -> QuditState:
     return apply_copy(state, TRANSMITTED, ADVERSARY_REGISTER)
 
 
-def _probe_ancilla_hook(state: QuditState, ctx: HookContext) -> QuditState:
-    return ctx.measure(state, ADVERSARY_REGISTER)
+def _probe_ancilla_hook(state: QuditState, measure) -> QuditState:
+    return measure(state, ADVERSARY_REGISTER)
 
 
 def _secret_pass_values(transcript: ProtocolTranscript) -> list[int]:

@@ -16,11 +16,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adversary import ATTACK_KINDS, AttackSpec, run_attack, split_shot_series, tally
+from .adversary import ATTACK_KINDS, AttackSpec, run_attack, tally
 from .dealer import DealerConfig, choose_modulus
 from .errors import PresetInfeasible, QssError
 from .field import is_prime
-from .protocol import HOME, TRANSMITTED, instance_from_deal
+from .protocol import HOME, TRANSMITTED, instance_from_deal, split_shot_series
 from .qudit import RegisterLayout
 
 PRESET_PLAYERS = (3, 4, 15)
@@ -49,13 +49,16 @@ def resolve_preset(n: int, c: int) -> tuple[int, int, bool]:
     return d, c_fb, True
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
 def _envelope(args: argparse.Namespace, **body) -> dict:
@@ -166,12 +169,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(buf.getvalue(), args.out)
     return 0 if all(r["correct"] for r in rows) else 1
 
 

@@ -16,13 +16,15 @@ iff both ancilla outcomes were 0 and SHA1(f(0)') mod d equals g(0)'.
 The channel is an in-process token ring: per-hop adversary hooks stand in
 for whatever sits on the (otherwise assumed authenticated) quantum link.
 Hooks may only act on the transmitted register and the optional adversary
-ancilla; H never leaves P1. A hook is called as hook(state, ctx) and returns
-the state to forward. Only measurements draw from the run's generator, so a
-hook measures through ctx.measure and never sees the generator itself.
+ancilla; H never leaves P1. A hook is called as hook(state, measure) and
+returns the state to forward. measure(state, register) measures one register
+the way the pass resolves its measurements, files {"value": outcome} under
+the pass and hop, and returns the collapsed state; a hook never sees the
+generator itself.
 
 A pass resolves all its measurements through one measurement function
 (run_pass): ProtocolInstance.run draws each outcome from its generator, and
-adversary.split_shot_series splits a whole shot series across the outcomes.
+split_shot_series splits a whole shot series across the outcomes.
 """
 from __future__ import annotations
 
@@ -43,7 +45,9 @@ from .qudit import (
     apply_qft,
     apply_shadow_phase,
     basis_state,
+    collapse,
     measure,
+    outcome_probabilities,
 )
 
 HOME = "H"
@@ -56,21 +60,9 @@ VERDICT_ABORT_ANCILLA = "abort_ancilla"
 VERDICT_ABORT_HASH = "abort_hash"
 
 
-@dataclass(frozen=True)
-class HookContext:
-    """What an adversary hook gets to know: pass, hop (None after P1's uncopy),
-    record(payload) to file an observation, and measure(state, register) to
-    measure with the run's generator, file {"value": outcome} and collapse."""
-
-    pass_name: str
-    hop_index: int | None
-    record: Callable[[dict], None]
-    measure: Callable[[QuditState, str], QuditState]
-
-
-Hook = Callable[[QuditState, HookContext], QuditState]
 # measure_fn(state, register): how a pass resolves each of its measurements.
 Measure = Callable[[QuditState, str], MeasurementOutcome]
+Hook = Callable[[QuditState, Callable[[QuditState, str], QuditState]], QuditState]
 
 
 @dataclass(frozen=True)
@@ -79,9 +71,10 @@ class Channel:
 
     A ring of t > 1 players has t hops; a lone reconstructor has none. hooks
     maps a 0-based hop index (hop j carries T from position j+1 to position
-    j+2, the last hop returning to P1) to a Hook. post_uncopy fires after
-    P1's uncopy, just before the ancilla measurement. ancilla_register, when
-    set, adds a third register of the same dimension for the adversary.
+    j+2, the last hop returning to P1) to a Hook, called as hook(state,
+    measure). post_uncopy fires after P1's uncopy, just before the ancilla
+    measurement; what it measures is filed with hop None. ancilla_register,
+    when set, adds a third register of the same dimension for the adversary.
     """
 
     hooks: Mapping[int, Hook] = dataclass_field(default_factory=dict)
@@ -244,6 +237,72 @@ def _execute(
     return transcript_of(instance, passes, seed)
 
 
+def split_shot_series(
+    instance: ProtocolInstance,
+    shots: int,
+    seed: int | np.random.SeedSequence | np.random.Generator,
+    channel: Channel | None = None,
+) -> list[tuple[ProtocolTranscript, int]]:
+    """`shots` runs of the instance, simulated once per distinct measurement
+    branch and drawn from one generator seeded once; a Generator passed as
+    `seed` is drawn from as it is. Returns (transcript, count) pairs whose
+    counts sum to `shots`; the transcripts record no seed. The series has the
+    law of adversary.run_shot_series with the same arguments."""
+    rng = np.random.default_rng(seed)
+    channel = channel or Channel()
+    # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
+    # passes of one shot are independent, so the hash-pass leaves are dealt
+    # out to the secret-pass leaves by a uniformly random pairing of their
+    # shots: one multivariate hypergeometric draw per secret-pass leaf.
+    secret = _pass_leaves(instance, channel, "secret", shots, rng)
+    out = [(transcript_of(instance, [p]), n) for p, n in secret if p.ancilla != 0]
+    passed = [(p, n) for p, n in secret if p.ancilla == 0]
+    if not passed:
+        return out
+    hashed = _pass_leaves(instance, channel, "hash", sum(n for _, n in passed), rng)
+    left = np.array([n for _, n in hashed])
+    for i, (p, n) in enumerate(passed):
+        dealt = left if i == len(passed) - 1 else rng.multivariate_hypergeometric(left, n)
+        left = left - dealt
+        out += [(transcript_of(instance, [p, h]), int(m)) for (h, _), m in zip(hashed, dealt) if m]
+    return out
+
+
+def _pass_leaves(
+    instance: ProtocolInstance,
+    channel: Channel,
+    pass_name: PassName,
+    shots: int,
+    rng: np.random.Generator,
+) -> list[tuple[PassResult, int]]:
+    """Walk one pass's measurement tree with `shots` shots. Each measurement
+    splits its shots across the outcomes with one multinomial draw; the pass
+    goes on into the first outcome that got any, and each other such outcome
+    is replayed from the start with the outcomes before it forced, so hooks
+    run unchanged. Returns (pass result, shots) per leaf."""
+    leaves = []
+    pending = [((), shots)]
+    while pending:
+        prefix, count = pending.pop()
+        path: list[int] = []
+
+        def measure_branch(state: QuditState, register: str) -> MeasurementOutcome:
+            nonlocal count
+            probs = outcome_probabilities(state, register)
+            if len(path) < len(prefix):
+                value = prefix[len(path)]
+            else:
+                counts = rng.multinomial(count, probs / probs.sum())
+                hit = np.flatnonzero(counts)
+                value, count = int(hit[0]), int(counts[hit[0]])
+                pending.extend(((*path, int(v)), int(counts[v])) for v in hit[:0:-1])
+            path.append(value)
+            return collapse(state, register, value, probs)
+
+        leaves.append((run_pass(instance, channel, pass_name, measure_branch), count))
+    return leaves
+
+
 def transcript_of(
     instance: ProtocolInstance, passes: list[PassResult], seed: int | None = None
 ) -> ProtocolTranscript:
@@ -316,15 +375,13 @@ def run_pass(
     return PassResult(0, measure_fn(state, HOME).value, tuple(events))
 
 
-def _context(
-    pass_name: str, hop_index: int | None, measure_fn: Measure, events: list
-) -> HookContext:
-    def record(payload: dict) -> None:
-        events.append((pass_name, hop_index, dict(payload)))
+def _context(pass_name: str, hop_index: int | None, measure_fn: Measure, events: list):
+    """The measure a hook gets: resolve through measure_fn, file the outcome
+    under this pass and hop, return the collapsed state."""
 
     def measure_and_record(state: QuditState, register: str) -> QuditState:
         out = measure_fn(state, register)
-        record({"value": out.value})
+        events.append((pass_name, hop_index, {"value": out.value}))
         return out.post_state
 
-    return HookContext(pass_name, hop_index, record, measure_and_record)
+    return measure_and_record

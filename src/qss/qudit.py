@@ -113,7 +113,6 @@ class QuditState:
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    register: str
     value: int
     post_state: QuditState
 
@@ -273,7 +272,7 @@ def collapse(
     collapsed = np.zeros_like(shaped)
     collapsed[:, value, :] = shaped[:, value, :] / math.sqrt(probs[value])
     post = QuditState(state.layout, collapsed.reshape(-1))
-    return MeasurementOutcome(register=register, value=value, post_state=post)
+    return MeasurementOutcome(value=value, post_state=post)
 
 
 def measure(state: QuditState, register: str, rng: np.random.Generator) -> MeasurementOutcome:

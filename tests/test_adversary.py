@@ -82,6 +82,14 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="player"):
                 AttackSpec(kind=kind, shots=4, player_id=1)
 
+    def test_player_attacks_intercept_no_hop(self):
+        for kind in ("intercept_resend", "intercept_iqft", "entangle_measure"):
+            AttackSpec(kind=kind, shots=4, hop_index=2)
+        for kind in ("forgery", "collusion_probe"):
+            AttackSpec(kind=kind, shots=4, hop_index=0)
+            with pytest.raises(ValueError, match="hop"):
+                AttackSpec(kind=kind, shots=4, hop_index=1)
+
     def test_forgery_takes_no_hypotheses(self):
         # Forgery reports no leakage statistic, so hypotheses would be ignored.
         with pytest.raises(ValueError, match="hypotheses"):

@@ -187,7 +187,8 @@ class TestAttack:
         base = ["attack", "--n", "4", "--t", "3", "--d", "5", "--shots", "4"]
         # A hypothesis outside [0, d) is rejected the same way, not reduced mod
         # d; forgery, which has no leakage statistic, takes no hypotheses; only
-        # colluders escalate, and an intercept targets a hop, not a player.
+        # colluders escalate, and an intercept targets a hop, not a player,
+        # while forgery and collusion target a player, not a hop.
         for kind, extra in (
             ("intercept_resend", ["--hop", "7"]),
             ("intercept_resend", ["--hypotheses", "9", "1"]),
@@ -196,6 +197,8 @@ class TestAttack:
             ("intercept_iqft", ["--escalate"]),
             ("intercept_resend", ["--player", "2"]),
             ("entangle_measure", ["--player", "2"]),
+            ("forgery", ["--hop", "2"]),
+            ("collusion_probe", ["--t", "4", "--hop", "1"]),
         ):
             code, out, _ = run_cli(capsys, *base, "--attack", kind, *extra)
             assert code == 2 and out == ""

@@ -201,7 +201,7 @@ class TestValidation:
 
     def test_channel_hop_count_checked(self):
         # A t=3 ring has hops 0..2; a lone reconstructor has none.
-        def noop(state, ctx):
+        def noop(state, measure):
             return state
 
         inst = instance_from_players(build_players(4, 3, 1, seed=1))
@@ -235,7 +235,7 @@ class TestTranscript:
         # to cancel, so the pass-1 ancilla check must fire and end the run.
         from qss.qudit import QuditState
 
-        def shift_t(state, ctx):
+        def shift_t(state, measure):
             d = state.layout.d
             rolled = np.roll(state.amplitudes.reshape(d, d), 1, axis=1)
             return QuditState(state.layout, rolled.reshape(-1))
@@ -252,9 +252,10 @@ class TestHookPlumbing:
     def test_hooks_fire_once_per_pass_in_order(self):
         players = build_players(4, 3, 1, seed=3)
 
-        def spy(state, ctx):
-            ctx.record({"value": ctx.hop_index})
-            return state
+        def spy(state, measure):
+            # A computational-basis intercept leaves the ancilla at 0, so
+            # both passes run.
+            return measure(state, "T")
 
         channel = Channel(hooks={0: spy, 2: spy})
         tr = instance_from_players(players).run(channel=channel, seed=0)
@@ -262,12 +263,12 @@ class TestHookPlumbing:
             ("secret", 0), ("secret", 2), ("hash", 0), ("hash", 2),
         ]
 
-    def test_ctx_measure_files_value_and_collapses(self):
+    def test_measure_files_value_and_collapses(self):
         players = build_players(4, 3, 1, seed=3, d_override=5)
         returned = []
 
-        def probe(state, ctx):
-            out = ctx.measure(state, "T")
+        def probe(state, measure):
+            out = measure(state, "T")
             returned.append(out)
             return out
 
@@ -285,9 +286,8 @@ class TestHookPlumbing:
     def test_hook_events_not_serialized(self):
         players = build_players(4, 3, 1, seed=3)
 
-        def spy(state, ctx):
-            ctx.record({"value": 1})
-            return state
+        def spy(state, measure):
+            return measure(state, "T")
 
         channel = Channel(hooks={0: spy})
         tr = instance_from_players(players).run(channel=channel, seed=0)
