@@ -1,21 +1,35 @@
-"""Dense state-vector simulation of up to three d-level registers.
+"""State simulation of up to three d-level registers, held as its support.
 
-Index convention: the register listed first in the layout is the most
-significant base-d digit of the flat amplitude index, so for registers
-(H, T) the basis state |h>|t> sits at index h*d + t.
+A state is the list of basis states where its amplitude is not exactly zero:
+one integer digit column per register, in layout order, and the complex
+amplitude at each of those points. The dense vector, built only on request
+(.amplitudes), follows one convention: the register listed first in the
+layout is the most significant base-d digit, so for registers (H, T) the
+basis state |h>|t> sits at flat index h*d + t.
 
-Gates are pure functions returning new states. Each gate re-checks the
-2-norm and raises NotNormalized if it drifted beyond 1e-9. A single-register
-gate acts on the state viewed as (d**axis, d, rest), so every axis takes the
-same path. A measurement is outcome_probabilities (the norm-checked law of
-one register) followed by collapse onto one outcome; measure draws the
-outcome in between. Below d = _FFT_MIN_D (41) the QFT and its inverse are
-a product with a dense d x d matrix; from 41 up they are an FFT over the
-register's nonzero fibers and build no table. The other per-gate tables
-(copy permutation, phase column), and the QFT matrices below 41, sit in
-caches keyed by dimension. Callers work at one d at a time, so each d x d
-table keeps one entry and the copy permutation the two a three-register
-run alternates between.
+Gates are pure functions returning new states and cost O(support); none
+builds a d**k array except the Fourier gates below d = _FFT_MIN_D (41), whose
+dense scratch array has at most 40**3 entries. Each gate re-checks the 2-norm
+of the support and raises NotNormalized if it drifted beyond 1e-9. The copy
+gate remaps the target's digit column, the shadow phase multiplies each
+amplitude by the phase of its digit, a marginal is a bincount of one digit
+column, and a collapse keeps the entries holding the outcome. A measurement
+is outcome_probabilities (the norm-checked law of one register) followed by
+collapse onto one outcome; measure draws the outcome in between.
+
+Every seeded output is bit-for-bit what a dense simulation gives: the
+Fourier gates do a dense simulation's arithmetic exactly, and a marginal
+adds in the dense reduction's order (see QuditState.marginal). Below 41 the
+support is scattered into a dense scratch array and multiplied by the
+cached d x d matrix; from 41 up the register's nonzero fibers are gathered,
+in the order of the other registers' digits, and run through one numpy FFT
+call. Either way only exact zeros are dropped from the result: round-off
+amplitudes (about 1e-17 on outcomes that should be impossible) stay, since a
+probability of exactly 0 draws no random number in numpy's binomial and
+would shift every later draw. The only tables are the QFT matrices and the
+digit columns of the dense path below 41, and the phase rows, all cached by
+dimension; callers work at one d at a time, so each table below 41 keeps
+one entry.
 """
 from __future__ import annotations
 
@@ -34,8 +48,10 @@ from .errors import (
 
 _GATE_NORM_TOL = 1e-9
 _MEASURE_NORM_TOL = 1e-6
-# Largest state vector a layout may ask for: 2**24 complex amplitudes is
-# 256 MB, plus an int64 copy permutation of the same length.
+# Largest layout, in amplitudes, that may be asked for: 2**24 complex
+# amplitudes is the 256 MB dense view (.amplitudes) and bounds the largest
+# support any state can reach. The gates themselves no longer allocate d**k,
+# but the cap and its exit code (2, before any state is built) are kept.
 MAX_AMPLITUDES = 2**24
 # Smallest register dimension whose QFT and inverse QFT run as an FFT; below
 # it they are a product with a cached dense d x d matrix. Warm per-call cost
@@ -43,7 +59,9 @@ MAX_AMPLITUDES = 2**24
 # between d=37 and d=47: at d=31 dense 12-17 us against FFT 17-25 us, at
 # d=47 dense 22-36 us against FFT 19-25 us, and near 41 the two are within
 # a few us. Cold, the dense path first builds its matrix (about 100 us at
-# d=41), so there the FFT always wins.
+# d=41), so there the FFT always wins. The threshold also decides which
+# arithmetic a fiber gets (a BLAS product or pocketfft), and the two round
+# differently in the last bit, so moving it changes seeded outputs.
 _FFT_MIN_D = 41
 
 
@@ -83,9 +101,14 @@ class RegisterLayout:
 
 
 class QuditState:
-    """Complex amplitudes over the layout's registers (length d**k)."""
+    """The support of a state over the layout's registers: digits[i][j] is
+    register i's value at support point j, values[j] its amplitude, which is
+    never exactly 0. Every basis state not listed has amplitude exactly 0.
 
-    __slots__ = ("layout", "amplitudes")
+    QuditState(layout, amplitudes) builds one from a dense vector of length
+    d**k; .amplitudes gives the dense vector back."""
+
+    __slots__ = ("layout", "digits", "values")
 
     def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
@@ -94,21 +117,44 @@ class QuditState:
             raise ValueOutOfRange(
                 f"amplitude vector must have length {expected}, got {amplitudes.shape}"
             )
+        flat = np.flatnonzero(amplitudes)
         self.layout = layout
-        self.amplitudes = amplitudes
+        self.digits = np.unravel_index(flat, (layout.d,) * len(layout.registers))
+        self.values = amplitudes[flat]
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense vector of length d**k."""
+        out = np.zeros((self.layout.d,) * len(self.layout.registers), dtype=np.complex128)
+        out[self.digits] = self.values
+        return out.reshape(-1)
 
     def norm(self) -> float:
-        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def split(self, register: str) -> np.ndarray:
-        """Amplitudes viewed as (d**axis, d, rest), the register in the middle."""
-        d = self.layout.d
-        return self.amplitudes.reshape(d ** self.layout.axis(register), d, -1)
+        return math.sqrt(np.vdot(self.values, self.values).real)
 
     def marginal(self, register: str) -> np.ndarray:
-        """Probability distribution of one register, other registers traced out."""
-        amps = self.split(register)
-        return (amps.real**2 + amps.imag**2).sum(axis=(0, 2))
+        """Probability distribution of one register, other registers traced out.
+
+        bincount adds each bin's entries one by one in support order, which
+        is bit-for-bit the dense reduction's sum whenever, within each bin,
+        no two entries share the digits of the registers before this one and
+        the entries come in increasing order of those digits. Every marginal
+        a protocol pass takes is like that; tests/test_qudit.py pins it."""
+        values = self.values
+        return np.bincount(
+            self.digits[self.layout.axis(register)],
+            weights=values.real**2 + values.imag**2,
+            minlength=self.layout.d,
+        )
+
+
+def _state(layout: RegisterLayout, digits: tuple, values: np.ndarray) -> QuditState:
+    """A state straight from its support."""
+    state = object.__new__(QuditState)
+    state.layout = layout
+    state.digits = digits
+    state.values = values
+    return state
 
 
 @dataclass(frozen=True)
@@ -122,15 +168,12 @@ def basis_state(layout: RegisterLayout, values: dict[str, int]) -> QuditState:
     if set(values) != set(layout.registers):
         missing = set(layout.registers) ^ set(values)
         raise UnknownRegister(f"values must cover the layout exactly, mismatch: {missing}")
-    index = 0
     for label in layout.registers:
         v = values[label]
         if not 0 <= v < layout.d:
             raise ValueOutOfRange(f"value {v} for register {label!r} not in [0, {layout.d})")
-        index = index * layout.d + v
-    amps = np.zeros(layout.d ** len(layout.registers), dtype=np.complex128)
-    amps[index] = 1.0
-    return QuditState(layout, amps)
+    digits = tuple([np.array([values[label]], dtype=np.intp) for label in layout.registers])
+    return _state(layout, digits, np.array([1.0 + 0j]))
 
 
 @lru_cache(maxsize=1)
@@ -149,70 +192,64 @@ def _iqft_matrix(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _copy_table(d: int) -> np.ndarray:
-    """Target-value table of the copy gate: entry [a, b] is the target value
-    that basis pair (a, b) maps to.
-
-    The gate is bitwise XOR on the c-bit encodings, exactly the CNOT^(x)c
-    cascade on qubit registers. For non-power-of-two d some XOR results fall
-    outside [0, d); those pairs (never produced by an honest run, whose
-    targets are only ever |0> or a copy of the control) are left unchanged,
-    which keeps the table a self-inverse permutation in every row.
-    """
-    a = np.arange(d)[:, None]
-    b = np.arange(d)[None, :]
-    x = a ^ b
-    table = np.where(x < d, x, b)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=2)
-def _copy_permutation(d: int, k: int, c_axis: int, t_axis: int) -> np.ndarray:
-    """Flat gather indices realizing the copy gate on a d**k state: the gate
-    is an involution, so out = amps[perm] with perm[dest] = source = dest
-    with the target digit re-mapped through _copy_table. The shift comes
-    from sparse digit grids, so the only d**k array built is perm itself."""
-    grid = np.indices((d,) * k, sparse=True)
-    perm = np.arange(d**k).reshape((d,) * k)
-    perm += (_copy_table(d)[grid[c_axis], grid[t_axis]] - grid[t_axis]) * d ** (k - 1 - t_axis)
-    perm = perm.reshape(-1)
-    perm.setflags(write=False)
-    return perm
+def _basis_digits(d: int, k: int) -> tuple:
+    """The k digit columns of every flat index of a d**k vector, for the
+    dense Fourier path below _FFT_MIN_D (at most 3 x 40**3 entries)."""
+    columns = tuple(np.indices((d,) * k).reshape(k, -1))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
 @lru_cache(maxsize=256)
 def _phase_column(d: int, shadow_value: int) -> np.ndarray:
-    """exp(2 pi i * s * value / d) for value in [0, d), as a (d, 1) column
-    that broadcasts over a state split at the register's axis."""
-    phases = np.exp(2j * np.pi * shadow_value * np.arange(d) / d).reshape(d, 1)
+    """exp(2 pi i * s * value / d) for value in [0, d), shape (d,): indexed by
+    a digit column it gives each support point its phase."""
+    phases = np.exp(2j * np.pi * shadow_value * np.arange(d) / d)
     phases.setflags(write=False)
     return phases
 
 
-def _check_norm(amps: np.ndarray, tol: float) -> None:
-    n2 = np.vdot(amps, amps).real
+def _check_norm(values: np.ndarray, tol: float) -> None:
+    n2 = float(np.vdot(values, values).real)
     if abs(n2 - 1.0) > 2 * tol:
         raise NotNormalized(f"state norm {math.sqrt(n2)} deviates from 1 beyond {tol}")
 
 
 def _apply_fourier(state: QuditState, register: str, inverse: bool) -> QuditState:
-    d = state.layout.d
-    view = state.split(register)
+    layout = state.layout
+    d = layout.d
+    axis = layout.axis(register)
+    digits = state.digits
     if d < _FFT_MIN_D:
-        out = (_iqft_matrix if inverse else _qft_matrix)(d) @ view
+        # The dense product, on a scratch array of at most 40**3 entries.
+        scratch = np.zeros((d,) * len(digits), dtype=np.complex128)
+        scratch[digits] = state.values
+        view = scratch.reshape(d**axis, d, -1)
+        out = ((_iqft_matrix if inverse else _qft_matrix)(d) @ view).reshape(-1)
+        flat = out.nonzero()[0]
+        values = out[flat]
+        digits = tuple([column[flat] for column in _basis_digits(d, len(digits))])
     else:
         # A fiber is the register's d amplitudes with the other registers
         # held fixed. The gate maps a zero fiber to zero, so only nonzero
-        # fibers are transformed. numpy's ifft has the QFT's sign; np.fft
-        # is reached here because `import numpy` does not load it.
-        a, b = view.any(axis=1).nonzero()
-        out = np.zeros(view.shape, dtype=np.complex128)
+        # fibers are transformed, in one batch ordered by the flat index of
+        # the other registers' digits. numpy's ifft has the QFT's sign;
+        # np.fft is reached here because `import numpy` does not load it.
+        others = [column for i, column in enumerate(digits) if i != axis]
+        shape = (d,) * len(others)
+        key = np.ravel_multi_index(others, shape) if others else np.zeros_like(digits[axis])
+        keys, fiber = np.unique(key, return_inverse=True)
+        fibers = np.zeros((len(keys), d), dtype=np.complex128)
+        fibers[fiber, digits[axis]] = state.values
         transform = np.fft.fft if inverse else np.fft.ifft
-        out[a, :, b] = transform(view[a, :, b], axis=1, norm="ortho")
-    out = out.reshape(-1)
-    _check_norm(out, _GATE_NORM_TOL)
-    return QuditState(state.layout, out)
+        out = transform(fibers, axis=1, norm="ortho")
+        rows, column = np.nonzero(out)
+        values = out[rows, column]
+        rest = list(np.unravel_index(keys[rows], shape)) if others else []
+        digits = tuple(rest[:axis] + [column] + rest[axis:])
+    _check_norm(values, _GATE_NORM_TOL)
+    return _state(layout, digits, values)
 
 
 def apply_qft(state: QuditState, register: str) -> QuditState:
@@ -228,17 +265,23 @@ def apply_iqft(state: QuditState, register: str) -> QuditState:
 def apply_copy(state: QuditState, control: str, target: str) -> QuditState:
     """Self-inverse copy gate: |a>|0> -> |a>|a> and |a>|a> -> |a>|0>.
 
-    See _copy_table for the exact basis permutation.
+    The gate is bitwise XOR on the c-bit encodings, exactly the CNOT^(x)c
+    cascade on qubit registers: target t becomes c XOR t. For non-power-of-two
+    d some XOR results fall outside [0, d); those pairs (never produced by an
+    honest run, whose targets are only ever |0> or a copy of the control) are
+    left unchanged, which keeps the gate a self-inverse permutation of the
+    basis. It only rewrites the target's digit column.
     """
     if control == target:
         raise SameRegister(f"control and target are both {control!r}")
     layout = state.layout
-    perm = _copy_permutation(
-        layout.d, len(layout.registers), layout.axis(control), layout.axis(target)
-    )
-    out = state.amplitudes[perm]
-    _check_norm(out, _GATE_NORM_TOL)
-    return QuditState(layout, out)
+    c_axis, t_axis = layout.axis(control), layout.axis(target)
+    t = state.digits[t_axis]
+    x = state.digits[c_axis] ^ t
+    digits = list(state.digits)
+    digits[t_axis] = np.where(x < layout.d, x, t)
+    _check_norm(state.values, _GATE_NORM_TOL)
+    return _state(layout, tuple(digits), state.values)
 
 
 def apply_shadow_phase(state: QuditState, register: str, shadow: int) -> QuditState:
@@ -248,18 +291,19 @@ def apply_shadow_phase(state: QuditState, register: str, shadow: int) -> QuditSt
     the protocol and factors out, so only this diagonal on the transmitted
     register is simulated.
     """
-    d = state.layout.d
+    layout = state.layout
+    d = layout.d
     if not 0 <= shadow < d:
         raise ValueOutOfRange(f"shadow {shadow} not in [0, {d})")
-    out = (state.split(register) * _phase_column(d, shadow)).reshape(-1)
-    _check_norm(out, _GATE_NORM_TOL)
-    return QuditState(state.layout, out)
+    values = state.values * _phase_column(d, shadow)[state.digits[layout.axis(register)]]
+    _check_norm(values, _GATE_NORM_TOL)
+    return _state(layout, state.digits, values)
 
 
 def outcome_probabilities(state: QuditState, register: str) -> np.ndarray:
     """Distribution of a computational-basis measurement of one register,
     after the measurement norm check."""
-    _check_norm(state.amplitudes, _MEASURE_NORM_TOL)
+    _check_norm(state.values, _MEASURE_NORM_TOL)
     return state.marginal(register)
 
 
@@ -268,10 +312,9 @@ def collapse(
 ) -> MeasurementOutcome:
     """Outcome `value` of measuring `register`: the state projected onto it and
     renormalised by its probability probs[value] (see outcome_probabilities)."""
-    shaped = state.split(register)
-    collapsed = np.zeros_like(shaped)
-    collapsed[:, value, :] = shaped[:, value, :] / math.sqrt(probs[value])
-    post = QuditState(state.layout, collapsed.reshape(-1))
+    hit = state.digits[state.layout.axis(register)] == value
+    digits = tuple([column[hit] for column in state.digits])
+    post = _state(state.layout, digits, state.values[hit] / math.sqrt(probs[value]))
     return MeasurementOutcome(value=value, post_state=post)
 
 

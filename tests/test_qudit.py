@@ -1,10 +1,16 @@
 import cmath
+import hashlib
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from qss import adversary, protocol, qudit
+from qss.adversary import AttackSpec, run_attack
+from qss.cli import main
+from qss.dealer import DealerConfig
 from qss.errors import (
     NotNormalized,
     SameRegister,
@@ -22,11 +28,11 @@ from qss.qudit import (
     basis_state,
     measure,
     _FFT_MIN_D,
-    _copy_permutation,
-    _copy_table,
+    _basis_digits,
     _iqft_matrix,
     _qft_matrix,
 )
+from qss.protocol import instance_from_deal
 
 
 def layout(d, *regs):
@@ -443,11 +449,76 @@ class TestHonestPipeline:
                 assert measure(state, "H", rng).value == expected
 
 
+class TestSupport:
+    """A state holds its support: the basis states whose amplitude is not
+    exactly zero. Round-off amplitudes stay in it, and the marginal of every
+    state a pass reaches equals the dense reduction bit for bit."""
+
+    @staticmethod
+    def dense_marginal(state, register):
+        # The reduction over the dense vector, as the engine computed it
+        # before it held only the support.
+        d = state.layout.d
+        amps = state.amplitudes.reshape(d ** state.layout.axis(register), d, -1)
+        return (amps.real**2 + amps.imag**2).sum(axis=(0, 2))
+
+    def test_dense_round_trip_drops_only_exact_zeros(self):
+        lay = layout(5, "H", "T")
+        amps = np.zeros(25, dtype=complex)
+        amps[[3, 7, 24]] = [0.6, 1e-300j, 0.8]
+        psi = QuditState(lay, amps)
+        assert len(psi.values) == 3
+        assert np.array_equal(psi.amplitudes, amps)
+        assert [tuple(map(int, c)) for c in psi.digits] == [(0, 1, 4), (3, 2, 4)]
+
+    @pytest.mark.parametrize("d", [7, 43])
+    def test_round_off_amplitudes_stay(self, d):
+        # The honest final H state: one outcome carries the mass, the other
+        # d - 1 carry round-off probabilities that a sampler must still see.
+        lay = layout(d, "H", "T")
+        state = apply_copy(apply_qft(basis_state(lay, {"H": 2, "T": 0}), "H"), "H", "T")
+        state = apply_iqft(apply_copy(apply_shadow_phase(state, "T", 3), "H", "T"), "H")
+        probs = state.marginal("H")
+        assert len(state.values) == d
+        assert probs[5] == pytest.approx(1.0)
+        assert np.count_nonzero(probs) == d and np.delete(probs, 5).max() < 1e-20
+
+    @pytest.mark.parametrize("d", [5, 7, 43, 61])
+    def test_marginals_a_pass_takes_match_dense_reduction(self, d):
+        two = layout(d, "H", "T")
+        copied = apply_copy(apply_qft(basis_state(two, {"H": 1, "T": 0}), "H"), "H", "T")
+        copied = apply_shadow_phase(copied, "T", 2)
+        uncopied = apply_copy(copied, "H", "T")
+        three = layout(d, "H", "T", "E")
+        entangled = apply_qft(basis_state(three, {"H": 1, "T": 0, "E": 0}), "H")
+        entangled = apply_copy(entangled, "H", "T")
+        entangled = apply_copy(apply_copy(entangled, "T", "E"), "H", "T")
+        measured = [
+            (copied, "T"),  # intercept-resend
+            (apply_iqft(copied, "T"), "T"),  # Fourier intercept
+            (uncopied, "T"),  # ancilla check
+            (apply_iqft(uncopied, "H"), "H"),  # the recovered value
+            (entangled, "E"),  # entangle-measure probe
+            (entangled, "T"),
+        ]
+        for state, register in measured:
+            got = state.marginal(register)
+            assert np.array_equal(got, self.dense_marginal(state, register)), register
+
+    def test_marginals_of_arbitrary_states_match_to_rounding(self):
+        rng = np.random.default_rng(23)
+        for d, k in ((3, 3), (5, 2), (7, 3), (43, 2)):
+            psi = random_state(layout(d, *("H", "T", "E")[:k]), rng)
+            for register in psi.layout.registers:
+                np.testing.assert_allclose(
+                    psi.marginal(register), self.dense_marginal(psi, register), rtol=1e-12
+                )
+
+
 class TestCaches:
     def test_one_dimension_at_a_time(self):
-        # One entry per d-keyed table; the copy permutation keeps both
-        # directions of a three-register run (H -> T and T -> E).
-        caches = {_qft_matrix: 1, _iqft_matrix: 1, _copy_table: 1, _copy_permutation: 2}
+        # One entry per d-keyed table of the dense Fourier path.
+        caches = {_qft_matrix: 1, _iqft_matrix: 1, _basis_digits: 1}
         for d in (5, 7, 5):
             state = basis_state(layout(d, "H", "T", "E"), {"H": 1, "T": 0, "E": 0})
             state = apply_qft(state, "H")
@@ -458,17 +529,102 @@ class TestCaches:
                 assert cache.cache_info().currsize == size, cache
             hits = {cache: cache.cache_info().hits for cache in caches}
             # every live entry belongs to the current d
-            _qft_matrix(d), _iqft_matrix(d), _copy_table(d)
-            _copy_permutation(d, 3, 0, 1), _copy_permutation(d, 3, 1, 2)
+            _qft_matrix(d), _iqft_matrix(d), _basis_digits(d, 3)
             for cache, size in caches.items():
                 assert cache.cache_info().hits == hits[cache] + size, cache
 
     def test_fft_dimensions_build_no_matrix(self):
         _qft_matrix.cache_clear()
         _iqft_matrix.cache_clear()
+        _basis_digits.cache_clear()
         for d in (_FFT_MIN_D, 127, 509):
             state = basis_state(layout(d, "H", "T"), {"H": 1, "T": 0})
             state = apply_qft(apply_qft(state, "H"), "T")
             apply_iqft(apply_iqft(state, "T"), "H")
         assert _qft_matrix.cache_info().currsize == 0
         assert _iqft_matrix.cache_info().currsize == 0
+        assert _basis_digits.cache_info().currsize == 0
+
+
+class TestStateGolden:
+    """Pinned states: every gate, outcome_probabilities and collapse call made
+    by four fixed-seed CLI invocations is wrapped at each binding site, and
+    one SHA-256 over the per-call digests of the dense amplitudes (and of the
+    outcome laws) is pinned. Signed zeros are normalised with + 0.0. A change
+    to the state engine that claims bit-identical arithmetic keeps it."""
+
+    INVOCATIONS = [
+        "run --n 5 --t 4 --secret 3 --d 7 --seed 11",
+        "run --n 3 --t 3 --secret 100 --d 509 --seed 2",
+        "attack --attack intercept_iqft --n 4 --t 3 --d 61 --shots 200 --seed 5 --hop 1",
+        "attack --attack entangle_measure --n 4 --t 3 --d 43 --shots 30 --seed 2 --hypotheses 2 4",
+    ]
+    DIGEST = "6da02860acf536878b693e1619033e4cd24bdcffb45d430f1756416a0fef74fe"
+    NAMES = (
+        "basis_state", "apply_qft", "apply_iqft", "apply_copy", "apply_shadow_phase",
+        "outcome_probabilities", "collapse",
+    )
+
+    def test_states_pinned(self, monkeypatch, capsys):
+        calls = []
+
+        def digest(name, result):
+            if name == "outcome_probabilities":
+                data = (result + 0.0).tobytes()
+            elif name == "collapse":
+                data = bytes([result.value % 256]) + (result.post_state.amplitudes + 0.0).tobytes()
+            else:
+                data = (result.amplitudes + 0.0).tobytes()
+            calls.append(f"{name}:{hashlib.sha256(data).hexdigest()}")
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                digest(name, result)
+                return result
+
+            return wrapper
+
+        for name in self.NAMES:
+            wrapped = wrap(name, getattr(qudit, name))
+            for module in (qudit, protocol, adversary):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        for argv in self.INVOCATIONS:
+            assert main(argv.split()) == 0
+        capsys.readouterr()
+        total = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+        assert total == self.DIGEST
+
+
+class TestMemory:
+    """The state is its support, so memory follows the support, not d**k:
+    an honest run holds d amplitudes and an entangle-measure pass at most
+    d**2. Peaks are traced after one warm-up call (numpy's FFT module loads
+    on first use)."""
+
+    LIMIT = 2**20
+
+    @staticmethod
+    def traced_peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_honest_run_at_d1021(self):
+        instance = instance_from_deal(
+            DealerConfig(n=3, t=3, secret=500, rng_seed=1, d_override=1021)
+        )
+        assert instance.run(seed=1).f0 == 500
+        assert self.traced_peak(lambda: instance.run(seed=1)) < self.LIMIT
+
+    def test_entangle_measure_at_d127(self):
+        instance = instance_from_deal(
+            DealerConfig(n=4, t=3, secret=7, rng_seed=1, d_override=127)
+        )
+        spec = AttackSpec(kind="entangle_measure", shots=1, seed=0, hypotheses=(1, 3))
+        assert self.traced_peak(lambda: run_attack(instance, spec)) < self.LIMIT
