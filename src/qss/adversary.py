@@ -13,8 +13,9 @@ distinct measurement branch once: at every measurement one multinomial draw
 splits the shots across the outcomes, and the series comes back as
 (transcript, count) pairs whose number does not grow with the shots. It has
 the law of running every shot on its own. run_shot_series does exactly that,
-one ProtocolInstance.run per shot; it is kept as the per-shot reference the
-tests check the splitting engine against.
+drawing each outcome of each pass through run_pass with qudit.measure and
+calling neither ProtocolInstance.run nor the splitting engine; it is kept as
+the independent per-shot reference the tests check the engine against.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterable
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +35,11 @@ from .protocol import (
     ProtocolTranscript,
     TRANSMITTED,
     VERDICT_ABORT_HASH,
+    run_pass,
     split_shot_series,
+    transcript_of,
 )
-from .qudit import QuditState, apply_copy, apply_iqft
+from .qudit import QuditState, apply_copy, apply_iqft, measure
 
 ADVERSARY_REGISTER = "E"
 
@@ -105,20 +109,25 @@ Leaves = list[tuple[ProtocolTranscript, int]]
 def run_shot_series(
     instance: ProtocolInstance,
     shots: int,
-    seed: int | np.random.SeedSequence,
+    seed: int | np.random.SeedSequence | np.random.Generator,
     channel: Channel | None = None,
     per_shot=None,
-) -> list[ProtocolTranscript]:
-    """Per-shot reference: `shots` executions of ProtocolInstance.run, all
-    drawing from one generator seeded once. `per_shot(instance, rng)` may swap
-    in a mutated instance (e.g. a forged shadow) before each run; it draws
-    from the same generator. The attack runners and `simulate` use
-    split_shot_series instead; the tests check it against this reference."""
+) -> Leaves:
+    """Per-shot reference: `shots` runs from one generator seeded once (a
+    Generator is drawn from as it is), every pass through run_pass and every
+    outcome drawn by qudit.measure. `per_shot(instance, rng)` may swap in a
+    mutated instance (e.g. a forged shadow) before each run, drawing from the
+    same generator. Returns one (transcript, 1) leaf per shot."""
     rng = np.random.default_rng(seed)
+    channel = channel or Channel()
+    draw = partial(measure, rng=rng)
     out = []
     for _ in range(shots):
         inst = per_shot(instance, rng) if per_shot is not None else instance
-        out.append(inst.run(channel=channel, seed=rng))
+        passes = [run_pass(inst, channel, "secret", draw)]
+        if passes[0].ancilla == 0:
+            passes.append(run_pass(inst, channel, "hash", draw))
+        out.append((transcript_of(inst, passes), 1))
     return out
 
 
@@ -130,14 +139,12 @@ def tally(leaves: Leaves, key: Callable[[ProtocolTranscript], object]) -> Counte
     return out
 
 
-def series_digest(series: Iterable) -> str:
-    """Order-free fingerprint of a transcript series: SHA1 over the sorted
-    (line, count) pairs of its transcript multiset. Takes a per-shot list of
-    transcripts or (transcript, count) pairs, so the split engine can be
-    checked against the per-shot reference series."""
+def series_digest(leaves: Leaves) -> str:
+    """Order-free fingerprint of a series: SHA1 over the sorted (line, count)
+    pairs of its transcript multiset, so the split engine can be checked
+    against the per-shot reference series."""
     counts: Counter = Counter()
-    for item in series:
-        tr, n = (item, 1) if isinstance(item, ProtocolTranscript) else item
+    for tr, n in leaves:
         counts[
             f"{tr.verdict}|{tr.f0}|{tr.g0}|{tr.ancilla}|{tr.shadows_secret}|{tr.shadows_hash}"
         ] += n

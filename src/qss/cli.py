@@ -80,6 +80,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise QssError("--shots must be at least 1")
     if args.preset is not None:
+        if (args.n, args.t, args.d) != (None, None, None):
+            raise QssError("--preset fixes n, t and d; drop --n, --t and --d")
         n = int(args.preset.split("-", 1)[1])
         d, c, fallback = resolve_preset(n, args.c)
         t = n

@@ -47,6 +47,7 @@ def choose_modulus(n: int) -> PrimeModulus:
     raise AssertionError(f"no prime in ({n}, {2 * n}]")  # unreachable
 
 
+@lru_cache(maxsize=1)  # a shot series checks one f(0)' against many hash leaves in a row
 def hash_to_field(secret: int, d: PrimeModulus) -> int:
     """SHA1 of the secret's 8-byte big-endian encoding, reduced mod d."""
     if not 0 <= secret < 1 << 64:

@@ -23,8 +23,10 @@ the pass and hop, and returns the collapsed state; a hook never sees the
 generator itself.
 
 A pass resolves all its measurements through one measurement function
-(run_pass): ProtocolInstance.run draws each outcome from its generator, and
-split_shot_series splits a whole shot series across the outcomes.
+(run_pass). The library has one engine, split_shot_series, which splits a
+whole shot series across the outcomes; ProtocolInstance.run is its one-shot
+series. adversary.run_shot_series draws each outcome of each shot on its own
+and is kept as the independent reference the tests check the engine against.
 """
 from __future__ import annotations
 
@@ -46,7 +48,6 @@ from .qudit import (
     apply_shadow_phase,
     basis_state,
     collapse,
-    measure,
     outcome_probabilities,
 )
 
@@ -151,12 +152,10 @@ class ProtocolInstance:
         channel: Channel | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> ProtocolTranscript:
-        """One two-pass run drawing from default_rng(seed); a Generator is used
-        as is. The transcript records seed only when it is an int."""
-        if channel is None:
-            channel = Channel()
-        rng = np.random.default_rng(seed)
-        return _execute(self, channel, rng, seed if isinstance(seed, int) else None)
+        """One two-pass run: the single leaf of a one-shot split_shot_series
+        drawing from default_rng(seed); a Generator is used as is. The
+        transcript records seed only when it is an int."""
+        return split_shot_series(self, 1, seed, channel)[0][0]
 
 
 def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:
@@ -220,51 +219,37 @@ class PassResult(NamedTuple):
     events: tuple[tuple[str, int | None, dict], ...]
 
 
-def _execute(
-    instance: ProtocolInstance,
-    channel: Channel,
-    rng: np.random.Generator,
-    seed: int | None,
-) -> ProtocolTranscript:
-    def measure_with_rng(state: QuditState, register: str) -> MeasurementOutcome:
-        return measure(state, register, rng)
-
-    passes = []
-    for pass_name in ("secret", "hash"):
-        passes.append(run_pass(instance, channel, pass_name, measure_with_rng))
-        if passes[-1].ancilla != 0:
-            break
-    return transcript_of(instance, passes, seed)
-
-
 def split_shot_series(
     instance: ProtocolInstance,
     shots: int,
-    seed: int | np.random.SeedSequence | np.random.Generator,
+    seed: int | np.random.SeedSequence | np.random.Generator | None,
     channel: Channel | None = None,
 ) -> list[tuple[ProtocolTranscript, int]]:
     """`shots` runs of the instance, simulated once per distinct measurement
     branch and drawn from one generator seeded once; a Generator passed as
     `seed` is drawn from as it is. Returns (transcript, count) pairs whose
-    counts sum to `shots`; the transcripts record no seed. The series has the
-    law of adversary.run_shot_series with the same arguments."""
+    counts sum to `shots`; transcripts record `seed` if it is an int. The
+    series has the law of adversary.run_shot_series with the same arguments."""
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
+    recorded = seed if isinstance(seed, int) else None
     # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
     # passes of one shot are independent, so the hash-pass leaves are dealt
     # out to the secret-pass leaves by a uniformly random pairing of their
     # shots: one multivariate hypergeometric draw per secret-pass leaf.
     secret = _pass_leaves(instance, channel, "secret", shots, rng)
-    out = [(transcript_of(instance, [p]), n) for p, n in secret if p.ancilla != 0]
+    out = [(transcript_of(instance, [p], recorded), n) for p, n in secret if p.ancilla != 0]
     passed = [(p, n) for p, n in secret if p.ancilla == 0]
     if not passed:
         return out
     hashed = _pass_leaves(instance, channel, "hash", sum(n for _, n in passed), rng)
-    left = np.array([n for _, n in hashed])
-    for i, (p, n) in enumerate(passed):
-        dealt = left if i == len(passed) - 1 else rng.multivariate_hypergeometric(left, n)
-        left = left - dealt
-        out += [(transcript_of(instance, [p, h]), int(m)) for (h, _), m in zip(hashed, dealt) if m]
+    left = [n for _, n in hashed]
+    for i, (p, n) in enumerate(passed, 1):
+        dealt = rng.multivariate_hypergeometric(left, n).tolist() if i < len(passed) else left
+        left = [a - b for a, b in zip(left, dealt)]
+        out += [
+            (transcript_of(instance, [p, h], recorded), m) for (h, _), m in zip(hashed, dealt) if m
+        ]
     return out
 
 
@@ -293,9 +278,10 @@ def _pass_leaves(
                 value = prefix[len(path)]
             else:
                 counts = rng.multinomial(count, probs / probs.sum())
-                hit = np.flatnonzero(counts)
-                value, count = int(hit[0]), int(counts[hit[0]])
-                pending.extend(((*path, int(v)), int(counts[v])) for v in hit[:0:-1])
+                hit = counts.nonzero()[0].tolist()
+                value, count = hit[0], int(counts[hit[0]])
+                if len(hit) > 1:
+                    pending.extend(((*path, v), int(counts[v])) for v in reversed(hit[1:]))
             path.append(value)
             return collapse(state, register, value, probs)
 
@@ -337,8 +323,8 @@ def run_pass(
 ) -> PassResult:
     """One pass of the ring on the secret or hash shadows. Every measurement,
     the hooks' included, goes through measure_fn(state, register), which
-    picks the outcome: a draw from a generator in a per-shot run, a forced or
-    split outcome in a shot-splitting series."""
+    picks the outcome: a forced or split outcome in a shot-splitting series,
+    a draw from a generator in the per-shot reference."""
     t = instance.t
     hops = t if t > 1 else 0
     stray = [k for k in channel.hooks if k not in range(hops)]

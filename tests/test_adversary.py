@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qss.dealer
 import qss.protocol
 from qss.adversary import (
     ADVERSARY_REGISTER,
@@ -113,28 +116,46 @@ class TestSpecValidation:
 
 
 class TestShotSeries:
+    """A series draws from one generator: five shots in one series are five
+    one-shot series drawing in turn from a shared Generator."""
+
     def test_one_generator_per_series(self):
         inst = instance()
         channel = Channel(hooks={0: _measure_resend_hook})
         for s in (0, 7, np.random.SeedSequence([3, 1])):
             series = run_shot_series(inst, 5, seed=s, channel=channel)
             g = np.random.default_rng(s)
-            manual = [inst.run(channel=channel, seed=g) for _ in range(5)]
+            manual = [leaf for _ in range(5) for leaf in run_shot_series(inst, 1, g, channel)]
             assert series_digest(series) == series_digest(manual)
-            assert [tr.hook_events for tr in series] == [tr.hook_events for tr in manual]
+            assert [tr.hook_events for tr, _ in series] == [tr.hook_events for tr, _ in manual]
 
     def test_per_shot_draws_before_each_run(self):
         inst = instance()
+        channel = Channel(hooks={0: _measure_resend_hook})
 
         def forge(base, rng):
             return base.with_shadow(2, int(rng.integers(5)))
 
-        series = run_shot_series(inst, 5, seed=4, per_shot=forge)
+        series = run_shot_series(inst, 5, seed=4, channel=channel, per_shot=forge)
         g = np.random.default_rng(4)
-        manual = []
-        for _ in range(5):
-            manual.append(forge(inst, g).run(seed=g))
+        manual = [
+            leaf for _ in range(5) for leaf in run_shot_series(inst, 1, g, channel, forge)
+        ]
         assert series_digest(series) == series_digest(manual)
+        assert [tr.hook_events for tr, _ in series] == [tr.hook_events for tr, _ in manual]
+
+    def test_reference_is_independent_of_the_engine(self, monkeypatch):
+        # The reference draws every shot itself; were it to go through the
+        # splitting engine, checking the engine against it would prove nothing.
+        def engine(*args, **kwargs):
+            raise AssertionError("the per-shot reference used the splitting engine")
+
+        monkeypatch.setattr(qss.protocol, "_pass_leaves", engine)
+        monkeypatch.setattr(qss.protocol, "split_shot_series", engine)
+        monkeypatch.setattr("qss.adversary.split_shot_series", engine)
+        monkeypatch.setattr(qss.protocol.ProtocolInstance, "run", engine)
+        leaves = run_shot_series(instance(), 20, 3, Channel(hooks={0: _measure_resend_hook}))
+        assert len(leaves) == 20 and all(n == 1 for _, n in leaves)
 
 
 def secret_pass_values(tr):
@@ -162,28 +183,34 @@ class TestSplitSeriesMatchesPerShot:
     )
     COLLUDE = Channel(hooks={1: _measure_resend_hook, 2: _measure_resend_hook})
 
-    @pytest.mark.parametrize(
-        # observed: hook measurements per secret pass
-        "label, inst, channel, observed",
-        [
-            ("intercept_resend d=5", instance(), INTERCEPT, 1),
-            ("intercept_iqft d=3", instance(n=2, t=2, secret=2, seed=8, d=3), IQFT, 1),
-            ("intercept_iqft d=5", instance(), IQFT, 1),
-            ("entangle_measure d=3", instance(n=2, t=2, secret=1, seed=11, d=3), ENTANGLE, 1),
-            ("collusion_probe d=3 t=4", instance_from_shadows(3, (1, 2, 0, 1), (1, 1, 1, 1)),
-             COLLUDE, 2),
-        ],
-    )
+    # observed: hook measurements per secret pass
+    CASES = [
+        ("intercept_resend d=5", instance(), INTERCEPT, 1),
+        ("intercept_iqft d=3", instance(n=2, t=2, secret=2, seed=8, d=3), IQFT, 1),
+        ("intercept_iqft d=5", instance(), IQFT, 1),
+        ("entangle_measure d=3", instance(n=2, t=2, secret=1, seed=11, d=3), ENTANGLE, 1),
+        ("collusion_probe d=3 t=4", instance_from_shadows(3, (1, 2, 0, 1), (1, 1, 1, 1)),
+         COLLUDE, 2),
+    ]
+
+    @pytest.mark.parametrize("label, inst, channel, observed", CASES)
     def test_channel_series(self, label, inst, channel, observed):
         d, shots = inst.modulus.d, self.SHOTS
         leaves = split_shot_series(inst, shots, seed=90, channel=channel)
         assert sum(n for _, n in leaves) == shots, label
         assert all(n > 0 for _, n in leaves), label
         reference = run_shot_series(inst, shots, seed=91, channel=channel)
-        per_shot = [(tr, 1) for tr in reference]
         for key, categories in ((secret_pass_values, d**observed), (lambda tr: tr.verdict, 3)):
-            tv = tv_distance(tally(leaves, key), tally(per_shot, key), shots, shots)
+            tv = tv_distance(tally(leaves, key), tally(reference, key), shots, shots)
             assert tv <= tv_bound(categories, shots), (label, tv)
+
+    @pytest.mark.parametrize("label, inst, channel, observed", CASES)
+    def test_run_is_one_shot_series(self, label, inst, channel, observed):
+        # One engine: a run is the single leaf of a one-shot series, seed
+        # recorded and hook events included.
+        for s in range(20):
+            ((leaf, n),) = split_shot_series(inst, 1, s, channel)
+            assert n == 1 and inst.run(channel=channel, seed=s) == leaf, (label, s)
 
     def test_forgery(self):
         inst, shots = instance(), self.SHOTS
@@ -196,11 +223,11 @@ class TestSplitSeriesMatchesPerShot:
         report = run_forgery(inst, AttackSpec(kind="forgery", shots=shots, seed=92))
         assert sum(report.outcome_histogram.values()) == shots
         reference = run_shot_series(inst, shots, seed=93, per_shot=forge)
-        f0s = Counter(tr.f0 for tr in reference)
+        f0s = tally(reference, lambda tr: tr.f0)
         assert tv_distance(Counter(report.outcome_histogram), f0s, shots, shots) <= tv_bound(
             d, shots
         )
-        verdicts = Counter(tr.verdict for tr in reference)
+        verdicts = tally(reference, lambda tr: tr.verdict)
         rates = {
             "accepted": 1 - report.detection_rate,
             "abort_ancilla": report.ancilla_abort_rate,
@@ -257,6 +284,23 @@ class TestWorkPerSeries:
         split = self.passes(monkeypatch, lambda: split_shot_series(instance(), 1, 6, channel))
         per_shot = self.passes(monkeypatch, lambda: instance().run(channel=channel, seed=6))
         assert split == per_shot == 2
+
+    def test_one_hash_per_secret_pass_leaf(self, monkeypatch):
+        # The hash check depends only on f(0)', so a collusion series takes
+        # one SHA1 per secret-pass leaf, not one per pair of pass leaves.
+        calls = []
+
+        def sha1(data):
+            calls.append(data)
+            return hashlib.sha1(data)
+
+        inst = instance(n=4, t=4, d=5)
+        channel = Channel(hooks={1: _measure_resend_hook, 2: _measure_resend_hook})
+        monkeypatch.setattr(qss.dealer, "hashlib", SimpleNamespace(sha1=sha1))
+        leaves = split_shot_series(inst, 4000, 17, channel)
+        paired = [tr for tr, _ in leaves if len(tr.ancilla) == 2]
+        secret_leaves = {(secret_pass_values(tr), tr.f0) for tr in paired}
+        assert 0 < len(calls) <= len(secret_leaves) < len(paired)
 
 
 class TestControlRuns:

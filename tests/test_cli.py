@@ -146,6 +146,20 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--n", "4", "--shots", "8")
         assert code == 2
 
+    def test_preset_rejects_explicit_parameters(self, capsys, monkeypatch):
+        # A preset fixes n, t and d; an explicit one would be silently ignored.
+        def no_deal(config):
+            raise AssertionError("dealt despite a rejected flag")
+
+        monkeypatch.setattr(qss.protocol, "deal", no_deal)
+        base = ("simulate", "--preset", "players-3", "--shots", "4")
+        for extra in (
+            ("--n", "9"), ("--t", "2"), ("--d", "11"), ("--n", "9", "--t", "2", "--d", "11"),
+        ):
+            code, out, err = run_cli(capsys, *base, *extra)
+            assert code == 2 and out == ""
+            assert "--preset" in err
+
     def test_shots_below_one_exits_2(self, capsys):
         for shots in ("0", "-3"):
             code, out, err = run_cli(
