@@ -25,7 +25,6 @@ from .protocol import (
     verify_hash,
 )
 from .qudit import (
-    MeasurementOutcome,
     QuditState,
     RegisterLayout,
     apply_copy,
@@ -41,7 +40,6 @@ __all__ = [
     "AttackSpec",
     "Channel",
     "DealerConfig",
-    "MeasurementOutcome",
     "PrimeModulus",
     "ProtocolInstance",
     "ProtocolTranscript",

@@ -1,9 +1,12 @@
 """Attack scenarios as channel hooks plus empirical detection/leakage stats.
 
-Every runner follows the same recipe: build the attacked ring (a channel
-with the attack hooks installed, or forged shadows), simulate a shot series
-drawing from one generator seeded once per series, and distill the series
-into an AttackReport. "Information gain" claims are measured as the
+run_attack is the one way to run an attack: it checks the spec against the
+instance and hands it to the runner its kind names. Every runner follows the
+same recipe: build the attacked ring (a channel with the attack hooks
+installed, or forged shadows), simulate a shot series drawing from one
+generator seeded once per series, and distill the series into an
+AttackReport. The three intercept kinds share one runner and differ only in
+the hooks they install. "Information gain" claims are measured as the
 total-variation distance between the adversary's observation distributions
 under two forced shadow hypotheses; "detected" means the run ended in any
 abort.
@@ -188,14 +191,24 @@ def _chi2_sf(x: float, k: int) -> float:
 
 
 def _measure_resend_hook(state: QuditState, measure) -> QuditState:
+    """Intercept-resend: measure T in the computational basis at one hop and
+    forward the collapsed state. The outcome is uniform and carries nothing
+    about s1."""
     return measure(state, TRANSMITTED)
 
 
 def _fourier_intercept_hook(state: QuditState, measure) -> QuditState:
+    """Fourier intercept: apply the inverse QFT to T before measuring, hoping
+    to undo the reconstructor's transform. Entanglement with H leaves the
+    outcome uniform; the collapsed T no longer matches H, so the later uncopy
+    trips the ancilla check."""
     return measure(apply_iqft(state, TRANSMITTED), TRANSMITTED)
 
 
 def _entangle_hook(state: QuditState, measure) -> QuditState:
+    """Simplified entangle-measure model: copy T onto a private register at
+    one hop and forward T untouched; _probe_ancilla_hook measures the private
+    register after the reconstructor's uncopy."""
     return apply_copy(state, TRANSMITTED, ADVERSARY_REGISTER)
 
 
@@ -277,31 +290,7 @@ def _intercept_attack(
     return _summarize(spec.kind, spec.shots, leaves, observations, leakage, chi2, extra)
 
 
-def run_intercept_resend(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
-    """Measure T in the computational basis at one hop and forward the
-    collapsed state. The outcome is uniform and carries nothing about s1."""
-    return _intercept_attack(instance, spec, _measure_resend_hook)
-
-
-def run_intercept_iqft(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
-    """Apply the inverse QFT to T before measuring, hoping to undo the
-    reconstructor's transform. Entanglement with H leaves the outcome uniform;
-    the collapsed T no longer matches H, so the later uncopy trips the
-    ancilla check."""
-    return _intercept_attack(instance, spec, _fourier_intercept_hook)
-
-
-def run_entangle_measure(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
-    """Simplified entangle-measure model: copy T onto a private register at
-    one hop, forward T untouched, and measure the private register after the
-    reconstructor's uncopy."""
-    return _intercept_attack(
-        instance, spec, _entangle_hook,
-        post_uncopy=_probe_ancilla_hook, ancilla_register=ADVERSARY_REGISTER,
-    )
-
-
-def run_forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
+def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
     """One player runs the secret pass with a fake shadow, drawn per shot
     uniformly over the d - 1 wrong values. Detection happens at the hash
     comparison; shots accepted despite the wrong shadow are counted as
@@ -330,7 +319,7 @@ def run_forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
     return _summarize(spec.kind, spec.shots, leaves, observations, None, None, extra)
 
 
-def run_collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
+def _collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
     """The neighbours of player P_e pool what crosses their hands: each
     measures T while holding it. Their joint view is compared under two
     forced values of P_e's shadow. With escalate=True the first colluder
@@ -361,16 +350,20 @@ def run_collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackR
 
 
 _RUNNERS: dict[str, Callable[[ProtocolInstance, AttackSpec], AttackReport]] = {
-    "intercept_resend": run_intercept_resend,
-    "intercept_iqft": run_intercept_iqft,
-    "entangle_measure": run_entangle_measure,
-    "forgery": run_forgery,
-    "collusion_probe": run_collusion_probe,
+    "intercept_resend": partial(_intercept_attack, hook=_measure_resend_hook),
+    "intercept_iqft": partial(_intercept_attack, hook=_fourier_intercept_hook),
+    "entangle_measure": partial(
+        _intercept_attack, hook=_entangle_hook,
+        post_uncopy=_probe_ancilla_hook, ancilla_register=ADVERSARY_REGISTER,
+    ),
+    "forgery": _forgery,
+    "collusion_probe": _collusion_probe,
 }
 ATTACK_KINDS = tuple(_RUNNERS)
 
 
 def run_attack(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
+    """Run the attack spec.kind names on the instance: the only way to run one."""
     d = instance.modulus.d
     # with_shadow reduces a forced value mod d, so a hypothesis outside
     # [0, d) would run as another value while the report names it.

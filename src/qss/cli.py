@@ -127,19 +127,29 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = []
-    primes = [p for p in range(2, args.d_max + 1) if is_prime(p)]
-    cells = [
+def _sweep_cells(d_max: int, t_max: int, n_max: int) -> list[tuple[int, int, int]]:
+    """The (d, t, n) cells of a sweep, prime d up to d_max and t <= n < d, in
+    output order; work grows with the cells listed, not with the bounds."""
+    if t_max < 1 or n_max < 1:
+        return []
+    # Every prime d has the cell (d, 1, 1), so the largest modulus is the
+    # largest prime up to d_max: fail on it before listing any cell.
+    top = next((p for p in range(d_max, 1, -1) if is_prime(p)), None)
+    if top is None:
+        return []
+    RegisterLayout(d=top, registers=(HOME, TRANSMITTED))
+    primes = [p for p in range(2, top) if is_prime(p)] + [top]
+    return [
         (d, t, n)
         for d in primes
-        for t in range(1, args.t_max + 1)
-        for n in range(t, args.n_max + 1)
-        if n < d
+        for t in range(1, min(t_max, d - 1) + 1)
+        for n in range(t, min(n_max, d - 1) + 1)
     ]
-    if cells:
-        # Fail on the largest modulus before running any cell.
-        RegisterLayout(d=max(d for d, _, _ in cells), registers=(HOME, TRANSMITTED))
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    rows = []
+    cells = _sweep_cells(args.d_max, args.t_max, args.n_max)
     children = np.random.SeedSequence(args.seed).spawn(len(cells)) if cells else []
     for (d, t, n), child in zip(cells, children):
         cell_seed = int(child.generate_state(1, dtype=np.uint64)[0])

@@ -39,7 +39,6 @@ from .dealer import DealerConfig, SharePacket, deal, hash_to_field, resolve_modu
 from .errors import InconsistentPackets
 from .field import PrimeModulus, lagrange_coeff
 from .qudit import (
-    MeasurementOutcome,
     RegisterLayout,
     QuditState,
     apply_copy,
@@ -61,8 +60,9 @@ VERDICT_ABORT_ANCILLA = "abort_ancilla"
 VERDICT_ABORT_HASH = "abort_hash"
 
 
-# measure_fn(state, register): how a pass resolves each of its measurements.
-Measure = Callable[[QuditState, str], MeasurementOutcome]
+# measure_fn(state, register) -> (outcome, collapsed state): how a pass
+# resolves each of its measurements.
+Measure = Callable[[QuditState, str], tuple[int, QuditState]]
 Hook = Callable[[QuditState, Callable[[QuditState, str], QuditState]], QuditState]
 
 
@@ -271,7 +271,7 @@ def _pass_leaves(
         prefix, count = pending.pop()
         path: list[int] = []
 
-        def measure_branch(state: QuditState, register: str) -> MeasurementOutcome:
+        def measure_branch(state: QuditState, register: str) -> tuple[int, QuditState]:
             nonlocal count
             probs = outcome_probabilities(state, register)
             if len(path) < len(prefix):
@@ -283,7 +283,7 @@ def _pass_leaves(
                 if len(hit) > 1:
                     pending.extend(((*path, v), int(counts[v])) for v in reversed(hit[1:]))
             path.append(value)
-            return collapse(state, register, value, probs)
+            return value, collapse(state, register, value, probs)
 
         leaves.append((run_pass(instance, channel, pass_name, measure_branch), count))
     return leaves
@@ -354,11 +354,11 @@ def run_pass(
     if channel.post_uncopy is not None:
         state = channel.post_uncopy(state, _context(pass_name, None, measure_fn, events))
 
-    check = measure_fn(state, TRANSMITTED)
-    if check.value != 0:
-        return PassResult(check.value, None, tuple(events))
-    state = apply_iqft(check.post_state, HOME)
-    return PassResult(0, measure_fn(state, HOME).value, tuple(events))
+    ancilla, state = measure_fn(state, TRANSMITTED)
+    if ancilla != 0:
+        return PassResult(ancilla, None, tuple(events))
+    value, _ = measure_fn(apply_iqft(state, HOME), HOME)
+    return PassResult(0, value, tuple(events))
 
 
 def _context(pass_name: str, hop_index: int | None, measure_fn: Measure, events: list):
@@ -366,8 +366,8 @@ def _context(pass_name: str, hop_index: int | None, measure_fn: Measure, events:
     under this pass and hop, return the collapsed state."""
 
     def measure_and_record(state: QuditState, register: str) -> QuditState:
-        out = measure_fn(state, register)
-        events.append((pass_name, hop_index, {"value": out.value}))
-        return out.post_state
+        value, state = measure_fn(state, register)
+        events.append((pass_name, hop_index, {"value": value}))
+        return state
 
     return measure_and_record

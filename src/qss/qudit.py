@@ -15,7 +15,8 @@ gate remaps the target's digit column, the shadow phase multiplies each
 amplitude by the phase of its digit, a marginal is a bincount of one digit
 column, and a collapse keeps the entries holding the outcome. A measurement
 is outcome_probabilities (the norm-checked law of one register) followed by
-collapse onto one outcome; measure draws the outcome in between.
+collapse onto one outcome, which returns the collapsed state; measure draws
+the outcome in between and returns (outcome, collapsed state).
 
 Every seeded output is bit-for-bit what a dense simulation gives: the
 Fourier gates do a dense simulation's arithmetic exactly, and a marginal
@@ -155,12 +156,6 @@ def _state(layout: RegisterLayout, digits: tuple, values: np.ndarray) -> QuditSt
     state.digits = digits
     state.values = values
     return state
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    value: int
-    post_state: QuditState
 
 
 def basis_state(layout: RegisterLayout, values: dict[str, int]) -> QuditState:
@@ -307,19 +302,20 @@ def outcome_probabilities(state: QuditState, register: str) -> np.ndarray:
     return state.marginal(register)
 
 
-def collapse(
-    state: QuditState, register: str, value: int, probs: np.ndarray
-) -> MeasurementOutcome:
-    """Outcome `value` of measuring `register`: the state projected onto it and
-    renormalised by its probability probs[value] (see outcome_probabilities)."""
+def collapse(state: QuditState, register: str, value: int, probs: np.ndarray) -> QuditState:
+    """The state after outcome `value` of measuring `register`: projected onto
+    it and renormalised by its probability probs[value] (see
+    outcome_probabilities)."""
     hit = state.digits[state.layout.axis(register)] == value
     digits = tuple([column[hit] for column in state.digits])
-    post = _state(state.layout, digits, state.values[hit] / math.sqrt(probs[value]))
-    return MeasurementOutcome(value=value, post_state=post)
+    return _state(state.layout, digits, state.values[hit] / math.sqrt(probs[value]))
 
 
-def measure(state: QuditState, register: str, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projective measurement of one register in the computational basis.
+def measure(
+    state: QuditState, register: str, rng: np.random.Generator
+) -> tuple[int, QuditState]:
+    """Projective measurement of one register in the computational basis:
+    (outcome, collapsed state).
 
     Samples from the register marginal by inverse CDF, so the outcome is a
     deterministic function of the rng stream.
@@ -330,4 +326,4 @@ def measure(state: QuditState, register: str, rng: np.random.Generator) -> Measu
     # draw never lands past the last value with positive probability.
     value = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
     value = min(value, state.layout.d - 1)
-    return collapse(state, register, value, probs)
+    return value, collapse(state, register, value, probs)

@@ -12,13 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from qss.adversary import (
-    AttackSpec,
-    run_collusion_probe,
-    run_forgery,
-    run_intercept_iqft,
-    run_intercept_resend,
-)
+from qss.adversary import AttackSpec, run_attack
 from qss.cli import main, resolve_preset
 from qss.dealer import DealerConfig, deal, hash_to_field
 from qss.errors import PresetInfeasible
@@ -175,7 +169,7 @@ def test_criterion_5_intercept_resend_statistics():
     inst = instance_from_deal(
         DealerConfig(n=4, t=3, secret=2, rng_seed=50, d_override=5)
     )
-    rep = run_intercept_resend(
+    rep = run_attack(
         inst,
         AttackSpec(kind="intercept_resend", shots=shots, seed=51, hypotheses=(1, 3)),
     )
@@ -213,7 +207,7 @@ def test_criterion_6_forgery_detection():
     inst = instance_from_deal(
         DealerConfig(n=4, t=3, secret=secret, rng_seed=60, d_override=d)
     )
-    rep = run_forgery(inst, AttackSpec(kind="forgery", shots=shots, seed=61))
+    rep = run_attack(inst, AttackSpec(kind="forgery", shots=shots, seed=61))
     elapsed = time.perf_counter() - start
     sigma = math.sqrt(ground_truth * (1 - ground_truth) / shots)
     ok = (
@@ -260,7 +254,7 @@ def test_criterion_7_tamper_detection_at_ancilla_check():
     ok = True
     details = []
     for d, inst in instances.items():
-        rep = run_intercept_iqft(
+        rep = run_attack(
             inst, AttackSpec(kind="intercept_iqft", shots=shots, seed=72 + d)
         )
         p = (d - 1) / d
@@ -275,7 +269,7 @@ def test_criterion_8_collusion_indistinguishability():
     shots = 30_000
     start = time.perf_counter()
     inst = instance_from_shadows(3, (1, 2, 0, 1), (0, 0, 0, 0))
-    rep = run_collusion_probe(
+    rep = run_attack(
         inst,
         AttackSpec(kind="collusion_probe", shots=shots, seed=80, player_id=3, hypotheses=(0, 2)),
     )

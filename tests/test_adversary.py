@@ -8,10 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qss.adversary
 import qss.dealer
 import qss.protocol
 from qss.adversary import (
     ADVERSARY_REGISTER,
+    ATTACK_KINDS,
     AttackSpec,
     _chi2_sf,
     _entangle_hook,
@@ -19,11 +21,6 @@ from qss.adversary import (
     _measure_resend_hook,
     _probe_ancilla_hook,
     run_attack,
-    run_collusion_probe,
-    run_entangle_measure,
-    run_forgery,
-    run_intercept_iqft,
-    run_intercept_resend,
     run_shot_series,
     series_digest,
     split_shot_series,
@@ -60,12 +57,12 @@ class TestSpecValidation:
 
     def test_hop_out_of_range(self):
         with pytest.raises(ValueError):
-            run_intercept_resend(instance(), AttackSpec(kind="intercept_resend", hop_index=3, shots=2))
+            run_attack(instance(), AttackSpec(kind="intercept_resend", hop_index=3, shots=2))
 
     def test_intercept_needs_a_hop(self):
         single = instance_from_deal(DealerConfig(n=3, t=1, secret=0, rng_seed=0))
         with pytest.raises(ValueError):
-            run_intercept_resend(single, AttackSpec(kind="intercept_resend", shots=2))
+            run_attack(single, AttackSpec(kind="intercept_resend", shots=2))
 
     def test_fields_are_what_an_attack_takes(self):
         assert [f.name for f in dataclasses.fields(AttackSpec)] == [
@@ -113,6 +110,23 @@ class TestSpecValidation:
             for hypotheses in ((9, 1), (1, 5), (-1, 2)):
                 with pytest.raises(ValueOutOfRange, match="hypothesis"):
                     run_attack(inst, AttackSpec(kind=kind, shots=4, hypotheses=hypotheses))
+
+
+class TestEntryPoint:
+    def test_run_attack_is_the_only_runner(self):
+        # run_shot_series is the per-shot reference sampler, not an attack.
+        public = {
+            name
+            for name, value in vars(qss.adversary).items()
+            if name.startswith("run_") and getattr(value, "__module__", None) == "qss.adversary"
+        }
+        assert public == {"run_attack", "run_shot_series"}
+
+    def test_report_kind_is_spec_kind(self):
+        inst = instance(n=4, t=4, d=5)
+        for kind in ATTACK_KINDS:
+            report = run_attack(inst, AttackSpec(kind=kind, shots=4, seed=1))
+            assert report.kind == kind
 
 
 class TestShotSeries:
@@ -220,7 +234,7 @@ class TestSplitSeriesMatchesPerShot:
         def forge(base, rng):
             return base.with_shadow(position, (true_value + 1 + int(rng.integers(d - 1))) % d)
 
-        report = run_forgery(inst, AttackSpec(kind="forgery", shots=shots, seed=92))
+        report = run_attack(inst, AttackSpec(kind="forgery", shots=shots, seed=92))
         assert sum(report.outcome_histogram.values()) == shots
         reference = run_shot_series(inst, shots, seed=93, per_shot=forge)
         f0s = tally(reference, lambda tr: tr.f0)
@@ -334,7 +348,7 @@ class TestControlRuns:
 class TestInterceptResend:
     def test_outcomes_uniform(self):
         shots = 4000
-        report = run_intercept_resend(
+        report = run_attack(
             instance(), AttackSpec(kind="intercept_resend", shots=shots, seed=2)
         )
         assert sum(report.outcome_histogram.values()) == shots
@@ -345,7 +359,7 @@ class TestInterceptResend:
             )
 
     def test_leakage_independent_of_s1(self):
-        report = run_intercept_resend(
+        report = run_attack(
             instance(),
             AttackSpec(kind="intercept_resend", shots=4000, seed=3, hypotheses=(1, 3)),
         )
@@ -355,14 +369,14 @@ class TestInterceptResend:
         # Measuring T in the computational basis collapses H along with it,
         # so the ancilla check passes and only the hash comparison catches
         # the attack.
-        report = run_intercept_resend(
+        report = run_attack(
             instance(), AttackSpec(kind="intercept_resend", shots=1500, seed=4)
         )
         assert report.ancilla_abort_rate == 0.0
         assert within_binomial_4sigma(report.detection_rate, 4 / 5, 1500)
 
     def test_interception_at_later_hop(self):
-        report = run_intercept_resend(
+        report = run_attack(
             instance(), AttackSpec(kind="intercept_resend", hop_index=2, shots=1000, seed=5)
         )
         assert sum(report.outcome_histogram.values()) == 1000
@@ -402,14 +416,14 @@ class TestInterceptIqft:
 
         inst = instance_from_shadows(2, (1, 0), (1, 1))
         shots = 3000
-        report = run_intercept_iqft(
+        report = run_attack(
             inst, AttackSpec(kind="intercept_iqft", shots=shots, seed=6)
         )
         assert within_binomial_4sigma(report.ancilla_abort_rate, 0.5, shots)
 
     def test_ancilla_failure_rate_d5(self):
         shots = 3000
-        report = run_intercept_iqft(
+        report = run_attack(
             instance(), AttackSpec(kind="intercept_iqft", shots=shots, seed=7)
         )
         assert within_binomial_4sigma(report.ancilla_abort_rate, 4 / 5, shots)
@@ -419,7 +433,7 @@ class TestInterceptIqft:
         # (1/sqrt d) sum_k w^(s1 k) |k>|k>, so each T value carries mass 1/d.
         d, shots = 3, 3000
         inst = instance(n=2, t=2, secret=2, seed=8, d=3)
-        report = run_intercept_iqft(
+        report = run_attack(
             inst, AttackSpec(kind="intercept_iqft", shots=shots, seed=8)
         )
         marginal = [1 / d] * d
@@ -430,7 +444,7 @@ class TestInterceptIqft:
         assert report.chi2_pvalue > 1e-3
 
     def test_leakage_small(self):
-        report = run_intercept_iqft(
+        report = run_attack(
             instance(),
             AttackSpec(kind="intercept_iqft", shots=3000, seed=9, hypotheses=(0, 2)),
         )
@@ -440,7 +454,7 @@ class TestInterceptIqft:
 class TestEntangleMeasure:
     def test_adversary_outcomes_uniform(self):
         shots = 3000
-        report = run_entangle_measure(
+        report = run_attack(
             instance(), AttackSpec(kind="entangle_measure", shots=shots, seed=10)
         )
         assert sum(report.outcome_histogram.values()) == shots
@@ -451,7 +465,7 @@ class TestEntangleMeasure:
 
     def test_leakage_small(self):
         inst = instance(n=2, t=2, secret=1, seed=11, d=3)
-        report = run_entangle_measure(
+        report = run_attack(
             inst,
             AttackSpec(kind="entangle_measure", shots=3000, seed=11, hypotheses=(0, 1)),
         )
@@ -462,7 +476,7 @@ class TestEntangleMeasure:
         from qss.protocol import instance_from_shadows
 
         inst = instance_from_shadows(2, (1, 0), (0, 0))
-        report = run_entangle_measure(
+        report = run_attack(
             inst,
             AttackSpec(kind="entangle_measure", shots=2000, seed=24, hypotheses=(0, 1)),
         )
@@ -474,7 +488,7 @@ class TestEntangleMeasure:
 
     def test_disturbance_shows_in_hash_not_ancilla(self):
         shots = 2000
-        report = run_entangle_measure(
+        report = run_attack(
             instance(), AttackSpec(kind="entangle_measure", shots=shots, seed=12)
         )
         assert report.ancilla_abort_rate == 0.0
@@ -493,7 +507,7 @@ class TestForgery:
             if hash_to_field((secret + delta) % d, PrimeModulus(d)) != h
         ) / (d - 1)
         assert ground_truth == 1.0
-        report = run_forgery(
+        report = run_attack(
             instance(secret=secret), AttackSpec(kind="forgery", shots=2000, seed=13)
         )
         assert report.detection_rate == 1.0
@@ -533,19 +547,19 @@ class TestForgery:
         mod = PrimeModulus(3)
         assert {hash_to_field(v, mod) for v in range(3)} == {2}
         inst = instance(n=2, t=2, secret=1, seed=15, d=3)
-        report = run_forgery(inst, AttackSpec(kind="forgery", shots=300, seed=16))
+        report = run_attack(inst, AttackSpec(kind="forgery", shots=300, seed=16))
         assert report.detection_rate == 0.0
         assert report.extra["residual_collision_shots"] == 300
 
     def test_target_position_validated(self):
         with pytest.raises(ValueError):
-            run_forgery(instance(), AttackSpec(kind="forgery", shots=2, player_id=9))
+            run_attack(instance(), AttackSpec(kind="forgery", shots=2, player_id=9))
 
 
 class TestCollusionProbe:
     def test_joint_views_identical_across_hypotheses(self):
         inst = instance(n=4, t=4, secret=2, seed=17, d=5)
-        report = run_collusion_probe(
+        report = run_attack(
             inst,
             AttackSpec(kind="collusion_probe", shots=3000, seed=18, hypotheses=(0, 2)),
         )
@@ -557,12 +571,12 @@ class TestCollusionProbe:
     def test_no_middle_player_rejected(self):
         inst = instance(n=2, t=2, secret=1, seed=19, d=5)
         with pytest.raises(ValueError):
-            run_collusion_probe(inst, AttackSpec(kind="collusion_probe", shots=2))
+            run_attack(inst, AttackSpec(kind="collusion_probe", shots=2))
 
     def test_escalated_colluders_trip_ancilla(self):
         inst = instance(n=4, t=4, secret=2, seed=20, d=5)
         shots = 2000
-        report = run_collusion_probe(
+        report = run_attack(
             inst, AttackSpec(kind="collusion_probe", shots=shots, seed=21, escalate=True)
         )
         assert within_binomial_4sigma(report.ancilla_abort_rate, 4 / 5, shots)
@@ -570,7 +584,7 @@ class TestCollusionProbe:
 
 class TestReportShape:
     def test_json_fields(self):
-        report = run_intercept_resend(
+        report = run_attack(
             instance(), AttackSpec(kind="intercept_resend", shots=500, seed=22, hypotheses=(0, 1))
         )
         blob = report.to_json()

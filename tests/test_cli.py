@@ -280,6 +280,36 @@ class TestSweep:
         assert code == 2 and out == ""
         assert "1024" in err
 
+    def test_oversized_bound_checked_before_listing_primes(self, capsys, monkeypatch):
+        # The largest prime is found by searching down from --d-max, so the
+        # check costs about one prime gap of tests, not one per integer.
+        calls = []
+        is_prime = qss.cli.is_prime
+
+        def counting(p):
+            calls.append(p)
+            return is_prime(p)
+
+        monkeypatch.setattr(qss.cli, "is_prime", counting)
+        code, out, err = run_cli(
+            capsys, "sweep", "--d-max", "1000000", "--t-max", "1", "--n-max", "1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: register dimension capped at 1024\n"
+        assert len(calls) <= 200
+
+    def test_cell_loops_stop_below_d(self, capsys):
+        # t and n never reach d, so bounds past d - 1 list the same cells.
+        outs = [
+            run_cli(
+                capsys, "sweep", "--d-max", "11", "--t-max", bound, "--n-max", bound,
+                "--seed", "3",
+            )
+            for bound in ("3000", "10")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][1].count("\n") > 1
+
     def test_sweep_byte_identical(self, capsys, tmp_path):
         path = tmp_path / "a.csv"
         contents = []

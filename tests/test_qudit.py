@@ -365,15 +365,15 @@ class TestShadowPhase:
 class TestMeasure:
     def test_basis_state_deterministic(self):
         rng = np.random.default_rng(0)
-        out = measure(basis_state(layout(5), {"H": 3}), "H", rng)
-        assert out.value == 3
-        assert np.allclose(out.post_state.amplitudes, basis_state(layout(5), {"H": 3}).amplitudes)
+        value, post = measure(basis_state(layout(5), {"H": 3}), "H", rng)
+        assert value == 3
+        assert np.allclose(post.amplitudes, basis_state(layout(5), {"H": 3}).amplitudes)
 
     def test_uniform_superposition_statistics(self):
         # 8192 seeded shots on (|0>+|1>)/sqrt 2: 4 sigma around 4096.
         rng = np.random.default_rng(20240811)
         plus = apply_qft(basis_state(layout(2), {"H": 0}), "H")
-        ones = sum(measure(plus, "H", rng).value for _ in range(8192))
+        ones = sum(measure(plus, "H", rng)[0] for _ in range(8192))
         sigma = math.sqrt(8192 * 0.25)
         assert abs(ones - 4096) <= 4 * sigma
 
@@ -381,9 +381,9 @@ class TestMeasure:
         rng = np.random.default_rng(1)
         lay = layout(3, "H", "T")
         psi = random_state(lay, rng)
-        out = measure(psi, "T", rng)
-        assert abs(out.post_state.norm() - 1.0) < 1e-12
-        assert np.allclose(out.post_state.marginal("T")[out.value], 1.0)
+        value, post = measure(psi, "T", rng)
+        assert abs(post.norm() - 1.0) < 1e-12
+        assert np.allclose(post.marginal("T")[value], 1.0)
 
     def test_unnormalized_rejected(self):
         lay = layout(2)
@@ -432,7 +432,7 @@ class TestHonestPipeline:
             state, lay = self.run_pipeline(d, shadows)
             state = apply_copy(state, "H", "T")
             for _ in range(32):
-                assert measure(state, "T", rng).value == 0
+                assert measure(state, "T", rng)[0] == 0
 
     def test_iqft_lands_on_shadow_sum(self):
         rng = np.random.default_rng(19)
@@ -441,12 +441,12 @@ class TestHonestPipeline:
                 shadows = [int(rng.integers(d)) for _ in range(t)]
                 state, lay = self.run_pipeline(d, shadows)
                 state = apply_copy(state, "H", "T")
-                state = measure(state, "T", rng).post_state
+                _, state = measure(state, "T", rng)
                 state = apply_iqft(state, "H")
                 expected = sum(shadows) % d
                 idx = expected * d + 0
                 assert abs(abs(state.amplitudes[idx]) - 1.0) < 1e-9
-                assert measure(state, "H", rng).value == expected
+                assert measure(state, "H", rng)[0] == expected
 
 
 class TestSupport:
@@ -550,7 +550,8 @@ class TestStateGolden:
     """Pinned states: every gate, outcome_probabilities and collapse call made
     by four fixed-seed CLI invocations is wrapped at each binding site, and
     one SHA-256 over the per-call digests of the dense amplitudes (and of the
-    outcome laws) is pinned. Signed zeros are normalised with + 0.0. A change
+    outcome laws) is pinned; a collapse digest leads with the outcome, read
+    from the call's `value` argument. Signed zeros are normalised with + 0.0. A change
     to the state engine that claims bit-identical arithmetic keeps it."""
 
     INVOCATIONS = [
@@ -568,11 +569,12 @@ class TestStateGolden:
     def test_states_pinned(self, monkeypatch, capsys):
         calls = []
 
-        def digest(name, result):
+        def digest(name, result, args):
             if name == "outcome_probabilities":
                 data = (result + 0.0).tobytes()
             elif name == "collapse":
-                data = bytes([result.value % 256]) + (result.post_state.amplitudes + 0.0).tobytes()
+                _, _, value, _ = args
+                data = bytes([value % 256]) + (result.amplitudes + 0.0).tobytes()
             else:
                 data = (result.amplitudes + 0.0).tobytes()
             calls.append(f"{name}:{hashlib.sha256(data).hexdigest()}")
@@ -580,7 +582,7 @@ class TestStateGolden:
         def wrap(name, fn):
             def wrapper(*args, **kwargs):
                 result = fn(*args, **kwargs)
-                digest(name, result)
+                digest(name, result, args)
                 return result
 
             return wrapper
