@@ -1,15 +1,14 @@
 """Attack scenarios as channel hooks plus empirical detection/leakage stats.
 
 run_attack is the one way to run an attack: it checks the spec against the
-instance and hands it to the runner its kind names. Every runner follows the
-same recipe: build the attacked ring (a channel with the attack hooks
-installed, or forged shadows), simulate a shot series drawing from one
-generator seeded once per series, and distill the series into an
-AttackReport. The three intercept kinds share one runner and differ only in
-the hooks they install. "Information gain" claims are measured as the
-total-variation distance between the adversary's observation distributions
-under two forced shadow hypotheses; "detected" means the run ended in any
-abort.
+instance and hands it to the runner its kind names. A runner builds the
+attacked ring (a channel with the attack hooks installed, or forged shadows),
+simulates a shot series drawing from one generator seeded once per series,
+and distills it into an AttackReport. The three intercept kinds share one
+runner and differ only in their hooks; they and collusion observe the ring,
+and _observe runs their series and, given two hypotheses, the series with a
+shadow forced to each. "Information gain" is the total-variation distance
+between the observations under the two; "detected" means any abort.
 
 Every series starts at protocol.split_shot_series, which runs each
 distinct measurement branch once: at every measurement one multinomial draw
@@ -226,68 +225,70 @@ def _intercepted_value(transcript: ProtocolTranscript) -> int:
 
 
 def _summarize(
-    kind: str,
-    shots: int,
+    spec: AttackSpec,
     leaves: Leaves,
     observations: Counter,
     leakage: float | None,
     chi2_pvalue: float | None,
     extra: dict,
 ) -> AttackReport:
-    n = sum(count for _, count in leaves)
     detected = sum(count for tr, count in leaves if not tr.accepted)
     ancilla = sum(count for tr, count in leaves if tr.ancilla and tr.ancilla[0] != 0)
     hashes = sum(count for tr, count in leaves if tr.verdict == VERDICT_ABORT_HASH)
     extra = {**extra, "series_digest": series_digest(leaves)}
+    if spec.hypotheses is not None:
+        extra["hypotheses"] = list(spec.hypotheses)
     return AttackReport(
-        kind=kind,
-        shots=shots,
+        kind=spec.kind,
+        shots=spec.shots,
         outcome_histogram=dict(observations),
-        detection_rate=detected / n,
-        ancilla_abort_rate=ancilla / n,
-        hash_abort_rate=hashes / n,
+        detection_rate=detected / spec.shots,
+        ancilla_abort_rate=ancilla / spec.shots,
+        hash_abort_rate=hashes / spec.shots,
         leakage=leakage,
         chi2_pvalue=chi2_pvalue,
         extra=extra,
     )
 
 
-def _conditioned_leakage(
+def _observe(
     instance: ProtocolInstance,
     spec: AttackSpec,
     channel: Channel,
-    position: int,
     key: Callable[[ProtocolTranscript], object],
-) -> tuple[float, list[Counter]]:
-    """Re-run the series with one player's shadow forced to each hypothesis
-    value (all else fixed) and return the TV distance between the two
-    distributions of key(transcript)."""
+    position: int,
+) -> tuple[Leaves, Counter, float | None, list[Counter]]:
+    """Run the attacked series and tally key(transcript), what the attacker
+    observed. With hypotheses, also run the series with P_position's shadow
+    forced to each value (all else fixed) and return the TV distance between
+    their two tallies, and the tallies; without, None and []."""
+    leaves = split_shot_series(instance, spec.shots, spec.seed, channel)
+    observations = tally(leaves, key)
+    if spec.hypotheses is None:
+        return leaves, observations, None, []
     histograms = []
     for salt, value in enumerate(spec.hypotheses, start=1):
         forced = instance.with_shadow(position, value)
         seed = np.random.SeedSequence([spec.seed, salt])
         histograms.append(tally(split_shot_series(forced, spec.shots, seed, channel), key))
-    return tv_distance(histograms[0], histograms[1], spec.shots, spec.shots), histograms
+    leakage = tv_distance(histograms[0], histograms[1], spec.shots, spec.shots)
+    return leaves, observations, leakage, histograms
 
 
 def _intercept_attack(
     instance: ProtocolInstance, spec: AttackSpec, hook, **channel_fields
 ) -> AttackReport:
     channel = Channel(hooks={spec.hop_index: hook}, **channel_fields)
-    leaves = split_shot_series(instance, spec.shots, spec.seed, channel)
-    observations = tally(leaves, _intercepted_value)
-    leakage = None
+    leaves, observations, leakage, histograms = _observe(
+        instance, spec, channel, _intercepted_value, 1
+    )
     extra: dict = {"hop_index": spec.hop_index}
-    if spec.hypotheses is not None:
-        leakage, histograms = _conditioned_leakage(
-            instance, spec, channel, 1, _intercepted_value
-        )
-        extra["hypotheses"] = list(spec.hypotheses)
+    if histograms:
         extra["hypothesis_histograms"] = [
             {_key(k): v for k, v in sorted(h.items())} for h in histograms
         ]
     chi2 = uniformity_pvalue(observations, instance.modulus.d)
-    return _summarize(spec.kind, spec.shots, leaves, observations, leakage, chi2, extra)
+    return _summarize(spec, leaves, observations, leakage, chi2, extra)
 
 
 def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
@@ -316,7 +317,7 @@ def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
         "true_shadow": true_value,
         "residual_collision_shots": residual,
     }
-    return _summarize(spec.kind, spec.shots, leaves, observations, None, None, extra)
+    return _summarize(spec, leaves, observations, None, None, extra)
 
 
 def _collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
@@ -339,14 +340,9 @@ def _collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackRepo
     def joint(transcript: ProtocolTranscript) -> tuple[int, ...]:
         return tuple(_secret_pass_values(transcript))
 
-    leaves = split_shot_series(instance, spec.shots, spec.seed, channel)
-    observations = tally(leaves, joint)
-    leakage = None
-    extra: dict = {"middle_position": position, "colluders": [position - 1, position + 1]}
-    if spec.hypotheses is not None:
-        leakage, _ = _conditioned_leakage(instance, spec, channel, position, joint)
-        extra["hypotheses"] = list(spec.hypotheses)
-    return _summarize(spec.kind, spec.shots, leaves, observations, leakage, None, extra)
+    leaves, observations, leakage, _ = _observe(instance, spec, channel, joint, position)
+    extra = {"middle_position": position, "colluders": [position - 1, position + 1]}
+    return _summarize(spec, leaves, observations, leakage, None, extra)
 
 
 _RUNNERS: dict[str, Callable[[ProtocolInstance, AttackSpec], AttackReport]] = {

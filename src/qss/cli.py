@@ -250,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QssError, ValueError) as exc:
+    except (QssError, ValueError, OSError) as exc:  # OSError: --out not writable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

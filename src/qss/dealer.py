@@ -3,7 +3,8 @@
 The dealer builds two degree-(t-1) polynomials over Z_d, one hiding the
 secret and one hiding its SHA1 digest reduced mod d, and hands player i the
 pair of evaluations at x = i as a SharePacket, which also names the modulus.
-The packet is all a player holds. Shares travel over an abstract
+The packet is all a player holds, and player i's packet depends on the
+secret, t, d and rng_seed but not on n. Shares travel over an abstract
 authenticated channel; their physical encoding is out of scope here.
 """
 from __future__ import annotations
@@ -56,12 +57,11 @@ def hash_to_field(secret: int, d: PrimeModulus) -> int:
     return int.from_bytes(digest, "big") % d.d
 
 
-@lru_cache(maxsize=1)
 def resolve_modulus(config: DealerConfig) -> PrimeModulus:
     """The prime a deal works over: d_override when set, else choose_modulus(n).
-
-    instance_from_deal resolves it to check the register cap before dealing;
-    the one-entry cache hands deal that same resolution."""
+    Rejects a threshold outside [1, n] first."""
+    if not 1 <= config.t <= config.n:
+        raise InvalidThreshold(f"need 1 <= t <= n, got t={config.t}, n={config.n}")
     if config.d_override is None:
         return choose_modulus(config.n)
     if config.d_override <= config.n:
@@ -74,8 +74,6 @@ def resolve_modulus(config: DealerConfig) -> PrimeModulus:
 def deal(config: DealerConfig) -> list[SharePacket]:
     """Draw both polynomials from the seeded rng and evaluate at x = 1..n;
     packet i - 1 is player i's, and every packet carries the modulus."""
-    if not 1 <= config.t <= config.n:
-        raise InvalidThreshold(f"need 1 <= t <= n, got t={config.t}, n={config.n}")
     modulus = resolve_modulus(config)
     if not 0 <= config.secret < modulus.d:
         raise SecretOutOfRange(f"secret {config.secret} not in [0, {modulus.d})")
@@ -83,7 +81,7 @@ def deal(config: DealerConfig) -> list[SharePacket]:
     rng = np.random.default_rng(config.rng_seed)
     f = _random_polynomial(config.secret, modulus, config.t, rng)
     g = _random_polynomial(hash_to_field(config.secret, modulus), modulus, config.t, rng)
-    packets = [
+    return [
         SharePacket(
             player_id=i,
             modulus=modulus,
@@ -92,7 +90,6 @@ def deal(config: DealerConfig) -> list[SharePacket]:
         )
         for i in range(1, config.n + 1)
     ]
-    return packets
 
 
 def _random_polynomial(

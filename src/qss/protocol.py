@@ -36,7 +36,7 @@ from typing import Callable, Literal, Mapping, NamedTuple
 import numpy as np
 
 from .dealer import DealerConfig, SharePacket, deal, hash_to_field, resolve_modulus
-from .errors import InconsistentPackets
+from .errors import InconsistentPackets, ValueOutOfRange
 from .field import PrimeModulus, lagrange_coeff
 from .qudit import (
     RegisterLayout,
@@ -138,6 +138,8 @@ class ProtocolInstance:
 
     def with_shadow(self, position: int, value: int, pass_name: PassName = "secret") -> "ProtocolInstance":
         """Copy of this instance with one player's shadow forced (1-based position)."""
+        if not 1 <= position <= self.t:
+            raise ValueOutOfRange(f"position {position} not in [1, {self.t}]")
         key = "shadows_secret" if pass_name == "secret" else "shadows_hash"
         values = list(getattr(self, key))
         values[position - 1] = value % self.modulus.d
@@ -180,10 +182,11 @@ def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:
 
 
 def instance_from_deal(config: DealerConfig) -> ProtocolInstance:
-    """Deal per config and assemble P1..Pt, rejecting a modulus too large for
-    the register layout before dealing."""
-    RegisterLayout(d=resolve_modulus(config).d, registers=(HOME, TRANSMITTED))
-    return instance_from_players(deal(config)[: config.t])
+    """Check t and the register cap, then deal P1..Pt only (with d fixed,
+    their packets do not depend on n) and assemble them."""
+    d = resolve_modulus(config).d
+    RegisterLayout(d=d, registers=(HOME, TRANSMITTED))
+    return instance_from_players(deal(replace(config, n=config.t, d_override=d)))
 
 
 def instance_from_shadows(
@@ -192,6 +195,8 @@ def instance_from_shadows(
     shadows_hash: tuple[int, ...] | None = None,
 ) -> ProtocolInstance:
     """Shadow-level instance for harness runs that bypass the dealing phase."""
+    if not shadows_secret:
+        raise ValueError("shadow list must not be empty")
     modulus = PrimeModulus(d)
     if shadows_hash is None:
         shadows_hash = tuple(0 for _ in shadows_secret)

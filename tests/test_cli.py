@@ -77,6 +77,16 @@ class TestRun:
             contents.append(path.read_bytes())
         assert contents[0] == contents[1]
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "x.out")
+        for argv in (
+            ("run", "--n", "4", "--t", "2", "--secret", "1", "--out", path),
+            ("sweep", "--d-max", "5", "--t-max", "2", "--n-max", "2", "--out", path),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "missing" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "tr.json"
         run_cli(capsys, "run", "--n", "4", "--t", "2", "--secret", "1", "--out", str(path))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qss.dealer
 from qss.dealer import DealerConfig, deal, hash_to_field
-from qss.errors import InconsistentPackets
+from qss.errors import InconsistentPackets, InvalidThreshold, ValueOutOfRange
 from qss.field import PrimeModulus, interpolate_at_zero, shadow
 from qss.protocol import (
     Channel,
@@ -87,6 +88,39 @@ class TestShadowLevelPipeline:
         tr = inst.run(seed=seed)
         assert tr.f0 == sum(inst.shadows_secret) % d
         assert tr.ancilla[0] == 0
+
+
+class TestInstanceFromDeal:
+    """instance_from_deal deals P1..Pt only; their packets do not depend on n."""
+
+    def test_deals_two_evaluations_per_player(self, monkeypatch):
+        calls = []
+        real = qss.dealer.eval_poly
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(qss.dealer, "eval_poly", counting)
+        for n, t in [(1, 1), (6, 2), (16, 8)]:
+            calls.clear()
+            instance_from_deal(DealerConfig(n=n, t=t, secret=1, rng_seed=3))
+            assert len(calls) == 2 * t, (n, t)
+
+    def test_threshold_above_n_rejected(self):
+        for d_override in (None, 7):
+            with pytest.raises(InvalidThreshold):
+                instance_from_deal(
+                    DealerConfig(n=3, t=4, secret=1, rng_seed=0, d_override=d_override)
+                )
+
+    def test_equals_first_t_packets_of_full_deal(self):
+        for n, t, d, seed in itertools.product((1, 3, 6), (1, 2, 3), (None, 7, 13), (0, 5)):
+            if t > n:
+                continue
+            config = DealerConfig(n=n, t=t, secret=0, rng_seed=seed, d_override=d)
+            expected = instance_from_players(deal(config)[:t])
+            assert instance_from_deal(config) == expected, (n, t, d, seed)
 
 
 class TestClassicalEquivalence:
@@ -216,6 +250,21 @@ class TestValidation:
     def test_shadow_instance_lengths(self):
         with pytest.raises(InconsistentPackets):
             instance_from_shadows(5, (1, 2), (1,))
+
+    def test_shadow_instance_empty_rejected(self):
+        # instance_from_players([]) raises ValueError the same way.
+        with pytest.raises(ValueError):
+            instance_from_players([])
+        with pytest.raises(ValueError):
+            instance_from_shadows(5, ())
+
+    def test_with_shadow_position_checked(self):
+        inst = instance_from_shadows(5, (1, 2, 3))
+        assert inst.with_shadow(1, 4).shadows_secret == (4, 2, 3)
+        assert inst.with_shadow(3, 4, "hash").shadows_hash == (0, 0, 4)
+        for position in (0, 4):
+            with pytest.raises(ValueOutOfRange):
+                inst.with_shadow(position, 4)
 
 
 class TestTranscript:
