@@ -17,6 +17,7 @@ from .field import (
 )
 from .protocol import (
     Channel,
+    Measure,
     ProtocolInstance,
     ProtocolTranscript,
     instance_from_deal,
@@ -40,6 +41,7 @@ __all__ = [
     "AttackSpec",
     "Channel",
     "DealerConfig",
+    "Measure",
     "PrimeModulus",
     "ProtocolInstance",
     "ProtocolTranscript",

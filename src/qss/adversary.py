@@ -10,14 +10,18 @@ and _observe runs their series and, given two hypotheses, the series with a
 shadow forced to each. "Information gain" is the total-variation distance
 between the observations under the two; "detected" means any abort.
 
-Every series starts at protocol.split_shot_series, which runs each
+Every series starts at protocol.split_shot_series, which walks each
 distinct measurement branch once: at every measurement one multinomial draw
 splits the shots across the outcomes, and the series comes back as
 (transcript, count) pairs whose number does not grow with the shots. It has
-the law of running every shot on its own. run_shot_series does exactly that,
-drawing each outcome of each pass through run_pass with qudit.measure and
-calling neither ProtocolInstance.run nor the splitting engine; it is kept as
-the independent per-shot reference the tests check the engine against.
+the law of running every shot on its own. run_shot_series does exactly that:
+it walks each pass of each shot through run_pass with a one-shot policy that
+draws the outcome by inverse CDF (qudit.draw_outcome), and calls neither
+ProtocolInstance.run nor the splitting engine; it is kept as the independent
+per-shot reference the tests check the engine against.
+
+An attack hook is a tuple of steps (see protocol.Channel); its gates look up
+the qudit gate when called, so a wrapper installed on the gate sees them.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ import numpy as np
 from .errors import ValueOutOfRange
 from .protocol import (
     Channel,
+    Measure,
     ProtocolInstance,
     ProtocolTranscript,
     TRANSMITTED,
@@ -41,7 +46,7 @@ from .protocol import (
     split_shot_series,
     transcript_of,
 )
-from .qudit import QuditState, apply_copy, apply_iqft, measure
+from .qudit import QuditState, apply_copy, apply_iqft, draw_outcome
 
 ADVERSARY_REGISTER = "E"
 
@@ -117,18 +122,21 @@ def run_shot_series(
 ) -> Leaves:
     """Per-shot reference: `shots` runs from one generator seeded once (a
     Generator is drawn from as it is), every pass through run_pass and every
-    outcome drawn by qudit.measure. `per_shot(instance, rng)` may swap in a
+    outcome drawn by qudit.draw_outcome. `per_shot(instance, rng)` may swap in a
     mutated instance (e.g. a forged shadow) before each run, drawing from the
     same generator. Returns one (transcript, 1) leaf per shot."""
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
-    draw = partial(measure, rng=rng)
+
+    def draw(probs, shots):  # the one shot takes one drawn outcome
+        return [(draw_outcome(probs, rng), shots)]
+
     out = []
     for _ in range(shots):
         inst = per_shot(instance, rng) if per_shot is not None else instance
-        passes = [run_pass(inst, channel, "secret", draw)]
+        passes = [p for p, _ in run_pass(inst, channel, "secret", 1, draw)]
         if passes[0].ancilla == 0:
-            passes.append(run_pass(inst, channel, "hash", draw))
+            passes += [p for p, _ in run_pass(inst, channel, "hash", 1, draw)]
         out.append((transcript_of(inst, passes), 1))
     return out
 
@@ -189,30 +197,26 @@ def _chi2_sf(x: float, k: int) -> float:
     return min(1.0, math.fsum([head, *terms]))
 
 
-def _measure_resend_hook(state: QuditState, measure) -> QuditState:
-    """Intercept-resend: measure T in the computational basis at one hop and
-    forward the collapsed state. The outcome is uniform and carries nothing
-    about s1."""
-    return measure(state, TRANSMITTED)
+def _iqft_transmitted(state: QuditState) -> QuditState:
+    return apply_iqft(state, TRANSMITTED)
 
 
-def _fourier_intercept_hook(state: QuditState, measure) -> QuditState:
-    """Fourier intercept: apply the inverse QFT to T before measuring, hoping
-    to undo the reconstructor's transform. Entanglement with H leaves the
-    outcome uniform; the collapsed T no longer matches H, so the later uncopy
-    trips the ancilla check."""
-    return measure(apply_iqft(state, TRANSMITTED), TRANSMITTED)
-
-
-def _entangle_hook(state: QuditState, measure) -> QuditState:
-    """Simplified entangle-measure model: copy T onto a private register at
-    one hop and forward T untouched; _probe_ancilla_hook measures the private
-    register after the reconstructor's uncopy."""
+def _copy_to_adversary(state: QuditState) -> QuditState:
     return apply_copy(state, TRANSMITTED, ADVERSARY_REGISTER)
 
 
-def _probe_ancilla_hook(state: QuditState, measure) -> QuditState:
-    return measure(state, ADVERSARY_REGISTER)
+# Intercept-resend measures T in the computational basis at one hop and
+# forwards the collapsed state; the outcome is uniform and carries nothing
+# about s1. The Fourier intercept applies the inverse QFT to T first, hoping
+# to undo the reconstructor's transform: entanglement with H leaves the
+# outcome uniform, and the collapsed T no longer matches H, so the uncopy
+# trips the ancilla check. The simplified entangle-measure model copies T
+# onto a private register at one hop, forwards T untouched and measures the
+# private register after the reconstructor's uncopy (_probe_ancilla_hook).
+_measure_resend_hook = (Measure(TRANSMITTED),)
+_fourier_intercept_hook = (_iqft_transmitted, Measure(TRANSMITTED))
+_entangle_hook = (_copy_to_adversary,)
+_probe_ancilla_hook = (Measure(ADVERSARY_REGISTER),)
 
 
 def _secret_pass_values(transcript: ProtocolTranscript) -> list[int]:

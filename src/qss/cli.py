@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -249,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # An --out outside any directory fails before the command does work.
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise QssError(f"--out {args.out!r}: its parent is not a directory")
         return args.func(args)
     except (QssError, ValueError, OSError) as exc:  # OSError: --out not writable
         print(f"error: {exc}", file=sys.stderr)

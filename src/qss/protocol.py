@@ -16,21 +16,21 @@ iff both ancilla outcomes were 0 and SHA1(f(0)') mod d equals g(0)'.
 The channel is an in-process token ring: per-hop adversary hooks stand in
 for whatever sits on the (otherwise assumed authenticated) quantum link.
 Hooks may only act on the transmitted register and the optional adversary
-ancilla; H never leaves P1. A hook is called as hook(state, measure) and
-returns the state to forward. measure(state, register) measures one register
-the way the pass resolves its measurements, files {"value": outcome} under
-the pass and hop, and returns the collapsed state; a hook never sees the
-generator itself.
+ancilla; H never leaves P1. A hook is a tuple of steps, gates (state ->
+state) or Measure(register), whose outcome is filed under the pass and hop.
 
-A pass resolves all its measurements through one measurement function
-(run_pass). The library has one engine, split_shot_series, which splits a
-whole shot series across the outcomes; ProtocolInstance.run is its one-shot
-series. adversary.run_shot_series draws each outcome of each shot on its own
-and is kept as the independent reference the tests check the engine against.
+A pass is a list of steps that run_pass walks depth first, once per
+distinct measurement branch: a branch policy splits the shots reaching a
+measurement across its outcomes, and each outcome that got any is walked on
+from the collapsed state. The one engine, split_shot_series, draws one
+multinomial per measurement, and ProtocolInstance.run is its one-shot series;
+adversary.run_shot_series walks each shot on its own by inverse CDF, the
+independent reference the tests check the engine against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import partial
 from typing import Callable, Literal, Mapping, NamedTuple
 
 import numpy as np
@@ -60,10 +60,14 @@ VERDICT_ABORT_ANCILLA = "abort_ancilla"
 VERDICT_ABORT_HASH = "abort_hash"
 
 
-# measure_fn(state, register) -> (outcome, collapsed state): how a pass
-# resolves each of its measurements.
-Measure = Callable[[QuditState, str], tuple[int, QuditState]]
-Hook = Callable[[QuditState, Callable[[QuditState, str], QuditState]], QuditState]
+@dataclass(frozen=True)
+class Measure:
+    """Hook step: measure one register in the computational basis."""
+
+    register: str
+
+
+Step = Callable[[QuditState], QuditState] | Measure
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,17 @@ class Channel:
 
     A ring of t > 1 players has t hops; a lone reconstructor has none. hooks
     maps a 0-based hop index (hop j carries T from position j+1 to position
-    j+2, the last hop returning to P1) to a Hook, called as hook(state,
-    measure). post_uncopy fires after P1's uncopy, just before the ancilla
-    measurement; what it measures is filed with hop None. ancilla_register,
-    when set, adds a third register of the same dimension for the adversary.
+    j+2, the last hop returning to P1) to a tuple of steps run in order.
+    post_uncopy runs after P1's uncopy, just before the ancilla measurement;
+    what it measures is filed with hop None. ancilla_register, when set, adds
+    a third register of the same dimension for the adversary.
+
+    A step cannot see an outcome, so an adaptive hook, one that acts on its
+    own measurement, cannot be written; no attack here needs one.
     """
 
-    hooks: Mapping[int, Hook] = dataclass_field(default_factory=dict)
-    post_uncopy: Hook | None = None
+    hooks: Mapping[int, tuple[Step, ...]] = dataclass_field(default_factory=dict)
+    post_uncopy: tuple[Step, ...] = ()
     ancilla_register: str | None = None
 
 
@@ -238,60 +245,33 @@ def split_shot_series(
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
     recorded = seed if isinstance(seed, int) else None
+    branch = partial(_split, rng)
     # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
     # passes of one shot are independent, so the hash-pass leaves are dealt
     # out to the secret-pass leaves by a uniformly random pairing of their
     # shots: one multivariate hypergeometric draw per secret-pass leaf.
-    secret = _pass_leaves(instance, channel, "secret", shots, rng)
+    secret = run_pass(instance, channel, "secret", shots, branch)
     out = [(transcript_of(instance, [p], recorded), n) for p, n in secret if p.ancilla != 0]
     passed = [(p, n) for p, n in secret if p.ancilla == 0]
     if not passed:
         return out
-    hashed = _pass_leaves(instance, channel, "hash", sum(n for _, n in passed), rng)
-    left = [n for _, n in hashed]
+    hashed = run_pass(instance, channel, "hash", sum(n for _, n in passed), branch)
+    left = np.array([n for _, n in hashed], dtype=np.int64)
     for i, (p, n) in enumerate(passed, 1):
-        dealt = rng.multivariate_hypergeometric(left, n).tolist() if i < len(passed) else left
-        left = [a - b for a, b in zip(left, dealt)]
+        dealt = rng.multivariate_hypergeometric(left, n) if i < len(passed) else left
+        left = left - dealt
         out += [
-            (transcript_of(instance, [p, h], recorded), m) for (h, _), m in zip(hashed, dealt) if m
+            (transcript_of(instance, [p, hashed[j][0]], recorded), int(dealt[j]))
+            for j in dealt.nonzero()[0].tolist()
         ]
     return out
 
 
-def _pass_leaves(
-    instance: ProtocolInstance,
-    channel: Channel,
-    pass_name: PassName,
-    shots: int,
-    rng: np.random.Generator,
-) -> list[tuple[PassResult, int]]:
-    """Walk one pass's measurement tree with `shots` shots. Each measurement
-    splits its shots across the outcomes with one multinomial draw; the pass
-    goes on into the first outcome that got any, and each other such outcome
-    is replayed from the start with the outcomes before it forced, so hooks
-    run unchanged. Returns (pass result, shots) per leaf."""
-    leaves = []
-    pending = [((), shots)]
-    while pending:
-        prefix, count = pending.pop()
-        path: list[int] = []
-
-        def measure_branch(state: QuditState, register: str) -> tuple[int, QuditState]:
-            nonlocal count
-            probs = outcome_probabilities(state, register)
-            if len(path) < len(prefix):
-                value = prefix[len(path)]
-            else:
-                counts = rng.multinomial(count, probs / probs.sum())
-                hit = counts.nonzero()[0].tolist()
-                value, count = hit[0], int(counts[hit[0]])
-                if len(hit) > 1:
-                    pending.extend(((*path, v), int(counts[v])) for v in reversed(hit[1:]))
-            path.append(value)
-            return value, collapse(state, register, value, probs)
-
-        leaves.append((run_pass(instance, channel, pass_name, measure_branch), count))
-    return leaves
+def _split(rng: np.random.Generator, probs: np.ndarray, shots: int) -> list[tuple[int, int]]:
+    """The engine's branch policy: one multinomial draw splits the shots."""
+    counts = rng.multinomial(shots, probs / probs.sum())
+    hit = counts.nonzero()[0]
+    return list(zip(hit.tolist(), counts[hit].tolist()))
 
 
 def transcript_of(
@@ -324,12 +304,17 @@ def transcript_of(
 
 
 def run_pass(
-    instance: ProtocolInstance, channel: Channel, pass_name: PassName, measure_fn: Measure
-) -> PassResult:
-    """One pass of the ring on the secret or hash shadows. Every measurement,
-    the hooks' included, goes through measure_fn(state, register), which
-    picks the outcome: a forced or split outcome in a shot-splitting series,
-    a draw from a generator in the per-shot reference."""
+    instance: ProtocolInstance,
+    channel: Channel,
+    pass_name: PassName,
+    shots: int,
+    branch: Callable[[np.ndarray, int], list[tuple[int, int]]],
+) -> list[tuple[PassResult, int]]:
+    """One pass of the ring on the secret or hash shadows with `shots` shots:
+    the pass's steps walked depth first. At each measurement branch(probs,
+    shots) splits the shots reaching it as [(outcome, shots), ...] in
+    increasing outcome order, and each outcome that got shots is walked in
+    turn. Returns (pass result, shots) per leaf, in walk order."""
     t = instance.t
     hops = t if t > 1 else 0
     stray = [k for k in channel.hooks if k not in range(hops)]
@@ -340,39 +325,40 @@ def run_pass(
         registers = registers + (channel.ancilla_register,)
     layout = RegisterLayout(d=instance.modulus.d, registers=registers)
     shadows = instance.shadows_secret if pass_name == "secret" else instance.shadows_hash
-    events: list[tuple[str, int | None, dict]] = []
 
-    values = dict.fromkeys(registers, 0)
-    values[HOME] = shadows[0]
-    state = basis_state(layout, values)
-    state = apply_qft(state, HOME)
-    state = apply_copy(state, HOME, TRANSMITTED)
-
+    # (hop, step, args) after P1's preparation: a gate runs as step(state,
+    # *args), and hop files a Measure step's outcome.
+    steps: list[tuple[int | None, Step, tuple]] = []
     for hop_index in range(hops):
-        hook = channel.hooks.get(hop_index)
-        if hook is not None:
-            state = hook(state, _context(pass_name, hop_index, measure_fn, events))
+        for step in channel.hooks.get(hop_index, ()):
+            steps.append((hop_index, step, ()))
         if hop_index < t - 1:
-            state = apply_shadow_phase(state, TRANSMITTED, shadows[hop_index + 1])
+            steps.append((hop_index, apply_shadow_phase, (TRANSMITTED, shadows[hop_index + 1])))
+    steps.append((None, apply_copy, (HOME, TRANSMITTED)))
+    steps += [(None, step, ()) for step in channel.post_uncopy]
+    leaves: list[tuple[PassResult, int]] = []
 
-    state = apply_copy(state, HOME, TRANSMITTED)
-    if channel.post_uncopy is not None:
-        state = channel.post_uncopy(state, _context(pass_name, None, measure_fn, events))
+    def walk(start: int, state: QuditState, shots: int, events: tuple) -> None:
+        for i in range(start, len(steps)):
+            hop_index, step, args = steps[i]
+            if not isinstance(step, Measure):
+                state = step(state, *args)
+                continue
+            probs = outcome_probabilities(state, step.register)
+            for value, n in branch(probs, shots):
+                event = (pass_name, hop_index, {"value": value})
+                walk(i + 1, collapse(state, step.register, value, probs), n, (*events, event))
+            return
+        # P1's checks: the ancilla T, then H after the inverse QFT.
+        probs = outcome_probabilities(state, TRANSMITTED)
+        for ancilla, n in branch(probs, shots):
+            if ancilla != 0:
+                leaves.append((PassResult(ancilla, None, events), n))
+                continue
+            home = apply_iqft(collapse(state, TRANSMITTED, 0, probs), HOME)
+            for value, m in branch(outcome_probabilities(home, HOME), n):
+                leaves.append((PassResult(0, value, events), m))
 
-    ancilla, state = measure_fn(state, TRANSMITTED)
-    if ancilla != 0:
-        return PassResult(ancilla, None, tuple(events))
-    value, _ = measure_fn(apply_iqft(state, HOME), HOME)
-    return PassResult(0, value, tuple(events))
-
-
-def _context(pass_name: str, hop_index: int | None, measure_fn: Measure, events: list):
-    """The measure a hook gets: resolve through measure_fn, file the outcome
-    under this pass and hop, return the collapsed state."""
-
-    def measure_and_record(state: QuditState, register: str) -> QuditState:
-        value, state = measure_fn(state, register)
-        events.append((pass_name, hop_index, {"value": value}))
-        return state
-
-    return measure_and_record
+    state = apply_qft(basis_state(layout, {**dict.fromkeys(registers, 0), HOME: shadows[0]}), HOME)
+    walk(0, apply_copy(state, HOME, TRANSMITTED), shots, ())
+    return leaves

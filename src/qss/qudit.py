@@ -16,7 +16,7 @@ amplitude by the phase of its digit, a marginal is a bincount of one digit
 column, and a collapse keeps the entries holding the outcome. A measurement
 is outcome_probabilities (the norm-checked law of one register) followed by
 collapse onto one outcome, which returns the collapsed state; measure draws
-the outcome in between and returns (outcome, collapsed state).
+the outcome in between (draw_outcome) and returns (outcome, collapsed state).
 
 Every seeded output is bit-for-bit what a dense simulation gives: the
 Fourier gates do a dense simulation's arithmetic exactly, and a marginal
@@ -311,19 +311,21 @@ def collapse(state: QuditState, register: str, value: int, probs: np.ndarray) ->
     return _state(state.layout, digits, state.values[hit] / math.sqrt(probs[value]))
 
 
-def measure(
-    state: QuditState, register: str, rng: np.random.Generator
-) -> tuple[int, QuditState]:
-    """Projective measurement of one register in the computational basis:
-    (outcome, collapsed state).
-
-    Samples from the register marginal by inverse CDF, so the outcome is a
-    deterministic function of the rng stream.
-    """
-    probs = outcome_probabilities(state, register)
+def draw_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """One outcome drawn from a law by inverse CDF, so the outcome is a
+    deterministic function of the rng stream."""
     cdf = np.cumsum(probs)
     # Scaling by cdf[-1] absorbs sub-tolerance norm error and guarantees the
     # draw never lands past the last value with positive probability.
     value = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    value = min(value, state.layout.d - 1)
+    return min(value, len(probs) - 1)
+
+
+def measure(
+    state: QuditState, register: str, rng: np.random.Generator
+) -> tuple[int, QuditState]:
+    """Projective measurement of one register in the computational basis,
+    drawn by draw_outcome: (outcome, collapsed state)."""
+    probs = outcome_probabilities(state, register)
+    value = draw_outcome(probs, rng)
     return value, collapse(state, register, value, probs)

@@ -164,7 +164,7 @@ class TestShotSeries:
         def engine(*args, **kwargs):
             raise AssertionError("the per-shot reference used the splitting engine")
 
-        monkeypatch.setattr(qss.protocol, "_pass_leaves", engine)
+        monkeypatch.setattr(qss.protocol, "_split", engine)
         monkeypatch.setattr(qss.protocol, "split_shot_series", engine)
         monkeypatch.setattr("qss.adversary.split_shot_series", engine)
         monkeypatch.setattr(qss.protocol.ProtocolInstance, "run", engine)
@@ -252,8 +252,9 @@ class TestSplitSeriesMatchesPerShot:
 
 
 class TestWorkPerSeries:
-    """A series runs each distinct measurement branch once, so the number of
-    pass executions (one basis_state call each) does not grow with shots."""
+    """A series walks each distinct measurement branch once and never replays
+    a pass, so each pass builds its state once (one basis_state call) however
+    many shots and branches it has."""
 
     @staticmethod
     def passes(monkeypatch, action):
@@ -287,8 +288,8 @@ class TestWorkPerSeries:
 
         thousand = self.passes(monkeypatch, series(10**3))
         million = self.passes(monkeypatch, series(10**6))
-        # five intercepted values times five H outcomes, in each pass
-        assert thousand == million == 50
+        # five intercepted values times five H outcomes share one state per pass
+        assert thousand == million == 2
 
     def test_one_shot_follows_one_path(self, monkeypatch):
         channel = Channel(

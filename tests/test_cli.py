@@ -87,6 +87,24 @@ class TestRun:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and "missing" in err
 
+    def test_out_checked_before_any_work(self, capsys, tmp_path, monkeypatch):
+        # A parent that is missing or is a file fails before the series runs,
+        # and nothing is created.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(qss.cli, "split_shot_series", no_work)
+        (tmp_path / "file").write_text("")
+        for parent in ("missing", "file"):
+            path = str(tmp_path / parent / "x.json")
+            code, out, err = run_cli(
+                capsys, "simulate", "--n", "4", "--t", "2", "--d", "7", "--shots", "4",
+                "--out", path,
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and parent in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "tr.json"
         run_cli(capsys, "run", "--n", "4", "--t", "2", "--secret", "1", "--out", str(path))

@@ -24,6 +24,9 @@ GOLDEN = [
     ("attack --attack forgery --n 5 --t 4 --d 31 --shots 5000 --seed 7 --player 3", 0, "cc768f858b836cd0f3f67cc56f4ff7a2085df9eb4085a7c1286e21a822e6543b"),
     ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 3000 --seed 1 --hypotheses 1 5", 0, "250f0e5c8102ecbd7c6cb2ebd1e02da7f424937e8905c099eead739a164990c9"),
     ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 2000 --seed 2 --player 3 --escalate --hypotheses 0 3", 0, "fb5e8552eb180a9fddedff5ec911fdfa3ee19964db28759b878c448e01398e8f"),
+    # Series with many measurement branches (d = 31).
+    ("attack --attack entangle_measure --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "47ec30f937b16a6745a020a50111bb7178f49b4b63207c2470f28fb86c18ac48"),
+    ("attack --attack intercept_iqft --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "b8c849950650a14e0ab07ea5f0fdd47991b36933e1aba4dd8119427ae6e34156"),
 ]
 
 

@@ -12,6 +12,7 @@ from qss.errors import InconsistentPackets, InvalidThreshold, ValueOutOfRange
 from qss.field import PrimeModulus, interpolate_at_zero, shadow
 from qss.protocol import (
     Channel,
+    Measure,
     ProtocolInstance,
     instance_from_deal,
     instance_from_players,
@@ -235,9 +236,7 @@ class TestValidation:
 
     def test_channel_hop_count_checked(self):
         # A t=3 ring has hops 0..2; a lone reconstructor has none.
-        def noop(state, measure):
-            return state
-
+        noop = ()
         inst = instance_from_players(build_players(4, 3, 1, seed=1))
         inst.run(channel=Channel(hooks={2: noop}), seed=0)
         for key in (3, -1):
@@ -284,13 +283,13 @@ class TestTranscript:
         # to cancel, so the pass-1 ancilla check must fire and end the run.
         from qss.qudit import QuditState
 
-        def shift_t(state, measure):
+        def shift_t(state):
             d = state.layout.d
             rolled = np.roll(state.amplitudes.reshape(d, d), 1, axis=1)
             return QuditState(state.layout, rolled.reshape(-1))
 
         players = build_players(4, 2, 1, seed=2, d_override=5)
-        channel = Channel(hooks={0: shift_t})
+        channel = Channel(hooks={0: (shift_t,)})
         tr = instance_from_players(players).run(channel=channel, seed=9)
         assert tr.verdict == "abort_ancilla"
         assert len(tr.ancilla) == 1 and tr.ancilla[0] != 0
@@ -300,12 +299,9 @@ class TestTranscript:
 class TestHookPlumbing:
     def test_hooks_fire_once_per_pass_in_order(self):
         players = build_players(4, 3, 1, seed=3)
-
-        def spy(state, measure):
-            # A computational-basis intercept leaves the ancilla at 0, so
-            # both passes run.
-            return measure(state, "T")
-
+        # A computational-basis intercept leaves the ancilla at 0, so both
+        # passes run.
+        spy = (Measure("T"),)
         channel = Channel(hooks={0: spy, 2: spy})
         tr = instance_from_players(players).run(channel=channel, seed=0)
         assert [e[:2] for e in tr.hook_events] == [
@@ -316,11 +312,11 @@ class TestHookPlumbing:
         players = build_players(4, 3, 1, seed=3, d_override=5)
         returned = []
 
-        def probe(state, measure):
-            out = measure(state, "T")
-            returned.append(out)
-            return out
+        def record(state):
+            returned.append(state)
+            return state
 
+        probe = (Measure("T"), record)
         for seed in range(6):
             returned.clear()
             tr = instance_from_players(players).run(channel=Channel(hooks={1: probe}), seed=seed)
@@ -334,10 +330,6 @@ class TestHookPlumbing:
 
     def test_hook_events_not_serialized(self):
         players = build_players(4, 3, 1, seed=3)
-
-        def spy(state, measure):
-            return measure(state, "T")
-
-        channel = Channel(hooks={0: spy})
+        channel = Channel(hooks={0: (Measure("T"),)})
         tr = instance_from_players(players).run(channel=channel, seed=0)
         assert "hook_events" not in tr.to_json()

@@ -560,7 +560,7 @@ class TestStateGolden:
         "attack --attack intercept_iqft --n 4 --t 3 --d 61 --shots 200 --seed 5 --hop 1",
         "attack --attack entangle_measure --n 4 --t 3 --d 43 --shots 30 --seed 2 --hypotheses 2 4",
     ]
-    DIGEST = "6da02860acf536878b693e1619033e4cd24bdcffb45d430f1756416a0fef74fe"
+    DIGEST = "c059bba07e23596b87afd5b60779b9aefd351ebb5765ce8d77772dd988250711"
     NAMES = (
         "basis_state", "apply_qft", "apply_iqft", "apply_copy", "apply_shadow_phase",
         "outcome_probabilities", "collapse",
