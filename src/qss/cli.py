@@ -26,6 +26,8 @@ from .qudit import RegisterLayout
 
 PRESET_PLAYERS = (3, 4, 15)
 MAX_PRESET_QUBITS = 3
+# A sweep holds about 1.1 kB per cell (cell, seed and row): 2**20 cells is 1 GB.
+MAX_SWEEP_CELLS = 2**20
 
 
 def resolve_preset(n: int, c: int) -> tuple[int, int, bool]:
@@ -130,7 +132,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def _sweep_cells(d_max: int, t_max: int, n_max: int) -> list[tuple[int, int, int]]:
     """The (d, t, n) cells of a sweep, prime d up to d_max and t <= n < d, in
-    output order; work grows with the cells listed, not with the bounds."""
+    output order; work grows with the cells listed, not with the bounds, and
+    more than MAX_SWEEP_CELLS are refused before any is listed."""
     if t_max < 1 or n_max < 1:
         return []
     # Every prime d has the cell (d, 1, 1), so the largest modulus is the
@@ -140,6 +143,10 @@ def _sweep_cells(d_max: int, t_max: int, n_max: int) -> list[tuple[int, int, int
         return []
     RegisterLayout(d=top, registers=(HOME, TRANSMITTED))
     primes = [p for p in range(2, top) if is_prime(p)] + [top]
+    # Cell (d, t, n) has t <= n < d, so the cells of (d, t) number min(n_max + 1, d) - t.
+    count = sum(max(0, min(n_max + 1, d) - t) for d in primes for t in range(1, min(t_max + 1, d)))
+    if count > MAX_SWEEP_CELLS:
+        raise QssError(f"sweep has {count} cells, above the cap of {MAX_SWEEP_CELLS}")
     return [
         (d, t, n)
         for d in primes

@@ -2,21 +2,23 @@
 
 A state is the list of basis states where its amplitude is not exactly zero:
 one integer digit column per register, in layout order, and the complex
-amplitude at each of those points. The dense vector, built only on request
-(.amplitudes), follows one convention: the register listed first in the
-layout is the most significant base-d digit, so for registers (H, T) the
-basis state |h>|t> sits at flat index h*d + t.
+amplitude at each of those points, as QuditState(layout, digits, values).
+The dense vector, read by QuditState.from_amplitudes and built only on
+request (.amplitudes), puts the register listed first in the layout at the
+most significant base-d digit: for registers (H, T), |h>|t> sits at h*d + t.
 
 Gates are pure functions returning new states and cost O(support); none
 builds a d**k array except the Fourier gates below d = _FFT_MIN_D (41), whose
-dense scratch array has at most 40**3 entries. Each gate re-checks the 2-norm
-of the support and raises NotNormalized if it drifted beyond 1e-9. The copy
-gate remaps the target's digit column, the shadow phase multiplies each
-amplitude by the phase of its digit, a marginal is a bincount of one digit
-column, and a collapse keeps the entries holding the outcome. A measurement
-is outcome_probabilities (the norm-checked law of one register) followed by
-collapse onto one outcome, which returns the collapsed state; measure draws
-the outcome in between (draw_outcome) and returns (outcome, collapsed state).
+dense scratch array has at most 40**3 entries. Only the Fourier gates grow a
+support, and below 41 the scratch array bounds it, so only the FFT path
+checks MAX_SUPPORT. Each gate re-checks the 2-norm of the support and raises
+NotNormalized if it drifted beyond 1e-9. The copy gate remaps the target's
+digit column, the shadow phase multiplies each amplitude by the phase of its
+digit, a marginal is a bincount of one digit column, and a collapse keeps
+the entries holding the outcome. A measurement is outcome_probabilities (the
+norm-checked law of one register) followed by collapse onto one outcome,
+which returns the collapsed state; measure draws the outcome in between
+(draw_outcome) and returns (outcome, collapsed state).
 
 Every seeded output is bit-for-bit what a dense simulation gives: the
 Fourier gates do a dense simulation's arithmetic exactly, and a marginal
@@ -49,11 +51,9 @@ from .errors import (
 
 _GATE_NORM_TOL = 1e-9
 _MEASURE_NORM_TOL = 1e-6
-# Largest layout, in amplitudes, that may be asked for: 2**24 complex
-# amplitudes is the 256 MB dense view (.amplitudes) and bounds the largest
-# support any state can reach. The gates themselves no longer allocate d**k,
-# but the cap and its exit code (2, before any state is built) are kept.
-MAX_AMPLITUDES = 2**24
+# Largest support a gate may build (2**24 complex128 is 256 MB): a Fourier gate
+# whose output could hold more raises ValueOutOfRange before it allocates it.
+MAX_SUPPORT = 2**24
 # Smallest register dimension whose QFT and inverse QFT run as an FFT; below
 # it they are a product with a cached dense d x d matrix. Warm per-call cost
 # of a QFT on a two-register state (2-vCPU Xeon, BLAS on one thread) crosses
@@ -77,22 +77,14 @@ class RegisterLayout:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueOutOfRange("register dimension must be at least 2")
+        # Dealing is O(t**2) with t < d (1.5 s at t = 1000, d = 1009), and
+        # _phase_column caches up to 256 columns of d amplitudes: the cap bounds both.
         if self.d > 1024:
             raise ValueOutOfRange("register dimension capped at 1024")
         if not 1 <= len(self.registers) <= 3:
             raise ValueOutOfRange("layout supports 1 to 3 registers")
         if len(set(self.registers)) != len(self.registers):
             raise ValueOutOfRange("register labels must be unique")
-        if self.d ** len(self.registers) > MAX_AMPLITUDES:
-            raise ValueOutOfRange(
-                f"{len(self.registers)} registers of dimension {self.d} need "
-                f"{self.d ** len(self.registers)} amplitudes, above the budget of {MAX_AMPLITUDES}"
-            )
-
-    @property
-    def qubits_per_register(self) -> int:
-        """c = ceil(log2 d), the width of the equivalent qubit register."""
-        return (self.d - 1).bit_length()
 
     def axis(self, register: str) -> int:
         try:
@@ -106,22 +98,27 @@ class QuditState:
     register i's value at support point j, values[j] its amplitude, which is
     never exactly 0. Every basis state not listed has amplitude exactly 0.
 
-    QuditState(layout, amplitudes) builds one from a dense vector of length
-    d**k; .amplitudes gives the dense vector back."""
+    QuditState(layout, digits, values) stores its arguments as given.
+    QuditState.from_amplitudes(layout, amplitudes) builds one from a dense
+    vector of length d**k; .amplitudes gives the dense vector back."""
 
     __slots__ = ("layout", "digits", "values")
 
-    def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
+    def __init__(self, layout: RegisterLayout, digits: tuple, values: np.ndarray):
+        self.layout = layout
+        self.digits = digits
+        self.values = values
+
+    @classmethod
+    def from_amplitudes(cls, layout: RegisterLayout, amplitudes: np.ndarray) -> QuditState:
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-        expected = layout.d ** len(layout.registers)
-        if amplitudes.shape != (expected,):
+        shape = (layout.d,) * len(layout.registers)
+        if amplitudes.shape != (math.prod(shape),):
             raise ValueOutOfRange(
-                f"amplitude vector must have length {expected}, got {amplitudes.shape}"
+                f"amplitude vector must have length {math.prod(shape)}, got {amplitudes.shape}"
             )
         flat = np.flatnonzero(amplitudes)
-        self.layout = layout
-        self.digits = np.unravel_index(flat, (layout.d,) * len(layout.registers))
-        self.values = amplitudes[flat]
+        return cls(layout, np.unravel_index(flat, shape), amplitudes[flat])
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -149,15 +146,6 @@ class QuditState:
         )
 
 
-def _state(layout: RegisterLayout, digits: tuple, values: np.ndarray) -> QuditState:
-    """A state straight from its support."""
-    state = object.__new__(QuditState)
-    state.layout = layout
-    state.digits = digits
-    state.values = values
-    return state
-
-
 def basis_state(layout: RegisterLayout, values: dict[str, int]) -> QuditState:
     """Computational basis state with the given value per register."""
     if set(values) != set(layout.registers):
@@ -168,7 +156,7 @@ def basis_state(layout: RegisterLayout, values: dict[str, int]) -> QuditState:
         if not 0 <= v < layout.d:
             raise ValueOutOfRange(f"value {v} for register {label!r} not in [0, {layout.d})")
     digits = tuple([np.array([values[label]], dtype=np.intp) for label in layout.registers])
-    return _state(layout, digits, np.array([1.0 + 0j]))
+    return QuditState(layout, digits, np.array([1.0 + 0j]))
 
 
 @lru_cache(maxsize=1)
@@ -235,6 +223,8 @@ def _apply_fourier(state: QuditState, register: str, inverse: bool) -> QuditStat
         shape = (d,) * len(others)
         key = np.ravel_multi_index(others, shape) if others else np.zeros_like(digits[axis])
         keys, fiber = np.unique(key, return_inverse=True)
+        if len(keys) * d > MAX_SUPPORT:
+            raise ValueOutOfRange(f"{len(keys) * d} entries exceed the support budget {MAX_SUPPORT}")
         fibers = np.zeros((len(keys), d), dtype=np.complex128)
         fibers[fiber, digits[axis]] = state.values
         transform = np.fft.fft if inverse else np.fft.ifft
@@ -244,7 +234,7 @@ def _apply_fourier(state: QuditState, register: str, inverse: bool) -> QuditStat
         rest = list(np.unravel_index(keys[rows], shape)) if others else []
         digits = tuple(rest[:axis] + [column] + rest[axis:])
     _check_norm(values, _GATE_NORM_TOL)
-    return _state(layout, digits, values)
+    return QuditState(layout, digits, values)
 
 
 def apply_qft(state: QuditState, register: str) -> QuditState:
@@ -276,7 +266,7 @@ def apply_copy(state: QuditState, control: str, target: str) -> QuditState:
     digits = list(state.digits)
     digits[t_axis] = np.where(x < layout.d, x, t)
     _check_norm(state.values, _GATE_NORM_TOL)
-    return _state(layout, tuple(digits), state.values)
+    return QuditState(layout, tuple(digits), state.values)
 
 
 def apply_shadow_phase(state: QuditState, register: str, shadow: int) -> QuditState:
@@ -292,7 +282,7 @@ def apply_shadow_phase(state: QuditState, register: str, shadow: int) -> QuditSt
         raise ValueOutOfRange(f"shadow {shadow} not in [0, {d})")
     values = state.values * _phase_column(d, shadow)[state.digits[layout.axis(register)]]
     _check_norm(values, _GATE_NORM_TOL)
-    return _state(layout, state.digits, values)
+    return QuditState(layout, state.digits, values)
 
 
 def outcome_probabilities(state: QuditState, register: str) -> np.ndarray:
@@ -308,7 +298,7 @@ def collapse(state: QuditState, register: str, value: int, probs: np.ndarray) ->
     outcome_probabilities)."""
     hit = state.digits[state.layout.axis(register)] == value
     digits = tuple([column[hit] for column in state.digits])
-    return _state(state.layout, digits, state.values[hit] / math.sqrt(probs[value]))
+    return QuditState(state.layout, digits, state.values[hit] / math.sqrt(probs[value]))
 
 
 def draw_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:

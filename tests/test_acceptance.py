@@ -132,7 +132,7 @@ def test_criterion_3_qft_round_trip():
         lay = RegisterLayout(d=d, registers=("H", "T"))
         for _ in range(100):
             amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-            psi = QuditState(lay, amps / np.linalg.norm(amps))
+            psi = QuditState.from_amplitudes(lay, amps / np.linalg.norm(amps))
             back = apply_iqft(apply_qft(psi, "H"), "H")
             worst_rt = max(worst_rt, float(np.linalg.norm(back.amplitudes - psi.amplitudes)))
             for gate in (

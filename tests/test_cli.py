@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,8 @@ import qss.cli
 import qss.protocol
 from qss.cli import main, resolve_preset
 from qss.dealer import deal
-from qss.errors import PresetInfeasible, ValueOutOfRange
+from qss.errors import PresetInfeasible
 from qss.protocol import instance_from_deal
-from qss.qudit import RegisterLayout
 
 
 def run_cli(capsys, *argv):
@@ -262,17 +262,25 @@ class TestAttack:
             assert exc.value.code == 2
             assert "--format" in capsys.readouterr().err
 
-    def test_oversized_ancilla_layout_exits_2(self, capsys):
-        # Checked at the layout level first: without the amplitude budget the
-        # call below would allocate a 1009**3 state, about 16 GB.
-        with pytest.raises(ValueOutOfRange):
-            RegisterLayout(d=1009, registers=("H", "T", "E"))
-        code, out, err = run_cli(
+    def test_entangle_measure_at_d1009(self, capsys, monkeypatch):
+        # choose_modulus(1000) = 1009. The three registers hold their
+        # support, about d**2 entries at most here, never a 1009**3 state.
+        moduli = []
+
+        def record(config):
+            instance = instance_from_deal(config)
+            moduli.append(instance.modulus.d)
+            return instance
+
+        monkeypatch.setattr(qss.cli, "instance_from_deal", record)
+        code, out, _ = run_cli(
             capsys, "attack", "--attack", "entangle_measure", "--n", "1000", "--t", "2",
-            "--shots", "1",
+            "--shots", "64", "--seed", "1",
         )
-        assert code == 2 and out == ""
-        assert "budget" in err
+        assert code == 0 and moduli == [1009]
+        report = json.loads(out)["report"]
+        assert report["kind"] == "entangle_measure"
+        assert sum(report["outcome_histogram"].values()) == 64
 
 
 class TestSweep:
@@ -325,6 +333,37 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err == "error: register dimension capped at 1024\n"
         assert len(calls) <= 200
+
+    def test_cell_cap_checked_before_any_cell(self, capsys, monkeypatch):
+        def no_cell(config):
+            raise AssertionError("ran a cell above the cell cap")
+
+        # Primes 2, 3, 5 and 7 give 1 + 3 + 9 + 9 = 22 cells.
+        argv = ("sweep", "--d-max", "7", "--t-max", "3", "--n-max", "4")
+        monkeypatch.setattr(qss.cli, "MAX_SWEEP_CELLS", 21)
+        monkeypatch.setattr(qss.cli, "instance_from_deal", no_cell)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: sweep has 22 cells, above the cap of 21\n"
+        monkeypatch.setattr(qss.cli, "MAX_SWEEP_CELLS", 22)
+        monkeypatch.setattr(qss.cli, "instance_from_deal", instance_from_deal)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.count("\n") == 1 + 22
+
+    def test_largest_sweep_refused_before_listing_cells(self, capsys):
+        # About 26.7M cells, which would need about 12 GB before the first
+        # ran; the count is taken from the primes alone.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "sweep", "--d-max", "1021", "--t-max", "1020", "--n-max", "1020"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "26695121 cells" in err
+        assert peak < 16 * 2**20
 
     def test_cell_loops_stop_below_d(self, capsys):
         # t and n never reach d, so bounds past d - 1 list the same cells.

@@ -286,7 +286,7 @@ class TestTranscript:
         def shift_t(state):
             d = state.layout.d
             rolled = np.roll(state.amplitudes.reshape(d, d), 1, axis=1)
-            return QuditState(state.layout, rolled.reshape(-1))
+            return QuditState.from_amplitudes(state.layout, rolled.reshape(-1))
 
         players = build_players(4, 2, 1, seed=2, d_override=5)
         channel = Channel(hooks={0: (shift_t,)})

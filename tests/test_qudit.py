@@ -18,7 +18,6 @@ from qss.errors import (
     ValueOutOfRange,
 )
 from qss.qudit import (
-    MAX_AMPLITUDES,
     RegisterLayout,
     QuditState,
     apply_copy,
@@ -42,16 +41,10 @@ def layout(d, *regs):
 def random_state(lay, rng):
     n = lay.d ** len(lay.registers)
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return QuditState(lay, amps / np.linalg.norm(amps))
+    return QuditState.from_amplitudes(lay, amps / np.linalg.norm(amps))
 
 
 class TestLayout:
-    def test_qubit_width(self):
-        assert layout(2).qubits_per_register == 1
-        assert layout(3).qubits_per_register == 2
-        assert layout(5).qubits_per_register == 3
-        assert layout(8).qubits_per_register == 3
-
     def test_limits(self):
         with pytest.raises(ValueOutOfRange):
             RegisterLayout(d=1, registers=("H",))
@@ -64,15 +57,11 @@ class TestLayout:
         with pytest.raises(UnknownRegister):
             layout(3, "H", "T").axis("E")
 
-    def test_amplitude_budget(self):
-        # The largest layouts in use fit: three registers at d=127 and two
-        # at the d cap of 1024.
-        assert 127**3 <= MAX_AMPLITUDES and 1024**2 <= MAX_AMPLITUDES
-        RegisterLayout(d=127, registers=("H", "T", "E"))
-        RegisterLayout(d=1024, registers=("H", "T"))
-        # choose_modulus(1000) = 1009: a 1009**3 state would be about 16 GB.
-        with pytest.raises(ValueOutOfRange, match="budget"):
-            RegisterLayout(d=1009, registers=("H", "T", "E"))
+    def test_three_registers_up_to_the_d_cap(self):
+        # A layout allocates nothing, so it has no size budget: the support
+        # budget is checked by the gate that grows a support (TestMemory).
+        RegisterLayout(d=1009, registers=("H", "T", "E"))
+        RegisterLayout(d=1024, registers=("H", "T", "E"))
 
 
 class TestBasisState:
@@ -152,7 +141,7 @@ class TestReferenceOperators:
     @staticmethod
     def full_matrix(lay, gate):
         eye = np.eye(lay.d ** len(lay.registers))
-        columns = [gate(QuditState(lay, column)).amplitudes for column in eye]
+        columns = [gate(QuditState.from_amplitudes(lay, column)).amplitudes for column in eye]
         return np.stack(columns, axis=1)
 
     # From d = 41 the QFT runs as an FFT; a 41**3 kron is out of reach, so
@@ -217,7 +206,7 @@ class TestFftPath:
             subscripts = f"y{letters[axis]},{letters}->{letters.replace(letters[axis], 'y')}"
             for keep in patterns:
                 amps = random_state(lay, rng).amplitudes.reshape((d,) * k) * keep
-                psi = QuditState(lay, (amps / np.linalg.norm(amps)).reshape(-1))
+                psi = QuditState.from_amplitudes(lay, (amps / np.linalg.norm(amps)).reshape(-1))
                 amps = psi.amplitudes.reshape((d,) * k)
                 for gate, single in ((apply_qft, qft), (apply_iqft, qft.conj().T)):
                     got = gate(psi, register).amplitudes.reshape((d,) * k)
@@ -387,7 +376,7 @@ class TestMeasure:
 
     def test_unnormalized_rejected(self):
         lay = layout(2)
-        bad = QuditState(lay, np.array([1.0, 1.0]))
+        bad = QuditState.from_amplitudes(lay, np.array([1.0, 1.0]))
         with pytest.raises(NotNormalized):
             measure(bad, "H", np.random.default_rng(0))
 
@@ -466,7 +455,7 @@ class TestSupport:
         lay = layout(5, "H", "T")
         amps = np.zeros(25, dtype=complex)
         amps[[3, 7, 24]] = [0.6, 1e-300j, 0.8]
-        psi = QuditState(lay, amps)
+        psi = QuditState.from_amplitudes(lay, amps)
         assert len(psi.values) == 3
         assert np.array_equal(psi.amplitudes, amps)
         assert [tuple(map(int, c)) for c in psi.digits] == [(0, 1, 4), (3, 2, 4)]
@@ -630,3 +619,33 @@ class TestMemory:
         )
         spec = AttackSpec(kind="entangle_measure", shots=1, seed=0, hypotheses=(1, 3))
         assert self.traced_peak(lambda: run_attack(instance, spec)) < self.LIMIT
+
+    def test_support_budget_checked_where_support_grows(self):
+        # At d = 257 the first inverse QFT spreads T over 257**2 entries; the
+        # second would transform those 257**2 fibers into 257**3 > MAX_SUPPORT
+        # entries (about 270 MB) and is refused before it allocates them.
+        calls = []
+
+        def copy_t_to_e(state):
+            calls.append("copy")
+            return apply_copy(state, "T", "E")
+
+        def iqft_t(state):
+            calls.append("iqft T")
+            return apply_iqft(state, "T")
+
+        def iqft_e(state):
+            calls.append("iqft E")
+            return apply_iqft(state, "E")
+
+        instance = protocol.instance_from_shadows(257, (3, 5))
+        channel = protocol.Channel(
+            hooks={0: (copy_t_to_e, iqft_t, iqft_e)}, ancilla_register="E"
+        )
+
+        def refused():
+            with pytest.raises(ValueOutOfRange, match="support budget"):
+                instance.run(channel=channel, seed=1)
+
+        assert self.traced_peak(refused) < 32 * 2**20
+        assert calls == ["copy", "iqft T", "iqft E"] * 2
