@@ -74,7 +74,11 @@ def resolve_modulus(config: DealerConfig) -> PrimeModulus:
 def deal(config: DealerConfig) -> list[SharePacket]:
     """Draw both polynomials from the seeded rng and evaluate at x = 1..n;
     packet i - 1 is player i's, and every packet carries the modulus."""
-    modulus = resolve_modulus(config)
+    return _deal(config, resolve_modulus(config), config.n)
+
+
+def _deal(config: DealerConfig, modulus: PrimeModulus, count: int) -> list[SharePacket]:
+    """deal over an already resolved modulus, for players 1..count only."""
     if not 0 <= config.secret < modulus.d:
         raise SecretOutOfRange(f"secret {config.secret} not in [0, {modulus.d})")
 
@@ -88,7 +92,7 @@ def deal(config: DealerConfig) -> list[SharePacket]:
             f_share=eval_poly(f, i, modulus),
             g_share=eval_poly(g, i, modulus),
         )
-        for i in range(1, config.n + 1)
+        for i in range(1, count + 1)
     ]
 
 

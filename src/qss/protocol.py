@@ -35,7 +35,7 @@ from typing import Callable, Literal, Mapping, NamedTuple
 
 import numpy as np
 
-from .dealer import DealerConfig, SharePacket, deal, hash_to_field, resolve_modulus
+from .dealer import DealerConfig, SharePacket, _deal, hash_to_field, resolve_modulus
 from .errors import InconsistentPackets, ValueOutOfRange
 from .field import PrimeModulus, lagrange_coeff
 from .qudit import (
@@ -191,9 +191,9 @@ def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:
 def instance_from_deal(config: DealerConfig) -> ProtocolInstance:
     """Check t and the register cap, then deal P1..Pt only (with d fixed,
     their packets do not depend on n) and assemble them."""
-    d = resolve_modulus(config).d
-    RegisterLayout(d=d, registers=(HOME, TRANSMITTED))
-    return instance_from_players(deal(replace(config, n=config.t, d_override=d)))
+    modulus = resolve_modulus(config)
+    RegisterLayout(d=modulus.d, registers=(HOME, TRANSMITTED))
+    return instance_from_players(_deal(config, modulus, config.t))
 
 
 def instance_from_shadows(
@@ -337,28 +337,37 @@ def run_pass(
     steps.append((None, apply_copy, (HOME, TRANSMITTED)))
     steps += [(None, step, ()) for step in channel.post_uncopy]
     leaves: list[tuple[PassResult, int]] = []
-
-    def walk(start: int, state: QuditState, shots: int, events: tuple) -> None:
+    # Branches still to walk, as (first step, state, collapse args, shots,
+    # events): a branch's state is collapsed only when it is popped, and a
+    # measurement pushes its outcomes in reverse, so the walk keeps the
+    # depth-first order without recursing once per Measure step.
+    state = apply_qft(basis_state(layout, {**dict.fromkeys(registers, 0), HOME: shadows[0]}), HOME)
+    stack = [(0, apply_copy(state, HOME, TRANSMITTED), None, shots, ())]
+    while stack:
+        start, state, collapsed, shots, events = stack.pop()
+        if collapsed is not None:
+            state = collapse(state, *collapsed)
         for i in range(start, len(steps)):
             hop_index, step, args = steps[i]
             if not isinstance(step, Measure):
                 state = step(state, *args)
                 continue
             probs = outcome_probabilities(state, step.register)
-            for value, n in branch(probs, shots):
-                event = (pass_name, hop_index, {"value": value})
-                walk(i + 1, collapse(state, step.register, value, probs), n, (*events, event))
-            return
-        # P1's checks: the ancilla T, then H after the inverse QFT.
-        probs = outcome_probabilities(state, TRANSMITTED)
-        for ancilla, n in branch(probs, shots):
-            if ancilla != 0:
-                leaves.append((PassResult(ancilla, None, events), n))
-                continue
-            home = apply_iqft(collapse(state, TRANSMITTED, 0, probs), HOME)
-            for value, m in branch(outcome_probabilities(home, HOME), n):
-                leaves.append((PassResult(0, value, events), m))
-
-    state = apply_qft(basis_state(layout, {**dict.fromkeys(registers, 0), HOME: shadows[0]}), HOME)
-    walk(0, apply_copy(state, HOME, TRANSMITTED), shots, ())
+            children = [
+                (i + 1, state, (step.register, value, probs), n,
+                 (*events, (pass_name, hop_index, {"value": value})))
+                for value, n in branch(probs, shots)
+            ]
+            stack += reversed(children)
+            break
+        else:
+            # P1's checks: the ancilla T, then H after the inverse QFT.
+            probs = outcome_probabilities(state, TRANSMITTED)
+            for ancilla, n in branch(probs, shots):
+                if ancilla != 0:
+                    leaves.append((PassResult(ancilla, None, events), n))
+                    continue
+                home = apply_iqft(collapse(state, TRANSMITTED, 0, probs), HOME)
+                for value, m in branch(outcome_probabilities(home, HOME), n):
+                    leaves.append((PassResult(0, value, events), m))
     return leaves

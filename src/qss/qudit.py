@@ -9,9 +9,9 @@ most significant base-d digit: for registers (H, T), |h>|t> sits at h*d + t.
 
 Gates are pure functions returning new states and cost O(support); none
 builds a d**k array except the Fourier gates below d = _FFT_MIN_D (41), whose
-dense scratch array has at most 40**3 entries. Only the Fourier gates grow a
-support, and below 41 the scratch array bounds it, so only the FFT path
-checks MAX_SUPPORT. Each gate re-checks the 2-norm of the support and raises
+dense view has at most 40**3 entries. Only the Fourier gates grow a support,
+and below 41 the dense view bounds it, so only the FFT path checks
+MAX_SUPPORT. Each gate re-checks the 2-norm of the support and raises
 NotNormalized if it drifted beyond 1e-9. The copy gate remaps the target's
 digit column, the shadow phase multiplies each amplitude by the phase of its
 digit, a marginal is a bincount of one digit column, and a collapse keeps
@@ -23,16 +23,15 @@ which returns the collapsed state; measure draws the outcome in between
 Every seeded output is bit-for-bit what a dense simulation gives: the
 Fourier gates do a dense simulation's arithmetic exactly, and a marginal
 adds in the dense reduction's order (see QuditState.marginal). Below 41 the
-support is scattered into a dense scratch array and multiplied by the
-cached d x d matrix; from 41 up the register's nonzero fibers are gathered,
-in the order of the other registers' digits, and run through one numpy FFT
-call. Either way only exact zeros are dropped from the result: round-off
-amplitudes (about 1e-17 on outcomes that should be impossible) stay, since a
-probability of exactly 0 draws no random number in numpy's binomial and
-would shift every later draw. The only tables are the QFT matrices and the
-digit columns of the dense path below 41, and the phase rows, all cached by
-dimension; callers work at one d at a time, so each table below 41 keeps
-one entry.
+dense view (.amplitudes) is multiplied by the cached d x d QFT matrix, or by
+its conjugate, and read back by from_amplitudes; from 41 up the register's
+nonzero fibers are gathered, in the order of the other registers' digits,
+and run through one numpy FFT call. Either way only exact zeros are dropped
+from the result: round-off amplitudes (about 1e-17 on outcomes that should
+be impossible) stay, since a probability of exactly 0 draws no random number
+in numpy's binomial and would shift every later draw. The only tables are
+the QFT matrix below 41 and the phase rows, both cached by dimension;
+callers work at one d at a time, so the QFT table keeps one entry.
 """
 from __future__ import annotations
 
@@ -167,23 +166,6 @@ def _qft_matrix(d: int) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=1)
-def _iqft_matrix(d: int) -> np.ndarray:
-    m = _qft_matrix(d).conj()
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=1)
-def _basis_digits(d: int, k: int) -> tuple:
-    """The k digit columns of every flat index of a d**k vector, for the
-    dense Fourier path below _FFT_MIN_D (at most 3 x 40**3 entries)."""
-    columns = tuple(np.indices((d,) * k).reshape(k, -1))
-    for column in columns:
-        column.setflags(write=False)
-    return columns
-
-
 @lru_cache(maxsize=256)
 def _phase_column(d: int, shadow_value: int) -> np.ndarray:
     """exp(2 pi i * s * value / d) for value in [0, d), shape (d,): indexed by
@@ -203,22 +185,18 @@ def _apply_fourier(state: QuditState, register: str, inverse: bool) -> QuditStat
     layout = state.layout
     d = layout.d
     axis = layout.axis(register)
-    digits = state.digits
     if d < _FFT_MIN_D:
-        # The dense product, on a scratch array of at most 40**3 entries.
-        scratch = np.zeros((d,) * len(digits), dtype=np.complex128)
-        scratch[digits] = state.values
-        view = scratch.reshape(d**axis, d, -1)
-        out = ((_iqft_matrix if inverse else _qft_matrix)(d) @ view).reshape(-1)
-        flat = out.nonzero()[0]
-        values = out[flat]
-        digits = tuple([column[flat] for column in _basis_digits(d, len(digits))])
+        # The dense product, on the dense view of at most 40**3 entries.
+        m = _qft_matrix(d).conj() if inverse else _qft_matrix(d)
+        out = m @ state.amplitudes.reshape(d**axis, d, -1)
+        result = QuditState.from_amplitudes(layout, out.reshape(-1))
     else:
         # A fiber is the register's d amplitudes with the other registers
         # held fixed. The gate maps a zero fiber to zero, so only nonzero
         # fibers are transformed, in one batch ordered by the flat index of
         # the other registers' digits. numpy's ifft has the QFT's sign;
         # np.fft is reached here because `import numpy` does not load it.
+        digits = state.digits
         others = [column for i, column in enumerate(digits) if i != axis]
         shape = (d,) * len(others)
         key = np.ravel_multi_index(others, shape) if others else np.zeros_like(digits[axis])
@@ -230,11 +208,10 @@ def _apply_fourier(state: QuditState, register: str, inverse: bool) -> QuditStat
         transform = np.fft.fft if inverse else np.fft.ifft
         out = transform(fibers, axis=1, norm="ortho")
         rows, column = np.nonzero(out)
-        values = out[rows, column]
         rest = list(np.unravel_index(keys[rows], shape)) if others else []
-        digits = tuple(rest[:axis] + [column] + rest[axis:])
-    _check_norm(values, _GATE_NORM_TOL)
-    return QuditState(layout, digits, values)
+        result = QuditState(layout, tuple(rest[:axis] + [column] + rest[axis:]), out[rows, column])
+    _check_norm(result.values, _GATE_NORM_TOL)
+    return result
 
 
 def apply_qft(state: QuditState, register: str) -> QuditState:

@@ -56,10 +56,10 @@ class TestRun:
             assert "secret" in err
 
     def test_modulus_above_cap_exits_2_before_dealing(self, capsys, monkeypatch):
-        def no_deal(config):
+        def no_deal(*args):
             raise AssertionError("dealt despite an oversized modulus")
 
-        monkeypatch.setattr(qss.protocol, "deal", no_deal)
+        monkeypatch.setattr(qss.protocol, "_deal", no_deal)
         for argv in (("--n", "400000", "--t", "2"), ("--n", "3", "--t", "2", "--d", "1031")):
             code, out, err = run_cli(capsys, "run", *argv, "--secret", "1")
             assert code == 2 and out == ""
@@ -176,10 +176,10 @@ class TestSimulate:
 
     def test_preset_rejects_explicit_parameters(self, capsys, monkeypatch):
         # A preset fixes n, t and d; an explicit one would be silently ignored.
-        def no_deal(config):
+        def no_deal(*args):
             raise AssertionError("dealt despite a rejected flag")
 
-        monkeypatch.setattr(qss.protocol, "deal", no_deal)
+        monkeypatch.setattr(qss.protocol, "_deal", no_deal)
         base = ("simulate", "--preset", "players-3", "--shots", "4")
         for extra in (
             ("--n", "9"), ("--t", "2"), ("--d", "11"), ("--n", "9", "--t", "2", "--d", "11"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qss.dealer
+import qss.field
 from qss.dealer import DealerConfig, deal, hash_to_field
 from qss.errors import InconsistentPackets, InvalidThreshold, ValueOutOfRange
 from qss.field import PrimeModulus, interpolate_at_zero, shadow
@@ -114,6 +115,18 @@ class TestInstanceFromDeal:
                 instance_from_deal(
                     DealerConfig(n=3, t=4, secret=1, rng_seed=0, d_override=d_override)
                 )
+
+    def test_fixed_modulus_checked_once(self, monkeypatch):
+        checked = []
+        real = qss.field.is_prime
+
+        def spy(p):
+            checked.append(p)
+            return real(p)
+
+        monkeypatch.setattr(qss.field, "is_prime", spy)
+        instance_from_deal(DealerConfig(n=6, t=4, secret=3, rng_seed=2, d_override=13))
+        assert checked == [13]
 
     def test_equals_first_t_packets_of_full_deal(self):
         for n, t, d, seed in itertools.product((1, 3, 6), (1, 2, 3), (None, 7, 13), (0, 5)):
@@ -333,3 +346,11 @@ class TestHookPlumbing:
         channel = Channel(hooks={0: (Measure("T"),)})
         tr = instance_from_players(players).run(channel=channel, seed=0)
         assert "hook_events" not in tr.to_json()
+
+    def test_deep_ring_walks_without_recursion(self):
+        # One Measure hook on each of 1000 hops: a walk that recursed once
+        # per measurement would pass the interpreter's recursion limit.
+        channel = Channel(hooks={k: (Measure("T"),) for k in range(1000)})
+        tr = instance_from_shadows(1021, tuple(range(1000))).run(channel=channel, seed=1)
+        assert tr.verdict == "abort_hash"
+        assert len(tr.hook_events) == 2000

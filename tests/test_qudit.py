@@ -27,8 +27,6 @@ from qss.qudit import (
     basis_state,
     measure,
     _FFT_MIN_D,
-    _basis_digits,
-    _iqft_matrix,
     _qft_matrix,
 )
 from qss.protocol import instance_from_deal
@@ -506,33 +504,26 @@ class TestSupport:
 
 class TestCaches:
     def test_one_dimension_at_a_time(self):
-        # One entry per d-keyed table of the dense Fourier path.
-        caches = {_qft_matrix: 1, _iqft_matrix: 1, _basis_digits: 1}
+        # The dense Fourier path keeps one QFT matrix, for the current d.
         for d in (5, 7, 5):
             state = basis_state(layout(d, "H", "T", "E"), {"H": 1, "T": 0, "E": 0})
             state = apply_qft(state, "H")
             state = apply_copy(state, "H", "T")
             state = apply_copy(state, "T", "E")
             apply_iqft(state, "H")
-            for cache, size in caches.items():
-                assert cache.cache_info().currsize == size, cache
-            hits = {cache: cache.cache_info().hits for cache in caches}
-            # every live entry belongs to the current d
-            _qft_matrix(d), _iqft_matrix(d), _basis_digits(d, 3)
-            for cache, size in caches.items():
-                assert cache.cache_info().hits == hits[cache] + size, cache
+            assert _qft_matrix.cache_info().currsize == 1
+            hits = _qft_matrix.cache_info().hits
+            # the live entry belongs to the current d
+            _qft_matrix(d)
+            assert _qft_matrix.cache_info().hits == hits + 1
 
     def test_fft_dimensions_build_no_matrix(self):
         _qft_matrix.cache_clear()
-        _iqft_matrix.cache_clear()
-        _basis_digits.cache_clear()
         for d in (_FFT_MIN_D, 127, 509):
             state = basis_state(layout(d, "H", "T"), {"H": 1, "T": 0})
             state = apply_qft(apply_qft(state, "H"), "T")
             apply_iqft(apply_iqft(state, "T"), "H")
         assert _qft_matrix.cache_info().currsize == 0
-        assert _iqft_matrix.cache_info().currsize == 0
-        assert _basis_digits.cache_info().currsize == 0
 
 
 class TestStateGolden:
