@@ -12,13 +12,20 @@ between the observations under the two; "detected" means any abort.
 
 Every series starts at protocol.split_shot_series, which walks each
 distinct measurement branch once: at every measurement one multinomial draw
-splits the shots across the outcomes, and the series comes back as
-(transcript, count) pairs whose number does not grow with the shots. It has
-the law of running every shot on its own. run_shot_series does exactly that:
-it walks each pass of each shot through run_pass with a one-shot policy that
-draws the outcome by inverse CDF (qudit.draw_outcome), and calls neither
-ProtocolInstance.run nor the splitting engine; it is kept as the independent
-per-shot reference the tests check the engine against.
+splits the shots across the outcomes. The series comes back factored by
+pass (a protocol.ShotSeries), and it has the law of running every shot on
+its own. A report counts shots from it without building a transcript:
+tally weighs each secret-pass leaf by its shots (every attacker observation
+is made in the secret pass), and the verdicts, the rates and series_digest
+come from the pairing table's RunOutcome counts. Forgery runs one series
+per forged value, so these take one series or a list of them.
+
+run_shot_series runs every shot on its own: it walks each pass of each shot
+through run_pass with a one-shot policy that draws the outcome by inverse
+CDF (qudit.draw_outcome), and calls neither ProtocolInstance.run nor the
+splitting engine. It returns one one-shot series per shot, which the same
+counters read; it is kept as the independent per-shot reference the tests
+check the engine against.
 
 An attack hook is a tuple of steps (see protocol.Channel); its gates look up
 the qudit gate when called, so a wrapper installed on the gate sees them.
@@ -38,13 +45,15 @@ from .errors import ValueOutOfRange
 from .protocol import (
     Channel,
     Measure,
+    PassResult,
     ProtocolInstance,
-    ProtocolTranscript,
+    ShotSeries,
     TRANSMITTED,
     VERDICT_ABORT_HASH,
+    VERDICT_ACCEPTED,
+    paired_series,
     run_pass,
     split_shot_series,
-    transcript_of,
 )
 from .qudit import QuditState, apply_copy, apply_iqft, draw_outcome
 
@@ -109,8 +118,12 @@ def _key(k) -> str:
     return ",".join(str(v) for v in k) if isinstance(k, tuple) else str(k)
 
 
-# A shot series as (transcript, shots) pairs.
-Leaves = list[tuple[ProtocolTranscript, int]]
+# One series, or several whose shots make up one report (forgery).
+Series = ShotSeries | list[ShotSeries]
+
+
+def _parts(series: Series) -> list[ShotSeries]:
+    return [series] if isinstance(series, ShotSeries) else series
 
 
 def run_shot_series(
@@ -119,12 +132,13 @@ def run_shot_series(
     seed: int | np.random.SeedSequence | np.random.Generator,
     channel: Channel | None = None,
     per_shot=None,
-) -> Leaves:
+) -> list[ShotSeries]:
     """Per-shot reference: `shots` runs from one generator seeded once (a
     Generator is drawn from as it is), every pass through run_pass and every
     outcome drawn by qudit.draw_outcome. `per_shot(instance, rng)` may swap in a
     mutated instance (e.g. a forged shadow) before each run, drawing from the
-    same generator. Returns one (transcript, 1) leaf per shot."""
+    same generator. Returns one one-shot series per shot: one secret-pass
+    leaf and, if it passed, one hash-pass leaf paired with it."""
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
 
@@ -134,30 +148,41 @@ def run_shot_series(
     out = []
     for _ in range(shots):
         inst = per_shot(instance, rng) if per_shot is not None else instance
-        passes = [p for p, _ in run_pass(inst, channel, "secret", 1, draw)]
-        if passes[0].ancilla == 0:
-            passes += [p for p, _ in run_pass(inst, channel, "hash", 1, draw)]
-        out.append((transcript_of(inst, passes), 1))
+        secret = run_pass(inst, channel, "secret", 1, draw)
+        hashed = [] if secret[0][0].ancilla else [p for p, _ in run_pass(inst, channel, "hash", 1, draw)]
+        row = np.zeros(len(hashed), dtype=np.int64)
+        out.append(paired_series(inst, None, secret, hashed, row, row, row + 1))
     return out
 
 
-def tally(leaves: Leaves, key: Callable[[ProtocolTranscript], object]) -> Counter:
-    """Shots per key(transcript) over a series."""
+def tally(series: Series, key: Callable[[PassResult], object]) -> Counter:
+    """Shots per key(secret-pass leaf) over a series: the secret-pass aborts
+    first, then the leaves that passed, each in walk order, so that keys are
+    first seen in the order of the leaves' transcripts."""
     out: Counter = Counter()
-    for tr, n in leaves:
-        out[key(tr)] += n
+    for part in _parts(series):
+        for leaf, n in sorted(part.secret, key=lambda leaf_n: leaf_n[0].ancilla == 0):
+            out[key(leaf)] += n
     return out
 
 
-def series_digest(leaves: Leaves) -> str:
+def outcomes(series: Series) -> Counter:
+    """Shots per protocol.RunOutcome over a series."""
+    out: Counter = Counter()
+    for part in _parts(series):
+        out.update(part.outcomes())
+    return out
+
+
+def series_digest(series: Series) -> str:
     """Order-free fingerprint of a series: SHA1 over the sorted (line, count)
-    pairs of its transcript multiset, so the split engine can be checked
-    against the per-shot reference series."""
+    pairs of its transcript multiset, hook events left out, so the split
+    engine can be checked against the per-shot reference series."""
     counts: Counter = Counter()
-    for tr, n in leaves:
-        counts[
-            f"{tr.verdict}|{tr.f0}|{tr.g0}|{tr.ancilla}|{tr.shadows_secret}|{tr.shadows_hash}"
-        ] += n
+    for part in _parts(series):
+        shadows = f"{part.instance.shadows_secret}|{part.instance.shadows_hash}"
+        for run, n in part.outcomes().items():
+            counts[f"{run.verdict}|{run.f0}|{run.g0}|{run.ancilla}|{shadows}"] += n
     h = hashlib.sha1()
     for line, n in sorted(counts.items()):
         h.update(f"{line}|{n}\n".encode())
@@ -219,27 +244,27 @@ _entangle_hook = (_copy_to_adversary,)
 _probe_ancilla_hook = (Measure(ADVERSARY_REGISTER),)
 
 
-def _secret_pass_values(transcript: ProtocolTranscript) -> list[int]:
-    return [payload["value"] for pass_name, _, payload in transcript.hook_events if pass_name == "secret"]
+def _observed_values(leaf: PassResult) -> list[int]:
+    return [payload["value"] for _, _, payload in leaf.events]
 
 
-def _intercepted_value(transcript: ProtocolTranscript) -> int:
+def _intercepted_value(leaf: PassResult) -> int:
     # An intercept runner's hook measures exactly once in the secret pass.
-    return _secret_pass_values(transcript)[0]
-
+    return _observed_values(leaf)[0]
 
 def _summarize(
     spec: AttackSpec,
-    leaves: Leaves,
+    series: Series,
     observations: Counter,
     leakage: float | None,
     chi2_pvalue: float | None,
     extra: dict,
 ) -> AttackReport:
-    detected = sum(count for tr, count in leaves if not tr.accepted)
-    ancilla = sum(count for tr, count in leaves if tr.ancilla and tr.ancilla[0] != 0)
-    hashes = sum(count for tr, count in leaves if tr.verdict == VERDICT_ABORT_HASH)
-    extra = {**extra, "series_digest": series_digest(leaves)}
+    runs = outcomes(series).items()
+    detected = sum(count for run, count in runs if run.verdict != VERDICT_ACCEPTED)
+    ancilla = sum(count for run, count in runs if run.ancilla[0] != 0)
+    hashes = sum(count for run, count in runs if run.verdict == VERDICT_ABORT_HASH)
+    extra = {**extra, "series_digest": series_digest(series)}
     if spec.hypotheses is not None:
         extra["hypotheses"] = list(spec.hypotheses)
     return AttackReport(
@@ -259,31 +284,32 @@ def _observe(
     instance: ProtocolInstance,
     spec: AttackSpec,
     channel: Channel,
-    key: Callable[[ProtocolTranscript], object],
+    key: Callable[[PassResult], object],
     position: int,
-) -> tuple[Leaves, Counter, float | None, list[Counter]]:
-    """Run the attacked series and tally key(transcript), what the attacker
-    observed. With hypotheses, also run the series with P_position's shadow
-    forced to each value (all else fixed) and return the TV distance between
-    their two tallies, and the tallies; without, None and []."""
-    leaves = split_shot_series(instance, spec.shots, spec.seed, channel)
-    observations = tally(leaves, key)
+) -> tuple[ShotSeries, Counter, float | None, list[Counter]]:
+    """Run the attacked series and tally key(secret-pass leaf), what the
+    attacker observed. With hypotheses, also run the series with
+    P_position's shadow forced to each value (all else fixed) and return the
+    TV distance between their two tallies, and the tallies; without, None
+    and []."""
+    series = split_shot_series(instance, spec.shots, spec.seed, channel)
+    observations = tally(series, key)
     if spec.hypotheses is None:
-        return leaves, observations, None, []
+        return series, observations, None, []
     histograms = []
     for salt, value in enumerate(spec.hypotheses, start=1):
         forced = instance.with_shadow(position, value)
         seed = np.random.SeedSequence([spec.seed, salt])
         histograms.append(tally(split_shot_series(forced, spec.shots, seed, channel), key))
     leakage = tv_distance(histograms[0], histograms[1], spec.shots, spec.shots)
-    return leaves, observations, leakage, histograms
+    return series, observations, leakage, histograms
 
 
 def _intercept_attack(
     instance: ProtocolInstance, spec: AttackSpec, hook, **channel_fields
 ) -> AttackReport:
     channel = Channel(hooks={spec.hop_index: hook}, **channel_fields)
-    leaves, observations, leakage, histograms = _observe(
+    series, observations, leakage, histograms = _observe(
         instance, spec, channel, _intercepted_value, 1
     )
     extra: dict = {"hop_index": spec.hop_index}
@@ -292,7 +318,7 @@ def _intercept_attack(
             {_key(k): v for k, v in sorted(h.items())} for h in histograms
         ]
     chi2 = uniformity_pvalue(observations, instance.modulus.d)
-    return _summarize(spec, leaves, observations, leakage, chi2, extra)
+    return _summarize(spec, series, observations, leakage, chi2, extra)
 
 
 def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
@@ -309,19 +335,18 @@ def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
     # One multinomial split of the shots over the d - 1 wrong values, then one
     # series per forged instance, all drawing from the same generator.
     counts = rng.multinomial(spec.shots, np.full(d - 1, 1 / (d - 1)))
-    leaves: Leaves = []
-    for k, n in enumerate(counts):
-        if n:
-            forged = instance.with_shadow(position, (true_value + 1 + k) % d)
-            leaves += split_shot_series(forged, int(n), rng)
-    observations = tally(leaves, lambda tr: tr.f0)
-    residual = sum(n for tr, n in leaves if tr.accepted)
+    series = [
+        split_shot_series(instance.with_shadow(position, (true_value + 1 + k) % d), int(n), rng)
+        for k, n in enumerate(counts) if n
+    ]
+    observations = tally(series, lambda leaf: leaf.value)
+    residual = sum(n for run, n in outcomes(series).items() if run.verdict == VERDICT_ACCEPTED)
     extra = {
         "target_position": position,
         "true_shadow": true_value,
         "residual_collision_shots": residual,
     }
-    return _summarize(spec, leaves, observations, None, None, extra)
+    return _summarize(spec, series, observations, None, None, extra)
 
 
 def _collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
@@ -341,12 +366,12 @@ def _collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackRepo
     hooks = {position - 2: first_hook, position - 1: _measure_resend_hook}
     channel = Channel(hooks=hooks)
 
-    def joint(transcript: ProtocolTranscript) -> tuple[int, ...]:
-        return tuple(_secret_pass_values(transcript))
+    def joint(leaf: PassResult) -> tuple[int, ...]:
+        return tuple(_observed_values(leaf))
 
-    leaves, observations, leakage, _ = _observe(instance, spec, channel, joint, position)
+    series, observations, leakage, _ = _observe(instance, spec, channel, joint, position)
     extra = {"middle_position": position, "colluders": [position - 1, position + 1]}
-    return _summarize(spec, leaves, observations, leakage, None, extra)
+    return _summarize(spec, series, observations, leakage, None, extra)
 
 
 _RUNNERS: dict[str, Callable[[ProtocolInstance, AttackSpec], AttackReport]] = {

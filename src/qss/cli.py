@@ -21,7 +21,9 @@ from .adversary import ATTACK_KINDS, AttackSpec, run_attack, tally
 from .dealer import DealerConfig, choose_modulus
 from .errors import PresetInfeasible, QssError
 from .field import is_prime
-from .protocol import HOME, TRANSMITTED, instance_from_deal, split_shot_series
+from .protocol import (
+    HOME, TRANSMITTED, VERDICT_ACCEPTED, instance_from_deal, split_shot_series,
+)
 from .qudit import RegisterLayout
 
 PRESET_PLAYERS = (3, 4, 15)
@@ -95,8 +97,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         c, fallback = (d - 1).bit_length(), False
     config = DealerConfig(n=n, t=t, secret=args.secret, rng_seed=args.seed, d_override=d)
     instance = instance_from_deal(config)
-    leaves = split_shot_series(instance, args.shots, args.seed)
-    histogram = tally(leaves, lambda tr: tr.f0)
+    series = split_shot_series(instance, args.shots, args.seed)
+    histogram = tally(series, lambda leaf: leaf.value)
+    runs = series.outcomes()
     expected = instance.expected_value("secret")
     payload = _envelope(
         args,
@@ -104,8 +107,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         shots=args.shots,
         histogram={str(k): v for k, v in sorted(histogram.items(), key=lambda kv: str(kv[0]))},
         expected=expected,
-        all_correct=all(tr.accepted and tr.f0 == expected for tr, _ in leaves),
-        ancilla_all_zero=all(all(a == 0 for a in tr.ancilla) for tr, _ in leaves),
+        all_correct=all(run.verdict == VERDICT_ACCEPTED and run.f0 == expected for run in runs),
+        ancilla_all_zero=all(all(a == 0 for a in run.ancilla) for run in runs),
     )
     _emit(payload, args.out)
     return 0 if payload["all_correct"] else 1

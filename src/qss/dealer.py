@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +47,6 @@ def choose_modulus(n: int) -> PrimeModulus:
     raise AssertionError(f"no prime in ({n}, {2 * n}]")  # unreachable
 
 
-@lru_cache(maxsize=1)  # a shot series checks one f(0)' against many hash leaves in a row
 def hash_to_field(secret: int, d: PrimeModulus) -> int:
     """SHA1 of the secret's 8-byte big-endian encoding, reduced mod d."""
     if not 0 <= secret < 1 << 64:

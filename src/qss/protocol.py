@@ -23,12 +23,18 @@ A pass is a list of steps that run_pass walks depth first, once per
 distinct measurement branch: a branch policy splits the shots reaching a
 measurement across its outcomes, and each outcome that got any is walked on
 from the collapsed state. The one engine, split_shot_series, draws one
-multinomial per measurement, and ProtocolInstance.run is its one-shot series;
+multinomial per measurement and returns the series factored by pass (a
+ShotSeries): the secret-pass leaves, the hash-pass leaves and the random
+pairing of their shots as a count table, each row's verdict computed once.
+Reports count shots from the table, so their work follows the pass leaves,
+not the pairs; ShotSeries.leaves() builds the transcripts, and
+ProtocolInstance.run is the one leaf of a one-shot series.
 adversary.run_shot_series walks each shot on its own by inverse CDF, the
 independent reference the tests check the engine against.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
 from typing import Callable, Literal, Mapping, NamedTuple
@@ -58,6 +64,8 @@ PassName = Literal["secret", "hash"]
 VERDICT_ACCEPTED = "accepted"
 VERDICT_ABORT_ANCILLA = "abort_ancilla"
 VERDICT_ABORT_HASH = "abort_hash"
+# A pairing table holds each row's verdict as an index into VERDICTS.
+VERDICTS = (VERDICT_ACCEPTED, VERDICT_ABORT_ANCILLA, VERDICT_ABORT_HASH)
 
 
 @dataclass(frozen=True)
@@ -164,7 +172,7 @@ class ProtocolInstance:
         """One two-pass run: the single leaf of a one-shot split_shot_series
         drawing from default_rng(seed); a Generator is used as is. The
         transcript records seed only when it is an int."""
-        return split_shot_series(self, 1, seed, channel)[0][0]
+        return split_shot_series(self, 1, seed, channel).leaves()[0][0]
 
 
 def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:
@@ -231,17 +239,119 @@ class PassResult(NamedTuple):
     events: tuple[tuple[str, int | None, dict], ...]
 
 
+class RunOutcome(NamedTuple):
+    """What a transcript records of a run, but its hook events."""
+
+    verdict: str
+    f0: int | None
+    g0: int | None
+    ancilla: tuple[int, ...]
+
+
+class ShotSeries(NamedTuple):
+    """A shot series factored by pass. Every secret-pass leaf comes with its
+    shots, in walk order; the shots of the leaves whose ancilla read 0 go on
+    to the hash pass, whose leaves are `hashed`. Row k of the pairing table
+    says that pair_shots[k] shots took secret-pass leaf pair_secret[k] and
+    hash-pass leaf pair_hash[k], and pair_verdict[k] is their verdict as an
+    index into VERDICTS. A run that aborts on the secret pass has no row.
+    `seed` is what transcripts record."""
+
+    instance: ProtocolInstance
+    seed: int | None
+    secret: list[tuple[PassResult, int]]
+    hashed: list[PassResult]
+    pair_secret: np.ndarray
+    pair_hash: np.ndarray
+    pair_shots: np.ndarray
+    pair_verdict: np.ndarray
+
+    def leaves(self) -> list[tuple[ProtocolTranscript, int]]:
+        """(transcript, shots) per leaf of the joint law: the secret-pass
+        aborts in walk order, then one per row of the table."""
+        out = [
+            (self._transcript((p,), VERDICT_ABORT_ANCILLA), n)
+            for p, n in self.secret if p.ancilla
+        ]
+        rows = zip(self.pair_secret.tolist(), self.pair_hash.tolist(),
+                   self.pair_shots.tolist(), self.pair_verdict.tolist())
+        out += [
+            (self._transcript((self.secret[i][0], self.hashed[j]), VERDICTS[v]), n)
+            for i, j, n, v in rows
+        ]
+        return out
+
+    def _transcript(self, passes: tuple[PassResult, ...], verdict: str) -> ProtocolTranscript:
+        inst = self.instance
+        return ProtocolTranscript(
+            d=inst.modulus.d,
+            t=inst.t,
+            xs=inst.xs,
+            shadows_secret=inst.shadows_secret,
+            shadows_hash=inst.shadows_hash,
+            ancilla=tuple(p.ancilla for p in passes),
+            f0=passes[0].value,
+            g0=passes[1].value if len(passes) > 1 else None,
+            verdict=verdict,
+            seed=self.seed,
+            hook_events=tuple(e for p in passes for e in p.events),
+        )
+
+    def outcomes(self) -> Counter:
+        """Shots per RunOutcome, counted from the table in numpy: one key per
+        distinct (verdict, f0, g0, ancilla), whatever the hook events."""
+        out: Counter = Counter()
+        for p, n in self.secret:
+            if p.ancilla:
+                out[RunOutcome(VERDICT_ABORT_ANCILLA, None, None, (p.ancilla,))] += n
+        if not len(self.pair_shots):
+            return out
+        # Row key (verdict, f0, hash ancilla, g0) in base d, an aborted
+        # hash pass reading g0 as 0.
+        d = self.instance.modulus.d
+        f0 = np.array([p.value or 0 for p, _ in self.secret])
+        hashed = np.array([q.ancilla * d + (q.value or 0) for q in self.hashed])
+        keys = (self.pair_verdict * d + f0[self.pair_secret]) * d * d + hashed[self.pair_hash]
+        distinct, row = np.unique(keys, return_inverse=True)
+        shots = np.zeros(len(distinct), dtype=np.int64)
+        np.add.at(shots, row, self.pair_shots)
+        for key, n in zip(distinct.tolist(), shots.tolist()):
+            verdict, f0_value = divmod(key // (d * d), d)
+            ancilla, g0 = divmod(key % (d * d), d)
+            run = RunOutcome(VERDICTS[verdict], f0_value, None if ancilla else g0, (0, ancilla))
+            out[run] += n
+        return out
+
+
+def paired_series(
+    instance: ProtocolInstance, seed: int | None, secret: list[tuple[PassResult, int]],
+    hashed: list[PassResult], pair_secret: np.ndarray, pair_hash: np.ndarray,
+    pair_shots: np.ndarray,
+) -> ShotSeries:
+    """The series with the given pairing, each row's verdict computed once:
+    one hash per passed secret-pass leaf, compared with the g(0)' of every
+    hash-pass leaf it is paired with."""
+    hashes = np.array([
+        hash_to_field(p.value, instance.modulus) if p.ancilla == 0 else -1 for p, _ in secret
+    ])
+    # g(0)' per row, -1 where the hash pass aborted on its ancilla.
+    g0 = np.array([-1 if q.ancilla else q.value for q in hashed], dtype=np.int64)[pair_hash]
+    # Indices into VERDICTS: accepted 0, abort_ancilla 1, abort_hash 2.
+    verdict = np.where(g0 < 0, 1, np.where(hashes[pair_secret] == g0, 0, 2))
+    return ShotSeries(instance, seed, secret, hashed, pair_secret, pair_hash, pair_shots, verdict)
+
+
 def split_shot_series(
     instance: ProtocolInstance,
     shots: int,
     seed: int | np.random.SeedSequence | np.random.Generator | None,
     channel: Channel | None = None,
-) -> list[tuple[ProtocolTranscript, int]]:
+) -> ShotSeries:
     """`shots` runs of the instance, simulated once per distinct measurement
     branch and drawn from one generator seeded once; a Generator passed as
-    `seed` is drawn from as it is. Returns (transcript, count) pairs whose
-    counts sum to `shots`; transcripts record `seed` if it is an int. The
-    series has the law of adversary.run_shot_series with the same arguments."""
+    `seed` is drawn from as it is. Transcripts record `seed` if it is an int.
+    The series has the law of adversary.run_shot_series with the same
+    arguments."""
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
     recorded = seed if isinstance(seed, int) else None
@@ -251,20 +361,20 @@ def split_shot_series(
     # out to the secret-pass leaves by a uniformly random pairing of their
     # shots: one multivariate hypergeometric draw per secret-pass leaf.
     secret = run_pass(instance, channel, "secret", shots, branch)
-    out = [(transcript_of(instance, [p], recorded), n) for p, n in secret if p.ancilla != 0]
-    passed = [(p, n) for p, n in secret if p.ancilla == 0]
+    passed = [i for i, (p, _) in enumerate(secret) if p.ancilla == 0]
     if not passed:
-        return out
-    hashed = run_pass(instance, channel, "hash", sum(n for _, n in passed), branch)
+        empty = np.empty(0, dtype=np.int64)
+        return paired_series(instance, recorded, secret, [], empty, empty, empty)
+    hashed = run_pass(instance, channel, "hash", sum(secret[i][1] for i in passed), branch)
     left = np.array([n for _, n in hashed], dtype=np.int64)
-    for i, (p, n) in enumerate(passed, 1):
-        dealt = rng.multivariate_hypergeometric(left, n) if i < len(passed) else left
+    rows = []
+    for k, i in enumerate(passed, 1):
+        dealt = rng.multivariate_hypergeometric(left, secret[i][1]) if k < len(passed) else left
         left = left - dealt
-        out += [
-            (transcript_of(instance, [p, hashed[j][0]], recorded), int(dealt[j]))
-            for j in dealt.nonzero()[0].tolist()
-        ]
-    return out
+        j = dealt.nonzero()[0]
+        rows.append((np.full(len(j), i), j, dealt[j]))
+    table = (np.concatenate(column) for column in zip(*rows))
+    return paired_series(instance, recorded, secret, [q for q, _ in hashed], *table)
 
 
 def _split(rng: np.random.Generator, probs: np.ndarray, shots: int) -> list[tuple[int, int]]:
@@ -272,35 +382,6 @@ def _split(rng: np.random.Generator, probs: np.ndarray, shots: int) -> list[tupl
     counts = rng.multinomial(shots, probs / probs.sum())
     hit = counts.nonzero()[0]
     return list(zip(hit.tolist(), counts[hit].tolist()))
-
-
-def transcript_of(
-    instance: ProtocolInstance, passes: list[PassResult], seed: int | None = None
-) -> ProtocolTranscript:
-    """The transcript of a run whose passes, secret first, gave `passes`. A
-    run stops after the first pass whose ancilla is nonzero."""
-    ancilla = tuple(p.ancilla for p in passes)
-    f0 = passes[0].value
-    g0 = passes[1].value if len(passes) > 1 else None
-    if any(ancilla):
-        verdict = VERDICT_ABORT_ANCILLA
-    elif verify_hash(f0, g0, instance.modulus):
-        verdict = VERDICT_ACCEPTED
-    else:
-        verdict = VERDICT_ABORT_HASH
-    return ProtocolTranscript(
-        d=instance.modulus.d,
-        t=instance.t,
-        xs=instance.xs,
-        shadows_secret=instance.shadows_secret,
-        shadows_hash=instance.shadows_hash,
-        ancilla=ancilla,
-        f0=f0,
-        g0=g0,
-        verdict=verdict,
-        seed=seed,
-        hook_events=tuple(e for p in passes for e in p.events),
-    )
 
 
 def run_pass(

@@ -24,7 +24,6 @@ from qss.adversary import (
     run_shot_series,
     series_digest,
     split_shot_series,
-    tally,
     tv_distance,
     uniformity_pvalue,
 )
@@ -39,6 +38,20 @@ def instance(n=4, t=3, secret=1, seed=5, d=5):
     return instance_from_deal(
         DealerConfig(n=n, t=t, secret=secret, rng_seed=seed, d_override=d)
     )
+
+
+def joint(series):
+    """(transcript, shots) leaves of one series or of a list of them."""
+    parts = series if isinstance(series, list) else [series]
+    return [leaf for part in parts for leaf in part.leaves()]
+
+
+def tally(leaves, key):
+    """Shots per key(transcript) over (transcript, shots) leaves."""
+    out = Counter()
+    for tr, n in leaves:
+        out[key(tr)] += n
+    return out
 
 
 def within_binomial_4sigma(rate, p, shots):
@@ -139,9 +152,11 @@ class TestShotSeries:
         for s in (0, 7, np.random.SeedSequence([3, 1])):
             series = run_shot_series(inst, 5, seed=s, channel=channel)
             g = np.random.default_rng(s)
-            manual = [leaf for _ in range(5) for leaf in run_shot_series(inst, 1, g, channel)]
+            manual = [part for _ in range(5) for part in run_shot_series(inst, 1, g, channel)]
             assert series_digest(series) == series_digest(manual)
-            assert [tr.hook_events for tr, _ in series] == [tr.hook_events for tr, _ in manual]
+            assert [tr.hook_events for tr, _ in joint(series)] == [
+                tr.hook_events for tr, _ in joint(manual)
+            ]
 
     def test_per_shot_draws_before_each_run(self):
         inst = instance()
@@ -153,10 +168,12 @@ class TestShotSeries:
         series = run_shot_series(inst, 5, seed=4, channel=channel, per_shot=forge)
         g = np.random.default_rng(4)
         manual = [
-            leaf for _ in range(5) for leaf in run_shot_series(inst, 1, g, channel, forge)
+            part for _ in range(5) for part in run_shot_series(inst, 1, g, channel, forge)
         ]
         assert series_digest(series) == series_digest(manual)
-        assert [tr.hook_events for tr, _ in series] == [tr.hook_events for tr, _ in manual]
+        assert [tr.hook_events for tr, _ in joint(series)] == [
+            tr.hook_events for tr, _ in joint(manual)
+        ]
 
     def test_reference_is_independent_of_the_engine(self, monkeypatch):
         # The reference draws every shot itself; were it to go through the
@@ -168,8 +185,9 @@ class TestShotSeries:
         monkeypatch.setattr(qss.protocol, "split_shot_series", engine)
         monkeypatch.setattr("qss.adversary.split_shot_series", engine)
         monkeypatch.setattr(qss.protocol.ProtocolInstance, "run", engine)
-        leaves = run_shot_series(instance(), 20, 3, Channel(hooks={0: _measure_resend_hook}))
-        assert len(leaves) == 20 and all(n == 1 for _, n in leaves)
+        series = run_shot_series(instance(), 20, 3, Channel(hooks={0: _measure_resend_hook}))
+        leaves = joint(series)
+        assert len(series) == len(leaves) == 20 and all(n == 1 for _, n in leaves)
 
 
 def secret_pass_values(tr):
@@ -210,10 +228,10 @@ class TestSplitSeriesMatchesPerShot:
     @pytest.mark.parametrize("label, inst, channel, observed", CASES)
     def test_channel_series(self, label, inst, channel, observed):
         d, shots = inst.modulus.d, self.SHOTS
-        leaves = split_shot_series(inst, shots, seed=90, channel=channel)
+        leaves = split_shot_series(inst, shots, seed=90, channel=channel).leaves()
         assert sum(n for _, n in leaves) == shots, label
         assert all(n > 0 for _, n in leaves), label
-        reference = run_shot_series(inst, shots, seed=91, channel=channel)
+        reference = joint(run_shot_series(inst, shots, seed=91, channel=channel))
         for key, categories in ((secret_pass_values, d**observed), (lambda tr: tr.verdict, 3)):
             tv = tv_distance(tally(leaves, key), tally(reference, key), shots, shots)
             assert tv <= tv_bound(categories, shots), (label, tv)
@@ -223,7 +241,7 @@ class TestSplitSeriesMatchesPerShot:
         # One engine: a run is the single leaf of a one-shot series, seed
         # recorded and hook events included.
         for s in range(20):
-            ((leaf, n),) = split_shot_series(inst, 1, s, channel)
+            ((leaf, n),) = split_shot_series(inst, 1, s, channel).leaves()
             assert n == 1 and inst.run(channel=channel, seed=s) == leaf, (label, s)
 
     def test_forgery(self):
@@ -236,7 +254,7 @@ class TestSplitSeriesMatchesPerShot:
 
         report = run_attack(inst, AttackSpec(kind="forgery", shots=shots, seed=92))
         assert sum(report.outcome_histogram.values()) == shots
-        reference = run_shot_series(inst, shots, seed=93, per_shot=forge)
+        reference = joint(run_shot_series(inst, shots, seed=93, per_shot=forge))
         f0s = tally(reference, lambda tr: tr.f0)
         assert tv_distance(Counter(report.outcome_histogram), f0s, shots, shots) <= tv_bound(
             d, shots
@@ -312,7 +330,7 @@ class TestWorkPerSeries:
         inst = instance(n=4, t=4, d=5)
         channel = Channel(hooks={1: _measure_resend_hook, 2: _measure_resend_hook})
         monkeypatch.setattr(qss.dealer, "hashlib", SimpleNamespace(sha1=sha1))
-        leaves = split_shot_series(inst, 4000, 17, channel)
+        leaves = split_shot_series(inst, 4000, 17, channel).leaves()
         paired = [tr for tr, _ in leaves if len(tr.ancilla) == 2]
         secret_leaves = {(secret_pass_values(tr), tr.f0) for tr in paired}
         assert 0 < len(calls) <= len(secret_leaves) < len(paired)
@@ -331,19 +349,128 @@ class TestControlRuns:
         for kind, inst in insts.items():
             # With no hook installed every shot is accepted on the secret,
             # and the split engine matches the per-shot reference exactly.
-            leaves = split_shot_series(inst, 40, 33)
+            series = split_shot_series(inst, 40, 33)
+            leaves = series.leaves()
             assert all(tr.accepted for tr, _ in leaves), kind
             assert tally(leaves, lambda tr: tr.f0) == {secret: 40}, kind
-            assert series_digest(leaves) == series_digest(run_shot_series(inst, 40, 33)), kind
+            assert series_digest(series) == series_digest(run_shot_series(inst, 40, 33)), kind
 
     def test_control_detection_rate_zero_d2(self):
         # d=2 control: the only d=2 ring lives at the shadow level, so build
         # shadow lists consistent with secret 1 and its hash.
         h = hash_to_field(1, PrimeModulus(2))
         inst = instance_from_shadows(2, (1, 0), (h, 0))
-        leaves = split_shot_series(inst, 64, 1)
+        leaves = split_shot_series(inst, 64, 1).leaves()
         assert sum(n for _, n in leaves) == 64
         assert all(tr.accepted and tr.ancilla == (0, 0) for tr, _ in leaves)
+
+
+def digest_of_leaves(leaves):
+    """series_digest's fingerprint, computed transcript by transcript."""
+    counts = Counter()
+    for tr, n in leaves:
+        counts[
+            f"{tr.verdict}|{tr.f0}|{tr.g0}|{tr.ancilla}|{tr.shadows_secret}|{tr.shadows_hash}"
+        ] += n
+    h = hashlib.sha1()
+    for line, n in sorted(counts.items()):
+        h.update(f"{line}|{n}\n".encode())
+    return h.hexdigest()
+
+
+def observed(leaf):
+    """What a hook measured in a secret pass, from its pass leaf."""
+    return tuple(payload["value"] for _, _, payload in leaf.events)
+
+
+class TestTableMatchesLeaves:
+    """A report counts shots from the pairing table; every count must equal
+    the per-transcript formula over the series' leaves()."""
+
+    CASES = [(label, inst, channel) for label, inst, channel, _ in TestSplitSeriesMatchesPerShot.CASES]
+    CASES += [
+        ("honest d=5", instance(), None),
+        ("forged d=5", instance(secret=0).with_shadow(2, 1), None),
+    ]
+
+    @pytest.mark.parametrize("label, inst, channel", CASES, ids=[c[0] for c in CASES])
+    def test_counts(self, label, inst, channel):
+        for seed, shots in itertools.product(range(5), (1, 7, 500)):
+            series = split_shot_series(inst, shots, seed, channel)
+            leaves = series.leaves()
+            assert sum(n for _, n in leaves) == shots, (label, seed, shots)
+            for leaf_key, transcript_key in (
+                (observed, secret_pass_values), (lambda leaf: leaf.value, lambda tr: tr.f0),
+            ):
+                table = qss.adversary.tally(series, leaf_key)
+                reference = tally(leaves, transcript_key)
+                # Same counts, keys first seen in the same order.
+                assert list(table.items()) == list(reference.items()), (label, seed, shots)
+            report = qss.adversary._summarize(
+                AttackSpec(kind="intercept_resend", shots=shots), series, Counter(), None, None, {}
+            )
+            detected = sum(n for tr, n in leaves if not tr.accepted)
+            ancilla = sum(n for tr, n in leaves if tr.ancilla and tr.ancilla[0] != 0)
+            hashes = sum(n for tr, n in leaves if tr.verdict == "abort_hash")
+            assert (report.detection_rate, report.ancilla_abort_rate, report.hash_abort_rate) == (
+                detected / shots, ancilla / shots, hashes / shots
+            ), (label, seed, shots)
+            assert series_digest(series) == digest_of_leaves(leaves), (label, seed, shots)
+
+    def test_forgery_report(self, monkeypatch):
+        # Forgery at d=5 on secret 0: the forged f(0)' = 4 hashes like 0, so
+        # about a quarter of the shots are residual collisions.
+        recorded = []
+        real = qss.adversary.split_shot_series
+
+        def recording(*args, **kwargs):
+            recorded.append(real(*args, **kwargs))
+            return recorded[-1]
+
+        monkeypatch.setattr(qss.adversary, "split_shot_series", recording)
+        residuals = 0
+        for seed, shots in itertools.product(range(5), (1, 7, 500)):
+            recorded.clear()
+            report = run_attack(instance(secret=0), AttackSpec(kind="forgery", shots=shots, seed=seed))
+            leaves = joint(recorded)
+            assert sum(n for _, n in leaves) == shots
+            residual = sum(n for tr, n in leaves if tr.accepted)
+            assert report.extra["residual_collision_shots"] == residual, (seed, shots)
+            assert report.detection_rate == sum(n for tr, n in leaves if not tr.accepted) / shots
+            assert report.outcome_histogram == tally(leaves, lambda tr: tr.f0)
+            assert report.extra["series_digest"] == digest_of_leaves(leaves)
+            residuals += residual
+        assert residuals > 0
+
+
+class TestNoTranscriptPerPair:
+    """Reports and simulate count shots from the pairing table: they build
+    no ProtocolTranscript at all."""
+
+    @staticmethod
+    def transcripts(monkeypatch, action):
+        built = []
+        real = qss.protocol.ProtocolTranscript.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(qss.protocol.ProtocolTranscript, "__init__", counting)
+            action()
+        return len(built)
+
+    def test_attack(self, monkeypatch):
+        spec = AttackSpec(kind="intercept_resend", shots=500, seed=1, hypotheses=(1, 3))
+        assert self.transcripts(monkeypatch, lambda: run_attack(instance(), spec)) == 0
+
+    def test_simulate(self, monkeypatch, capsys):
+        argv = ["simulate", "--preset", "players-4", "--shots", "500"]
+        assert self.transcripts(monkeypatch, lambda: main(argv)) == 0
+
+    def test_counter_sees_a_run(self, monkeypatch):
+        assert self.transcripts(monkeypatch, lambda: instance().run(seed=1)) == 1
 
 
 class TestInterceptResend:
@@ -534,7 +661,7 @@ class TestForgery:
             g0 = (base_g - h_true + fake_g) % d
             oracle_accepts = hash_to_field(f0, mod) == g0
             forged = inst.with_shadow(2, fake_f).with_shadow(2, fake_g, "hash")
-            leaves = split_shot_series(forged, 8, 16)
+            leaves = split_shot_series(forged, 8, 16).leaves()
             accepted = sum(n for tr, n in leaves if tr.accepted)
             assert accepted == (8 if oracle_accepts else 0)
             found_residual += oracle_accepts

@@ -27,6 +27,8 @@ GOLDEN = [
     # Series with many measurement branches (d = 31).
     ("attack --attack entangle_measure --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "47ec30f937b16a6745a020a50111bb7178f49b4b63207c2470f28fb86c18ac48"),
     ("attack --attack intercept_iqft --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "b8c849950650a14e0ab07ea5f0fdd47991b36933e1aba4dd8119427ae6e34156"),
+    # About d**2 hash-pass leaves: the intercept kind with the most pairs.
+    ("attack --attack intercept_resend --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "5d21b3f6c48e2214a1743516ef81b56e3d76c8398dcb1d7e81760e192e21f816"),
 ]
 
 
