@@ -166,22 +166,18 @@ def tally(series: Series, key: Callable[[PassResult], object]) -> Counter:
     return out
 
 
-def outcomes(series: Series) -> Counter:
-    """Shots per protocol.RunOutcome over a series."""
-    out: Counter = Counter()
-    for part in _parts(series):
-        out.update(part.outcomes())
-    return out
-
-
-def series_digest(series: Series) -> str:
+def series_digest(series: Series, grouped: list[Counter] | None = None) -> str:
     """Order-free fingerprint of a series: SHA1 over the sorted (line, count)
     pairs of its transcript multiset, hook events left out, so the split
-    engine can be checked against the per-shot reference series."""
+    engine can be checked against the per-shot reference series. `grouped`,
+    each part's outcomes() in part order, spares grouping the parts again."""
+    parts = _parts(series)
+    if grouped is None:
+        grouped = [part.outcomes() for part in parts]
     counts: Counter = Counter()
-    for part in _parts(series):
+    for part, runs in zip(parts, grouped):
         shadows = f"{part.instance.shadows_secret}|{part.instance.shadows_hash}"
-        for run, n in part.outcomes().items():
+        for run, n in runs.items():
             counts[f"{run.verdict}|{run.f0}|{run.g0}|{run.ancilla}|{shadows}"] += n
     h = hashlib.sha1()
     for line, n in sorted(counts.items()):
@@ -260,11 +256,15 @@ def _summarize(
     chi2_pvalue: float | None,
     extra: dict,
 ) -> AttackReport:
-    runs = outcomes(series).items()
+    grouped = [part.outcomes() for part in _parts(series)]
+    runs = [(run, count) for part in grouped for run, count in part.items()]
     detected = sum(count for run, count in runs if run.verdict != VERDICT_ACCEPTED)
     ancilla = sum(count for run, count in runs if run.ancilla[0] != 0)
     hashes = sum(count for run, count in runs if run.verdict == VERDICT_ABORT_HASH)
-    extra = {**extra, "series_digest": series_digest(series)}
+    extra = {**extra, "series_digest": series_digest(series, grouped)}
+    if spec.kind == "forgery":
+        # Every forgery shot runs with a wrong shadow: each accepted one collided.
+        extra["residual_collision_shots"] = spec.shots - detected
     if spec.hypotheses is not None:
         extra["hypotheses"] = list(spec.hypotheses)
     return AttackReport(
@@ -340,12 +340,7 @@ def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
         for k, n in enumerate(counts) if n
     ]
     observations = tally(series, lambda leaf: leaf.value)
-    residual = sum(n for run, n in outcomes(series).items() if run.verdict == VERDICT_ACCEPTED)
-    extra = {
-        "target_position": position,
-        "true_shadow": true_value,
-        "residual_collision_shots": residual,
-    }
+    extra = {"target_position": position, "true_shadow": true_value}
     return _summarize(spec, series, observations, None, None, extra)
 
 

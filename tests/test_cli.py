@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import qss.cli
 import qss.protocol
 from qss.cli import main, resolve_preset
 from qss.dealer import deal
-from qss.errors import PresetInfeasible
+from qss.errors import PresetInfeasible, QssError
 from qss.protocol import instance_from_deal
 
 
@@ -104,6 +106,17 @@ class TestRun:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and parent in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_out_directory_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qss.cli, "instance_from_deal", calls.append)
+        code, out, err = run_cli(
+            capsys, "sweep", "--d-max", "5", "--t-max", "2", "--n-max", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --out {str(tmp_path)!r} is a directory\n"
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "tr.json"
@@ -417,11 +430,84 @@ class TestSweep:
         assert all(row["correct"] for row in blob["rows"])
 
 
+# The benchmark's sweep_grid invocation: 2055 cells, enough for a pool.
+POOLED_SWEEP = ("sweep", "--d-max", "97", "--t-max", "8", "--n-max", "16")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """ProcessPoolExecutor calls from here on; each still starts a pool."""
+    calls = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return calls
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestSweepWorkers:
+    def test_pooled_sweep_matches_serial(self, capsys, monkeypatch, pools):
+        cpus(monkeypatch, 2)
+        pooled = run_cli(capsys, *POOLED_SWEEP, "--seed", "1")
+        assert pools == [(2,)]
+        assert multiprocessing.active_children() == []
+        cpus(monkeypatch, 1)
+        serial = run_cli(capsys, *POOLED_SWEEP, "--seed", "1")
+        assert pools == [(2,)]
+        assert pooled == serial
+        assert pooled[0] == 0 and pooled[1].count("\n") == 1 + 2055
+
+    def test_worker_error_exits_2_and_leaves_no_child(self, capsys, monkeypatch, pools):
+        def no_cell(config):
+            raise QssError("no cell")
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(qss.cli, "instance_from_deal", no_cell)
+        results = []
+        for count in (1, 2):
+            cpus(monkeypatch, count)
+            results.append(run_cli(capsys, *POOLED_SWEEP))
+        assert pools == [(2,)]
+        assert results[0] == results[1] == (2, "", "error: no cell\n")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("argv", [
+        "sweep --d-max 13 --t-max 4 --n-max 6 --seed 3",
+        "sweep --d-max 7 --t-max 3 --n-max 4 --seed 2 --format json",
+        "sweep --d-max 5 --t-max 2 --n-max 3 --seed 11",
+    ])
+    def test_golden_and_small_sweeps_start_no_pool(self, capsys, monkeypatch, pools, argv):
+        cpus(monkeypatch, 64)
+        assert run_cli(capsys, *argv.split())[0] == 0
+        assert pools == []
+
+    def test_negative_seed_fails_before_any_worker(self, capsys, monkeypatch, pools):
+        def no_cell(config):
+            raise AssertionError("ran a cell despite a negative seed")
+
+        monkeypatch.setattr(qss.cli, "instance_from_deal", no_cell)
+        cpus(monkeypatch, 2)
+        code, out, err = run_cli(capsys, *POOLED_SWEEP, "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
+        assert pools == []
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(qss.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, qss.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # Nor the pool modules, which a sweep imports only when it starts workers.
+    probe = (
+        "import sys, qss.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
