@@ -23,7 +23,6 @@ from .protocol import (
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
-    verify_hash,
 )
 from .qudit import (
     QuditState,
@@ -33,7 +32,6 @@ from .qudit import (
     apply_qft,
     apply_shadow_phase,
     basis_state,
-    measure,
 )
 
 __all__ = [
@@ -63,8 +61,6 @@ __all__ = [
     "instance_from_shadows",
     "interpolate_at_zero",
     "lagrange_coeff",
-    "measure",
     "run_attack",
     "shadow",
-    "verify_hash",
 ]

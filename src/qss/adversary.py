@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import ValueOutOfRange
 from .protocol import (
+    MAX_SHOTS,
     Channel,
     Measure,
     PassResult,
@@ -75,8 +76,8 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be at least 1")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be in [1, {MAX_SHOTS}]")
         if self.kind == "forgery" and self.hypotheses is not None:
             raise ValueError("forgery has no leakage statistic to condition on hypotheses")
         if self.escalate and self.kind != "collusion_probe":
@@ -151,7 +152,7 @@ def run_shot_series(
         secret = run_pass(inst, channel, "secret", 1, draw)
         hashed = [] if secret[0][0].ancilla else [p for p, _ in run_pass(inst, channel, "hash", 1, draw)]
         row = np.zeros(len(hashed), dtype=np.int64)
-        out.append(paired_series(inst, None, secret, hashed, row, row, row + 1))
+        out.append(paired_series(inst, secret, hashed, row, row, row + 1))
     return out
 
 

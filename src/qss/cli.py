@@ -24,7 +24,8 @@ from .dealer import DealerConfig, choose_modulus
 from .errors import PresetInfeasible, QssError
 from .field import is_prime
 from .protocol import (
-    HOME, TRANSMITTED, VERDICT_ACCEPTED, instance_from_deal, split_shot_series,
+    HOME, MAX_SHOTS, TRANSMITTED, VERDICT_ACCEPTED, ProtocolInstance, instance_from_deal,
+    split_shot_series,
 )
 from .qudit import RegisterLayout
 
@@ -80,19 +81,23 @@ def _envelope(args: argparse.Namespace, **body) -> dict:
     return {"version": __version__, "config": config, "seed": args.seed, **body}
 
 
+def _instance(args: argparse.Namespace, n: int, t: int, d: int | None) -> ProtocolInstance:
+    """The instance `run`, `simulate` and `attack` run: P1..Pt of a deal of
+    --secret among n players, the dealer seeded with --seed."""
+    config = DealerConfig(n=n, t=t, secret=args.secret, rng_seed=args.seed, d_override=d)
+    return instance_from_deal(config)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    config = DealerConfig(
-        n=args.n, t=args.t, secret=args.secret, rng_seed=args.seed, d_override=args.d
-    )
-    instance = instance_from_deal(config)
+    instance = _instance(args, args.n, args.t, args.d)
     transcript = instance.run(seed=args.seed)
     _emit(_envelope(args, transcript=transcript.to_json()), args.out)
     return 0 if transcript.accepted else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.shots < 1:
-        raise QssError("--shots must be at least 1")
+    if not 1 <= args.shots <= MAX_SHOTS:
+        raise QssError(f"--shots must be in [1, {MAX_SHOTS}]")
     if args.preset is not None:
         if (args.n, args.t, args.d) != (None, None, None):
             raise QssError("--preset fixes n, t and d; drop --n, --t and --d")
@@ -104,8 +109,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise QssError("explicit simulation needs --n, --t and --d")
         n, t, d = args.n, args.t, args.d
         c, fallback = (d - 1).bit_length(), False
-    config = DealerConfig(n=n, t=t, secret=args.secret, rng_seed=args.seed, d_override=d)
-    instance = instance_from_deal(config)
+    instance = _instance(args, n, t, d)
     series = split_shot_series(instance, args.shots, args.seed)
     histogram = tally(series, lambda leaf: leaf.value)
     runs = series.outcomes()
@@ -124,10 +128,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    config = DealerConfig(
-        n=args.n, t=args.t, secret=args.secret, rng_seed=args.seed, d_override=args.d
-    )
-    instance = instance_from_deal(config)
     spec = AttackSpec(
         kind=args.attack,
         hop_index=args.hop,
@@ -137,7 +137,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         hypotheses=tuple(args.hypotheses) if args.hypotheses else None,
         escalate=args.escalate,
     )
-    report = run_attack(instance, spec)
+    report = run_attack(_instance(args, args.n, args.t, args.d), spec)
     _emit(_envelope(args, report=report.to_json()), args.out)
     return 0
 

@@ -27,8 +27,8 @@ multinomial per measurement and returns the series factored by pass (a
 ShotSeries): the secret-pass leaves, the hash-pass leaves and the random
 pairing of their shots as a count table, each row's verdict computed once.
 Reports count shots from the table, so their work follows the pass leaves,
-not the pairs; ShotSeries.leaves() builds the transcripts, and
-ProtocolInstance.run is the one leaf of a one-shot series.
+not the pairs, and build no transcript; ProtocolInstance.run builds the one
+transcript of a one-shot series.
 adversary.run_shot_series walks each shot on its own by inverse CDF, the
 independent reference the tests check the engine against.
 """
@@ -66,6 +66,11 @@ VERDICT_ABORT_ANCILLA = "abort_ancilla"
 VERDICT_ABORT_HASH = "abort_hash"
 # A pairing table holds each row's verdict as an index into VERDICTS.
 VERDICTS = (VERDICT_ACCEPTED, VERDICT_ABORT_ANCILLA, VERDICT_ABORT_HASH)
+# Shot counts are drawn as int64 by the multinomial splits.
+MAX_SHOTS = 2**63 - 1
+# numpy's multivariate_hypergeometric (method "marginals") takes fewer than
+# 10**9 shots in all, so a pairing draw does too.
+MAX_PAIRED_SHOTS = 10**9 - 1
 
 
 @dataclass(frozen=True)
@@ -169,10 +174,26 @@ class ProtocolInstance:
         channel: Channel | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> ProtocolTranscript:
-        """One two-pass run: the single leaf of a one-shot split_shot_series
+        """One two-pass run: the transcript of a one-shot split_shot_series
         drawing from default_rng(seed); a Generator is used as is. The
         transcript records seed only when it is an int."""
-        return split_shot_series(self, 1, seed, channel).leaves()[0][0]
+        series = split_shot_series(self, 1, seed, channel)
+        # One shot takes one secret-pass leaf and, if it passed, one
+        # hash-pass leaf and one row of the table.
+        passes = [series.secret[0][0], *series.hashed]
+        return ProtocolTranscript(
+            d=self.modulus.d,
+            t=self.t,
+            xs=self.xs,
+            shadows_secret=self.shadows_secret,
+            shadows_hash=self.shadows_hash,
+            ancilla=tuple(p.ancilla for p in passes),
+            f0=passes[0].value,
+            g0=passes[1].value if series.hashed else None,
+            verdict=VERDICTS[series.pair_verdict[0]] if series.hashed else VERDICT_ABORT_ANCILLA,
+            seed=seed if isinstance(seed, int) else None,
+            hook_events=tuple(e for p in passes for e in p.events),
+        )
 
 
 def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:
@@ -225,11 +246,6 @@ def instance_from_shadows(
     )
 
 
-def verify_hash(f0: int, g0: int, d: PrimeModulus) -> bool:
-    """Final check of a run: SHA1 of the recovered secret, mod d, against g(0)'."""
-    return hash_to_field(f0, d) == g0
-
-
 class PassResult(NamedTuple):
     """One pass of a run: its ancilla outcome, the H outcome (None after an
     ancilla abort) and the hook observations it filed, in order."""
@@ -254,48 +270,15 @@ class ShotSeries(NamedTuple):
     to the hash pass, whose leaves are `hashed`. Row k of the pairing table
     says that pair_shots[k] shots took secret-pass leaf pair_secret[k] and
     hash-pass leaf pair_hash[k], and pair_verdict[k] is their verdict as an
-    index into VERDICTS. A run that aborts on the secret pass has no row.
-    `seed` is what transcripts record."""
+    index into VERDICTS. A run that aborts on the secret pass has no row."""
 
     instance: ProtocolInstance
-    seed: int | None
     secret: list[tuple[PassResult, int]]
     hashed: list[PassResult]
     pair_secret: np.ndarray
     pair_hash: np.ndarray
     pair_shots: np.ndarray
     pair_verdict: np.ndarray
-
-    def leaves(self) -> list[tuple[ProtocolTranscript, int]]:
-        """(transcript, shots) per leaf of the joint law: the secret-pass
-        aborts in walk order, then one per row of the table."""
-        out = [
-            (self._transcript((p,), VERDICT_ABORT_ANCILLA), n)
-            for p, n in self.secret if p.ancilla
-        ]
-        rows = zip(self.pair_secret.tolist(), self.pair_hash.tolist(),
-                   self.pair_shots.tolist(), self.pair_verdict.tolist())
-        out += [
-            (self._transcript((self.secret[i][0], self.hashed[j]), VERDICTS[v]), n)
-            for i, j, n, v in rows
-        ]
-        return out
-
-    def _transcript(self, passes: tuple[PassResult, ...], verdict: str) -> ProtocolTranscript:
-        inst = self.instance
-        return ProtocolTranscript(
-            d=inst.modulus.d,
-            t=inst.t,
-            xs=inst.xs,
-            shadows_secret=inst.shadows_secret,
-            shadows_hash=inst.shadows_hash,
-            ancilla=tuple(p.ancilla for p in passes),
-            f0=passes[0].value,
-            g0=passes[1].value if len(passes) > 1 else None,
-            verdict=verdict,
-            seed=self.seed,
-            hook_events=tuple(e for p in passes for e in p.events),
-        )
 
     def outcomes(self) -> Counter:
         """Shots per RunOutcome, counted from the table in numpy: one key per
@@ -324,7 +307,7 @@ class ShotSeries(NamedTuple):
 
 
 def paired_series(
-    instance: ProtocolInstance, seed: int | None, secret: list[tuple[PassResult, int]],
+    instance: ProtocolInstance, secret: list[tuple[PassResult, int]],
     hashed: list[PassResult], pair_secret: np.ndarray, pair_hash: np.ndarray,
     pair_shots: np.ndarray,
 ) -> ShotSeries:
@@ -338,7 +321,7 @@ def paired_series(
     g0 = np.array([-1 if q.ancilla else q.value for q in hashed], dtype=np.int64)[pair_hash]
     # Indices into VERDICTS: accepted 0, abort_ancilla 1, abort_hash 2.
     verdict = np.where(g0 < 0, 1, np.where(hashes[pair_secret] == g0, 0, 2))
-    return ShotSeries(instance, seed, secret, hashed, pair_secret, pair_hash, pair_shots, verdict)
+    return ShotSeries(instance, secret, hashed, pair_secret, pair_hash, pair_shots, verdict)
 
 
 def split_shot_series(
@@ -349,12 +332,12 @@ def split_shot_series(
 ) -> ShotSeries:
     """`shots` runs of the instance, simulated once per distinct measurement
     branch and drawn from one generator seeded once; a Generator passed as
-    `seed` is drawn from as it is. Transcripts record `seed` if it is an int.
-    The series has the law of adversary.run_shot_series with the same
-    arguments."""
+    `seed` is drawn from as it is. The series has the law of
+    adversary.run_shot_series with the same arguments. A pairing draw takes
+    at most MAX_PAIRED_SHOTS shots; a series that needs a larger one raises
+    ValueOutOfRange before its hash pass runs."""
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
-    recorded = seed if isinstance(seed, int) else None
     branch = partial(_split, rng)
     # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
     # passes of one shot are independent, so the hash-pass leaves are dealt
@@ -364,8 +347,14 @@ def split_shot_series(
     passed = [i for i, (p, _) in enumerate(secret) if p.ancilla == 0]
     if not passed:
         empty = np.empty(0, dtype=np.int64)
-        return paired_series(instance, recorded, secret, [], empty, empty, empty)
-    hashed = run_pass(instance, channel, "hash", sum(secret[i][1] for i in passed), branch)
+        return paired_series(instance, secret, [], empty, empty, empty)
+    hash_shots = sum(secret[i][1] for i in passed)
+    if len(passed) > 1 and hash_shots > MAX_PAIRED_SHOTS:
+        raise ValueOutOfRange(
+            f"{hash_shots} shots pass the secret pass in {len(passed)} leaves; "
+            f"pairing them with the hash pass takes at most {MAX_PAIRED_SHOTS} shots"
+        )
+    hashed = run_pass(instance, channel, "hash", hash_shots, branch)
     left = np.array([n for _, n in hashed], dtype=np.int64)
     rows = []
     for k, i in enumerate(passed, 1):
@@ -374,7 +363,7 @@ def split_shot_series(
         j = dealt.nonzero()[0]
         rows.append((np.full(len(j), i), j, dealt[j]))
     table = (np.concatenate(column) for column in zip(*rows))
-    return paired_series(instance, recorded, secret, [q for q, _ in hashed], *table)
+    return paired_series(instance, secret, [q for q, _ in hashed], *table)
 
 
 def _split(rng: np.random.Generator, probs: np.ndarray, shots: int) -> list[tuple[int, int]]:

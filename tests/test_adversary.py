@@ -31,7 +31,9 @@ from qss.cli import main
 from qss.dealer import DealerConfig, SharePacket, hash_to_field
 from qss.errors import ValueOutOfRange
 from qss.field import PrimeModulus, eval_poly
-from qss.protocol import Channel, instance_from_deal, instance_from_shadows
+from qss.protocol import (
+    Channel, ProtocolTranscript, instance_from_deal, instance_from_shadows,
+)
 
 
 def instance(n=4, t=3, secret=1, seed=5, d=5):
@@ -41,9 +43,34 @@ def instance(n=4, t=3, secret=1, seed=5, d=5):
 
 
 def joint(series):
-    """(transcript, shots) leaves of one series or of a list of them."""
-    parts = series if isinstance(series, list) else [series]
-    return [leaf for part in parts for leaf in part.leaves()]
+    """(transcript, shots) per leaf of the joint law of one series or of a
+    list of them, read from each pairing table: the secret-pass aborts in
+    walk order, then one transcript per row, its verdict worked out here from
+    the two pass leaves. The reports' counters are checked against it."""
+    out = []
+    for part in series if isinstance(series, list) else [series]:
+        inst = part.instance
+
+        def transcript(passes):
+            if passes[0].ancilla or passes[1].ancilla:
+                verdict = "abort_ancilla"
+            elif hash_to_field(passes[0].value, inst.modulus) == passes[1].value:
+                verdict = "accepted"
+            else:
+                verdict = "abort_hash"
+            return ProtocolTranscript(
+                d=inst.modulus.d, t=inst.t, xs=inst.xs,
+                shadows_secret=inst.shadows_secret, shadows_hash=inst.shadows_hash,
+                ancilla=tuple(p.ancilla for p in passes),
+                f0=passes[0].value, g0=passes[1].value if len(passes) > 1 else None,
+                verdict=verdict, seed=None,
+                hook_events=tuple(e for p in passes for e in p.events),
+            )
+
+        out += [(transcript((p,)), n) for p, n in part.secret if p.ancilla]
+        rows = zip(part.pair_secret.tolist(), part.pair_hash.tolist(), part.pair_shots.tolist())
+        out += [(transcript((part.secret[i][0], part.hashed[j])), n) for i, j, n in rows]
+    return out
 
 
 def tally(leaves, key):
@@ -228,7 +255,7 @@ class TestSplitSeriesMatchesPerShot:
     @pytest.mark.parametrize("label, inst, channel, observed", CASES)
     def test_channel_series(self, label, inst, channel, observed):
         d, shots = inst.modulus.d, self.SHOTS
-        leaves = split_shot_series(inst, shots, seed=90, channel=channel).leaves()
+        leaves = joint(split_shot_series(inst, shots, seed=90, channel=channel))
         assert sum(n for _, n in leaves) == shots, label
         assert all(n > 0 for _, n in leaves), label
         reference = joint(run_shot_series(inst, shots, seed=91, channel=channel))
@@ -238,11 +265,12 @@ class TestSplitSeriesMatchesPerShot:
 
     @pytest.mark.parametrize("label, inst, channel, observed", CASES)
     def test_run_is_one_shot_series(self, label, inst, channel, observed):
-        # One engine: a run is the single leaf of a one-shot series, seed
-        # recorded and hook events included.
+        # One engine: a run is the single leaf of a one-shot series, hook
+        # events included, and records its int seed.
         for s in range(20):
-            ((leaf, n),) = split_shot_series(inst, 1, s, channel).leaves()
-            assert n == 1 and inst.run(channel=channel, seed=s) == leaf, (label, s)
+            ((leaf, n),) = joint(split_shot_series(inst, 1, s, channel))
+            run = inst.run(channel=channel, seed=s)
+            assert n == 1 and run == dataclasses.replace(leaf, seed=s), (label, s)
 
     def test_forgery(self):
         inst, shots = instance(), self.SHOTS
@@ -330,10 +358,11 @@ class TestWorkPerSeries:
         inst = instance(n=4, t=4, d=5)
         channel = Channel(hooks={1: _measure_resend_hook, 2: _measure_resend_hook})
         monkeypatch.setattr(qss.dealer, "hashlib", SimpleNamespace(sha1=sha1))
-        leaves = split_shot_series(inst, 4000, 17, channel).leaves()
-        paired = [tr for tr, _ in leaves if len(tr.ancilla) == 2]
+        series = split_shot_series(inst, 4000, 17, channel)
+        hashes = len(calls)
+        paired = [tr for tr, _ in joint(series) if len(tr.ancilla) == 2]
         secret_leaves = {(secret_pass_values(tr), tr.f0) for tr in paired}
-        assert 0 < len(calls) <= len(secret_leaves) < len(paired)
+        assert 0 < hashes <= len(secret_leaves) < len(paired)
 
 
 class TestControlRuns:
@@ -350,7 +379,7 @@ class TestControlRuns:
             # With no hook installed every shot is accepted on the secret,
             # and the split engine matches the per-shot reference exactly.
             series = split_shot_series(inst, 40, 33)
-            leaves = series.leaves()
+            leaves = joint(series)
             assert all(tr.accepted for tr, _ in leaves), kind
             assert tally(leaves, lambda tr: tr.f0) == {secret: 40}, kind
             assert series_digest(series) == series_digest(run_shot_series(inst, 40, 33)), kind
@@ -360,7 +389,7 @@ class TestControlRuns:
         # shadow lists consistent with secret 1 and its hash.
         h = hash_to_field(1, PrimeModulus(2))
         inst = instance_from_shadows(2, (1, 0), (h, 0))
-        leaves = split_shot_series(inst, 64, 1).leaves()
+        leaves = joint(split_shot_series(inst, 64, 1))
         assert sum(n for _, n in leaves) == 64
         assert all(tr.accepted and tr.ancilla == (0, 0) for tr, _ in leaves)
 
@@ -385,7 +414,7 @@ def observed(leaf):
 
 class TestTableMatchesLeaves:
     """A report counts shots from the pairing table; every count must equal
-    the per-transcript formula over the series' leaves()."""
+    the per-transcript formula over the series' transcripts (joint)."""
 
     CASES = [(label, inst, channel) for label, inst, channel, _ in TestSplitSeriesMatchesPerShot.CASES]
     CASES += [
@@ -397,7 +426,7 @@ class TestTableMatchesLeaves:
     def test_counts(self, label, inst, channel):
         for seed, shots in itertools.product(range(5), (1, 7, 500)):
             series = split_shot_series(inst, shots, seed, channel)
-            leaves = series.leaves()
+            leaves = joint(series)
             assert sum(n for _, n in leaves) == shots, (label, seed, shots)
             for leaf_key, transcript_key in (
                 (observed, secret_pass_values), (lambda leaf: leaf.value, lambda tr: tr.f0),
@@ -661,7 +690,7 @@ class TestForgery:
             g0 = (base_g - h_true + fake_g) % d
             oracle_accepts = hash_to_field(f0, mod) == g0
             forged = inst.with_shadow(2, fake_f).with_shadow(2, fake_g, "hash")
-            leaves = split_shot_series(forged, 8, 16).leaves()
+            leaves = joint(split_shot_series(forged, 8, 16))
             accepted = sum(n for tr, n in leaves if tr.accepted)
             assert accepted == (8 if oracle_accepts else 0)
             found_residual += oracle_accepts

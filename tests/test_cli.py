@@ -210,6 +210,48 @@ class TestSimulate:
             assert "shots" in err
 
 
+class TestShotBounds:
+    """Shot counts the draws cannot take exit 2 with an error line naming the
+    bound, before the work that would fail."""
+
+    ATTACK = ("attack", "--n", "4", "--t", "3", "--d", "5", "--seed", "1", "--attack")
+
+    def test_shots_above_int64_exit_2(self, capsys, monkeypatch):
+        def no_series(*args, **kwargs):
+            raise AssertionError("a series ran")
+
+        monkeypatch.setattr(qss.protocol, "run_pass", no_series)
+        too_many = str(2**63)
+        for argv in (
+            ("simulate", "--n", "4", "--t", "2", "--d", "7", "--shots", too_many),
+            (*self.ATTACK, "forgery", "--shots", too_many),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and str(2**63 - 1) in err, argv
+
+    def test_pairing_above_its_bound_exits_2_before_the_hash_pass(self, capsys, monkeypatch):
+        passes = []
+        real = qss.protocol.run_pass
+
+        def recording(instance, channel, pass_name, *args):
+            passes.append(pass_name)
+            return real(instance, channel, pass_name, *args)
+
+        monkeypatch.setattr(qss.protocol, "run_pass", recording)
+        code, out, err = run_cli(capsys, *self.ATTACK, "entangle_measure", "--shots", "6000000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(qss.protocol.MAX_PAIRED_SHOTS) in err
+        assert passes == ["secret"]
+
+    def test_largest_shot_counts_in_range_run(self, capsys):
+        # Forgery rings pass one secret-pass leaf each, so they make no
+        # pairing draw; an iqft intercept passes about 1/d of its shots.
+        for kind, shots in (("forgery", 4_000_000_000), ("intercept_iqft", 999_999_999)):
+            code, out, _ = run_cli(capsys, *self.ATTACK, kind, "--shots", str(shots))
+            assert code == 0 and json.loads(out)["report"]["shots"] == shots, kind
+
+
 class TestAttack:
     def test_intercept_resend_report(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from qss.protocol import (
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
-    verify_hash,
 )
 
 
@@ -52,6 +52,15 @@ class TestHonestRuns:
         players = build_players(3, 1, 0, seed=0)
         tr = instance_from_players(players).run(seed=0)
         assert tr.accepted and tr.f0 == 0 and tr.t == 1
+
+    def test_records_only_an_int_seed(self):
+        # A SeedSequence or a Generator has no value a transcript could
+        # replay, so it is recorded as None; the run is the same.
+        inst = instance_from_players(build_players(5, 3, 2, seed=4))
+        assert inst.run(seed=123).seed == 123
+        for seed in (np.random.SeedSequence(123), np.random.default_rng(123)):
+            tr = inst.run(seed=seed)
+            assert tr.seed is None and tr == replace(inst.run(seed=123), seed=None)
 
     def test_deterministic_given_seed(self):
         players = build_players(5, 3, 2, seed=4)
@@ -204,14 +213,20 @@ class TestAbortSoundness:
 
 
 class TestVerifyHash:
+    """The final check of a run: SHA1 of the recovered secret, mod d,
+    against g(0)'."""
+
     def test_accepts_true_pair(self):
-        d = PrimeModulus(7)
-        assert verify_hash(3, hash_to_field(3, d), d)
+        # An honest run recovers s and g(0)' = SHA1(s) mod d, which match.
+        inst = instance_from_deal(DealerConfig(n=4, t=3, secret=3, rng_seed=1, d_override=7))
+        tr = inst.run(seed=1)
+        assert tr.accepted and (tr.f0, tr.g0) == (3, inst.expected_value("hash"))
+        assert hash_to_field(tr.f0, inst.modulus) == tr.g0
 
     def test_rejects_perturbed_hash(self):
         d = PrimeModulus(7)
         g0 = hash_to_field(3, d)
-        assert not verify_hash(3, (g0 + 1) % 7, d)
+        assert hash_to_field(3, d) != (g0 + 1) % 7
 
     def test_false_positive_rate_matches_exhaustive_count(self):
         # d=101, S=17: exactly one other v in Z_d collides with H(17) mod d
@@ -229,7 +244,7 @@ class TestVerifyHash:
         for _ in range(trials):
             v = int(rng.integers(100))
             v = v if v < 17 else v + 1  # uniform over Z_101 minus the secret
-            hits += verify_hash(v, g0, d)
+            hits += hash_to_field(v, d) == g0
         p = len(collisions) / 100
         sigma = (p * (1 - p) / trials) ** 0.5
         assert abs(hits / trials - p) <= 4 * sigma
