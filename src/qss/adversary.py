@@ -249,6 +249,7 @@ def _intercepted_value(leaf: PassResult) -> int:
     # An intercept runner's hook measures exactly once in the secret pass.
     return _observed_values(leaf)[0]
 
+
 def _summarize(
     spec: AttackSpec,
     series: Series,

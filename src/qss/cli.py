@@ -3,6 +3,8 @@ attack scenarios, and parameter sweeps. All outputs are deterministic for a
 fixed seed; JSON files are written with sorted keys so reruns are
 byte-identical. A sweep of enough cells runs them in worker processes, one
 per CPU the process may use, and writes the same bytes as a run in one process.
+The argument parser is built once, when the module is imported, and
+main(argv) may be called repeatedly in one process.
 
 Exit codes: 0 success/accepted, 1 protocol abort, 2 usage or config error.
 """
@@ -306,9 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves every call.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # An --out outside any directory, or naming one, fails before the
         # command does work.

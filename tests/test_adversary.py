@@ -32,7 +32,7 @@ from qss.dealer import DealerConfig, SharePacket, hash_to_field
 from qss.errors import ValueOutOfRange
 from qss.field import PrimeModulus, eval_poly
 from qss.protocol import (
-    Channel, ProtocolTranscript, instance_from_deal, instance_from_shadows,
+    Channel, ProtocolTranscript, instance_from_deal, instance_from_shadows, run_pass,
 )
 
 
@@ -295,6 +295,75 @@ class TestSplitSeriesMatchesPerShot:
         }
         tv = 0.5 * sum(abs(rates[v] - verdicts[v] / shots) for v in rates)
         assert tv <= tv_bound(3, shots)
+
+
+def exact(probs, weight):
+    """Branch policy of the exact law: every outcome takes its probability
+    times the weight reaching it, so a pass walked with one unit of weight
+    gives each leaf its probability."""
+    return [(v, weight * p / math.fsum(probs)) for v, p in enumerate(probs) if p > 1e-20]
+
+
+def exact_pass(inst, channel, pass_name):
+    return run_pass(inst, channel, pass_name, 1.0, exact)
+
+
+class TestExactLaws:
+    """Laws computed by walking every branch with its probability, pinned to
+    1e-12 beside the sampled 4-sigma windows of the other classes."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("d", [7, 31])
+    def test_player_view_is_maximally_mixed(self, d):
+        # What crosses a hop of an honest ring is T, whose reduced state is
+        # I/d whatever the secret and the shadows: T alone tells its holder
+        # nothing.
+        t, worst, seen = 5, [], []
+
+        def record(state):
+            psi = state.amplitudes.reshape(d, d)  # [H, T]
+            rho = psi.T @ psi.conj()
+            worst.append(float(np.abs(rho - np.eye(d) / d).max()))
+            return state
+
+        channel = Channel(hooks={hop: (record,) for hop in range(t)})
+        for secret in (0, 3, d - 1):
+            inst = instance(n=6, t=t, secret=secret, seed=secret + 1, d=d)
+            for pass_name in ("secret", "hash"):
+                exact_pass(inst, channel, pass_name)
+                seen.append(len(worst))
+        assert seen == [t * k for k in range(1, 7)]
+        assert max(worst) <= self.TOL
+
+    @pytest.mark.parametrize("d", [7, 31])
+    def test_honest_pass_has_one_leaf_on_the_secret(self, d):
+        for secret in (0, 3, d - 1):
+            inst = instance(n=6, t=5, secret=secret, seed=secret + 1, d=d)
+            values = {"secret": secret, "hash": hash_to_field(secret, inst.modulus)}
+            for pass_name, value in values.items():
+                [(leaf, weight)] = exact_pass(inst, Channel(), pass_name)
+                assert (leaf.ancilla, leaf.value, leaf.events) == (0, value, ())
+                assert abs(weight - 1) <= self.TOL
+
+    @pytest.mark.parametrize("d", [7, 31])
+    @pytest.mark.parametrize("channel", [
+        TestSplitSeriesMatchesPerShot.INTERCEPT, TestSplitSeriesMatchesPerShot.ENTANGLE,
+    ], ids=["intercept_resend", "entangle_measure"])
+    def test_detection_is_one_minus_one_over_d(self, d, channel):
+        # The passes are independent: a run is accepted when both ancillas
+        # read 0 and the hash pass reads the hash of the secret pass's f(0)'.
+        inst = instance(secret=1, seed=1, d=d)
+        law = {}
+        for pass_name in ("secret", "hash"):
+            law[pass_name] = Counter()
+            for leaf, weight in exact_pass(inst, channel, pass_name):
+                if leaf.ancilla == 0:
+                    law[pass_name][leaf.value] += weight
+        accept = math.fsum(
+            p * law["hash"][hash_to_field(f, inst.modulus)] for f, p in law["secret"].items()
+        )
+        assert abs((1 - accept) - (d - 1) / d) <= self.TOL
 
 
 class TestWorkPerSeries:

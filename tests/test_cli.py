@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing
 import os
@@ -16,6 +17,7 @@ from qss.cli import main, resolve_preset
 from qss.dealer import deal
 from qss.errors import PresetInfeasible, QssError
 from qss.protocol import instance_from_deal
+from test_cli_golden import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +127,43 @@ class TestRun:
         assert set(blob["transcript"]) == {
             "d", "t", "xs", "verdict", "f0", "g0", "ancilla", "shots", "seed",
         }
+
+
+class TestSharedParser:
+    """main parses with the one parser built when qss.cli is imported."""
+
+    RUN_ARGV, _, RUN_DIGEST = GOLDEN[0]
+
+    def golden_run(self, capsys):
+        code, out, err = run_cli(capsys, *self.RUN_ARGV.split())
+        return code, err, hashlib.sha256(out.encode()).hexdigest()
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        def no_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(qss.cli, "build_parser", no_parser)
+        assert self.golden_run(capsys) == (0, "", self.RUN_DIGEST)
+
+    def test_rejected_argv_leaves_no_state(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--attack", "replay", "--n", "4", "--t", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert self.golden_run(capsys) == (0, "", self.RUN_DIGEST)
+
+    def test_help_matches_a_fresh_parser(self, capsys):
+        for argv, usage in (
+            (["--help"], "usage: qss "), (["attack", "--help"], "usage: qss attack "),
+        ):
+            texts = []
+            for parse in (main, qss.cli.build_parser().parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                assert exc.value.code == 0
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1]
+            assert texts[0].startswith(usage)
 
 
 class TestPresetResolution:
