@@ -29,6 +29,8 @@ GOLDEN = [
     ("attack --attack intercept_iqft --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "b8c849950650a14e0ab07ea5f0fdd47991b36933e1aba4dd8119427ae6e34156"),
     # About d**2 hash-pass leaves: the intercept kind with the most pairs.
     ("attack --attack intercept_resend --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "5d21b3f6c48e2214a1743516ef81b56e3d76c8398dcb1d7e81760e192e21f816"),
+    # About 6400 leaves in each pass of each series (d = 127).
+    ("attack --attack intercept_resend --n 4 --t 3 --d 127 --shots 8192 --hypotheses 1 2 --seed 1", 0, "b09b3b13e7a4ee1f6d6fb49e85070d5e3cf0cfb1450caa7049b89bc07e8dd5a3"),
 ]
 
 
