@@ -14,7 +14,8 @@ every pair. For each workload/seed and each end-to-end metric of
 BENCHMARK.json it holds the per-pair values of both sides, each side's
 median and quartiles, the pairs the working tree won (ties count for
 neither), the relative change of the medians in the metric's worse
-direction next to its bound, and whether a gain would be claimable: at
+direction next to its bound, whether there are enough pairs (ten) for
+that bound to be checked at all, and whether a gain would be claimable: at
 least ten pairs, wins in at least nine tenths of them, a median gap above
 the parent's interquartile range, and no more failed operations on the
 working tree than on the parent. It also holds `failed`/`attempted` per run
@@ -118,6 +119,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "relative_worse": worse,
             "bound": metric["bound"],
             "within_bound": worse <= metric["bound"],
+            # Fewer pairs cannot resolve a bound: read within_bound as unchecked.
+            "bound_checked": len(pairs) >= MIN_PAIRS_FOR_GAIN,
             "gain_claimable": (
                 len(pairs) >= MIN_PAIRS_FOR_GAIN
                 and wins >= 0.9 * len(pairs)
@@ -126,6 +129,18 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             ),
         }
     return {"failed": failed, "metrics": out}
+
+
+def pair_line(key: str, pair: dict, summary: dict) -> str:
+    """The progress line of the latest pair: runs_per_s of both sides,
+    whether the pairs so far can check a bound, and the digest comparison."""
+    order = (pair["first"], "change" if pair["first"] == "parent" else "parent")
+    rps = {side: round(pair[side]["metrics"]["runs_per_s"], 4) for side in order}
+    runs_per_s = summary["metrics"]["runs_per_s"]
+    digests = pair["digests"]
+    return (f"{key} pair {runs_per_s['pairs']}: runs_per_s {rps}, bound_checked "
+            f"{runs_per_s['bound_checked']}, digests "
+            f"{len(digests['mismatched'])}/{digests['compared']} mismatched")
 
 
 def main(argv=None) -> int:
@@ -173,13 +188,10 @@ def main(argv=None) -> int:
                 )
                 mismatched_pairs += bool(pair["digests"]["mismatched"])
                 pairs.append(pair)
-                record["workloads"][key].update(summarize(pairs, spec["end_to_end"]))
+                summary = summarize(pairs, spec["end_to_end"])
+                record["workloads"][key].update(summary)
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
-                rps = {side: round(pair[side]["metrics"]["runs_per_s"], 4) for side in order}
-                digests = pair["digests"]
-                print(f"{key} pair {len(pairs)}: runs_per_s {rps}, digests "
-                      f"{len(digests['mismatched'])}/{digests['compared']} mismatched",
-                      flush=True)
+                print(pair_line(key, pair, summary), flush=True)
     return 1 if mismatched_pairs else 0
 
 

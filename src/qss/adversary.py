@@ -54,6 +54,7 @@ from .protocol import (
     VERDICT_ACCEPTED,
     paired_series,
     run_pass,
+    secret_pass,
     split_shot_series,
 )
 from .qudit import QuditState, apply_copy, apply_iqft, draw_outcome
@@ -156,14 +157,13 @@ def run_shot_series(
     return out
 
 
-def tally(series: Series, key: Callable[[PassResult], object]) -> Counter:
-    """Shots per key(secret-pass leaf) over a series: the secret-pass aborts
-    first, then the leaves that passed, each in walk order, so that keys are
-    first seen in the order of the leaves' transcripts."""
+def tally(secret: list[tuple[PassResult, int]], key: Callable[[PassResult], object]) -> Counter:
+    """Shots per key(leaf) over secret-pass leaves: the aborts first, then the
+    leaves that passed, each in walk order, so that keys are first seen in
+    the order of the leaves' transcripts."""
     out: Counter = Counter()
-    for part in _parts(series):
-        for leaf, n in sorted(part.secret, key=lambda leaf_n: leaf_n[0].ancilla == 0):
-            out[key(leaf)] += n
+    for leaf, n in sorted(secret, key=lambda leaf_n: leaf_n[0].ancilla == 0):
+        out[key(leaf)] += n
     return out
 
 
@@ -295,14 +295,14 @@ def _observe(
     TV distance between their two tallies, and the tallies; without, None
     and []."""
     series = split_shot_series(instance, spec.shots, spec.seed, channel)
-    observations = tally(series, key)
+    observations = tally(series.secret, key)
     if spec.hypotheses is None:
         return series, observations, None, []
     histograms = []
     for salt, value in enumerate(spec.hypotheses, start=1):
         forced = instance.with_shadow(position, value)
-        seed = np.random.SeedSequence([spec.seed, salt])
-        histograms.append(tally(split_shot_series(forced, spec.shots, seed, channel), key))
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, salt]))
+        histograms.append(tally(secret_pass(forced, spec.shots, rng, channel), key))
     leakage = tv_distance(histograms[0], histograms[1], spec.shots, spec.shots)
     return series, observations, leakage, histograms
 
@@ -341,7 +341,7 @@ def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
         split_shot_series(instance.with_shadow(position, (true_value + 1 + k) % d), int(n), rng)
         for k, n in enumerate(counts) if n
     ]
-    observations = tally(series, lambda leaf: leaf.value)
+    observations = tally([leaf for part in series for leaf in part.secret], lambda leaf: leaf.value)
     extra = {"target_position": position, "true_shadow": true_value}
     return _summarize(spec, series, observations, None, None, extra)
 

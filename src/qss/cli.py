@@ -113,7 +113,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         c, fallback = (d - 1).bit_length(), False
     instance = _instance(args, n, t, d)
     series = split_shot_series(instance, args.shots, args.seed)
-    histogram = tally(series, lambda leaf: leaf.value)
+    histogram = tally(series.secret, lambda leaf: leaf.value)
     runs = series.outcomes()
     expected = instance.expected_value("secret")
     payload = _envelope(

@@ -338,12 +338,11 @@ def split_shot_series(
     ValueOutOfRange before its hash pass runs."""
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
-    branch = partial(_split, rng)
     # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
     # passes of one shot are independent, so the hash-pass leaves are dealt
     # out to the secret-pass leaves by a uniformly random pairing of their
     # shots: one multivariate hypergeometric draw per secret-pass leaf.
-    secret = run_pass(instance, channel, "secret", shots, branch)
+    secret = secret_pass(instance, shots, rng, channel)
     passed = [i for i, (p, _) in enumerate(secret) if p.ancilla == 0]
     if not passed:
         empty = np.empty(0, dtype=np.int64)
@@ -354,7 +353,7 @@ def split_shot_series(
             f"{hash_shots} shots pass the secret pass in {len(passed)} leaves; "
             f"pairing them with the hash pass takes at most {MAX_PAIRED_SHOTS} shots"
         )
-    hashed = run_pass(instance, channel, "hash", hash_shots, branch)
+    hashed = run_pass(instance, channel, "hash", hash_shots, partial(_split, rng))
     left = np.array([n for _, n in hashed], dtype=np.int64)
     rows = []
     for k, i in enumerate(passed, 1):
@@ -364,6 +363,14 @@ def split_shot_series(
         rows.append((np.full(len(j), i), j, dealt[j]))
     table = (np.concatenate(column) for column in zip(*rows))
     return paired_series(instance, secret, [q for q, _ in hashed], *table)
+
+
+def secret_pass(
+    instance: ProtocolInstance, shots: int, rng: np.random.Generator, channel: Channel
+) -> list[tuple[PassResult, int]]:
+    """The secret-pass leaves of `shots` runs, the engine's first draws from
+    rng: what split_shot_series pairs, and all an attacker observes."""
+    return run_pass(instance, channel, "secret", shots, partial(_split, rng))
 
 
 def _split(rng: np.random.Generator, probs: np.ndarray, shots: int) -> list[tuple[int, int]]:

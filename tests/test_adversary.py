@@ -365,6 +365,48 @@ class TestExactLaws:
         )
         assert abs((1 - accept) - (d - 1) / d) <= self.TOL
 
+    INTERCEPTS = [
+        TestSplitSeriesMatchesPerShot.INTERCEPT, TestSplitSeriesMatchesPerShot.IQFT,
+        TestSplitSeriesMatchesPerShot.ENTANGLE,
+    ]
+    INTERCEPT_IDS = ["intercept_resend", "intercept_iqft", "entangle_measure"]
+
+    @staticmethod
+    def observation_law(inst, channel):
+        """The exact law of what the hooks measure in the secret pass, every
+        leaf counted, aborted or not, as tally counts them."""
+        law = Counter()
+        for leaf, weight in exact_pass(inst, channel, "secret"):
+            law[tuple(payload["value"] for _, _, payload in leaf.events)] += weight
+        return law
+
+    @pytest.mark.parametrize("d", [7, 31])
+    @pytest.mark.parametrize("channel", INTERCEPTS, ids=INTERCEPT_IDS)
+    def test_intercepted_outcome_is_uniform(self, d, channel):
+        law = self.observation_law(instance(secret=1, seed=1, d=d), channel)
+        assert set(law) == {(v,) for v in range(d)}
+        assert max(abs(p - 1 / d) for p in law.values()) <= self.TOL
+
+    @pytest.mark.parametrize("d", [7, 31])
+    @pytest.mark.parametrize("label, channel", [
+        *zip(INTERCEPT_IDS, INTERCEPTS),
+        ("collusion_probe", TestSplitSeriesMatchesPerShot.COLLUDE),
+        ("collusion_probe escalated",
+         Channel(hooks={1: _fourier_intercept_hook, 2: _measure_resend_hook})),
+    ])
+    def test_observation_is_blind_to_the_forced_shadow(self, d, label, channel):
+        # Zero leakage: the attacker's view in the secret pass has one exact
+        # law whatever the shadow the hypothesis series force (P1's for an
+        # intercept, the middle player's for collusion's joint view).
+        collusion = label.startswith("collusion")
+        inst = instance(n=5, t=4, secret=2, seed=3, d=d) if collusion else instance(seed=1, d=d)
+        position = 3 if collusion else 1
+        for a, b in ((1, 2), (0, d - 1)):
+            law_a = self.observation_law(inst.with_shadow(position, a), channel)
+            law_b = self.observation_law(inst.with_shadow(position, b), channel)
+            assert law_a, label
+            assert max(abs(law_a[k] - law_b[k]) for k in law_a.keys() | law_b.keys()) <= self.TOL
+
 
 class TestWorkPerSeries:
     """A series walks each distinct measurement branch once and never replays
@@ -500,7 +542,7 @@ class TestTableMatchesLeaves:
             for leaf_key, transcript_key in (
                 (observed, secret_pass_values), (lambda leaf: leaf.value, lambda tr: tr.f0),
             ):
-                table = qss.adversary.tally(series, leaf_key)
+                table = qss.adversary.tally(series.secret, leaf_key)
                 reference = tally(leaves, transcript_key)
                 # Same counts, keys first seen in the same order.
                 assert list(table.items()) == list(reference.items()), (label, seed, shots)
@@ -539,6 +581,77 @@ class TestTableMatchesLeaves:
             assert report.extra["series_digest"] == digest_of_leaves(leaves)
             residuals += residual
         assert residuals > 0
+
+
+def full_series_tally(forced, shots, seed, salt, channel, key):
+    """A hypothesis histogram by the route that runs the whole series (both
+    passes and the pairing) and reads its secret-pass leaves: the aborts
+    first, then the leaves that passed, each in walk order."""
+    series = split_shot_series(forced, shots, np.random.SeedSequence([seed, salt]), channel)
+    out = Counter()
+    for leaf, n in sorted(series.secret, key=lambda leaf_n: leaf_n[0].ancilla == 0):
+        out[key(leaf)] += n
+    return out
+
+
+class TestHypothesisSeries:
+    """A hypothesis series draws its secret pass only. Those are the first
+    draws of its generator, so leakage and the hypothesis histograms are
+    those of the whole two-pass series, bit for bit, and the attacked series
+    is the only one that runs the hash pass and the pairing."""
+
+    ESCALATED = Channel(hooks={1: _fourier_intercept_hook, 2: _measure_resend_hook})
+    CASES = [
+        ("intercept_resend", {}, TestSplitSeriesMatchesPerShot.INTERCEPT),
+        ("intercept_iqft", {}, TestSplitSeriesMatchesPerShot.IQFT),
+        ("entangle_measure", {}, TestSplitSeriesMatchesPerShot.ENTANGLE),
+        ("collusion_probe", {}, TestSplitSeriesMatchesPerShot.COLLUDE),
+        ("collusion_probe", {"escalate": True}, ESCALATED),
+    ]
+    IDS = ["intercept_resend", "intercept_iqft", "entangle_measure", "collusion", "escalated"]
+
+    @staticmethod
+    def setting(kind):
+        """Instance, forced position and observation key of a kind."""
+        if kind == "collusion_probe":
+            return instance(n=4, t=4, secret=2, d=5), 3, observed
+        return instance(), 1, lambda leaf: observed(leaf)[0]
+
+    @pytest.mark.parametrize("kind, fields, channel", CASES, ids=IDS)
+    def test_matches_the_full_series(self, kind, fields, channel):
+        inst, position, key = self.setting(kind)
+        hypotheses = (0, 2)
+        for seed, shots in itertools.product(range(5), (1, 7, 500)):
+            spec = AttackSpec(kind=kind, shots=shots, seed=seed, hypotheses=hypotheses, **fields)
+            report = run_attack(inst, spec)
+            histograms = [
+                full_series_tally(inst.with_shadow(position, value), shots, seed, salt, channel, key)
+                for salt, value in enumerate(hypotheses, start=1)
+            ]
+            assert report.leakage == tv_distance(*histograms, shots, shots), (kind, seed, shots)
+            if kind != "collusion_probe":
+                assert report.extra["hypothesis_histograms"] == [
+                    {str(k): v for k, v in sorted(h.items())} for h in histograms
+                ], (kind, seed, shots)
+
+    @pytest.mark.parametrize("kind, fields, channel", CASES, ids=IDS)
+    def test_one_hash_pass_and_one_pairing(self, monkeypatch, kind, fields, channel):
+        calls = Counter()
+        real_run_pass, real_paired = qss.protocol.run_pass, qss.protocol.paired_series
+
+        def run_pass(instance, channel, pass_name, *args):
+            calls[pass_name] += 1
+            return real_run_pass(instance, channel, pass_name, *args)
+
+        def paired_series(*args):
+            calls["paired_series"] += 1
+            return real_paired(*args)
+
+        monkeypatch.setattr(qss.protocol, "run_pass", run_pass)
+        monkeypatch.setattr(qss.protocol, "paired_series", paired_series)
+        inst, _, _ = self.setting(kind)
+        run_attack(inst, AttackSpec(kind=kind, shots=500, seed=3, hypotheses=(0, 2), **fields))
+        assert calls == {"secret": 3, "hash": 1, "paired_series": 1}
 
 
 class TestNoTranscriptPerPair:

@@ -540,7 +540,7 @@ class TestStateGolden:
         "attack --attack intercept_iqft --n 4 --t 3 --d 61 --shots 200 --seed 5 --hop 1",
         "attack --attack entangle_measure --n 4 --t 3 --d 43 --shots 30 --seed 2 --hypotheses 2 4",
     ]
-    DIGEST = "c059bba07e23596b87afd5b60779b9aefd351ebb5765ce8d77772dd988250711"
+    DIGEST = "48aa70b37a7093a2ce019355b82aa109f8a89ef72caee340d69eee856a5bbbe0"
     NAMES = (
         "basis_state", "apply_qft", "apply_iqft", "apply_copy", "apply_shadow_phase",
         "outcome_probabilities", "collapse",
