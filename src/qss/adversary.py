@@ -6,9 +6,9 @@ attacked ring (a channel with the attack hooks installed, or forged shadows),
 simulates a shot series drawing from one generator seeded once per series,
 and distills it into an AttackReport. The three intercept kinds share one
 runner and differ only in their hooks; they and collusion observe the ring,
-and _observe runs their series and, given two hypotheses, the series with a
-shadow forced to each. "Information gain" is the total-variation distance
-between the observations under the two; "detected" means any abort.
+and _observe runs their series and, given two hypotheses, the secret pass
+with a shadow forced to each. "Information gain" is the total-variation
+distance between the observations under the two; "detected" means any abort.
 
 Every series starts at protocol.split_shot_series, which walks each
 distinct measurement branch once: at every measurement one multinomial draw
@@ -18,7 +18,8 @@ its own. A report counts shots from it without building a transcript:
 tally weighs each secret-pass leaf by its shots (every attacker observation
 is made in the secret pass), and the verdicts, the rates and series_digest
 come from the pairing table's RunOutcome counts. Forgery runs one series
-per forged value, so these take one series or a list of them.
+per forged value, so these take one series or a list of them. A hypothesis
+series is only tallied, so it draws the secret pass alone (secret_pass).
 
 run_shot_series runs every shot on its own: it walks each pass of each shot
 through run_pass with a one-shot policy that draws the outcome by inverse
@@ -290,10 +291,10 @@ def _observe(
     position: int,
 ) -> tuple[ShotSeries, Counter, float | None, list[Counter]]:
     """Run the attacked series and tally key(secret-pass leaf), what the
-    attacker observed. With hypotheses, also run the series with
-    P_position's shadow forced to each value (all else fixed) and return the
-    TV distance between their two tallies, and the tallies; without, None
-    and []."""
+    attacker observed. With hypotheses, also draw the secret pass (all a
+    tally reads) with P_position's shadow forced to each value, all else
+    fixed, and return the TV distance between the two tallies, and the
+    tallies; without, None and []."""
     series = split_shot_series(instance, spec.shots, spec.seed, channel)
     observations = tally(series.secret, key)
     if spec.hypotheses is None:
@@ -341,7 +342,8 @@ def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
         split_shot_series(instance.with_shadow(position, (true_value + 1 + k) % d), int(n), rng)
         for k, n in enumerate(counts) if n
     ]
-    observations = tally([leaf for part in series for leaf in part.secret], lambda leaf: leaf.value)
+    secret = [leaf for part in series for leaf in part.secret]
+    observations = tally(secret, lambda leaf: leaf.value)
     extra = {"target_position": position, "true_shadow": true_value}
     return _summarize(spec, series, observations, None, None, extra)
 

@@ -634,8 +634,8 @@ class TestHypothesisSeries:
                     {str(k): v for k, v in sorted(h.items())} for h in histograms
                 ], (kind, seed, shots)
 
-    @pytest.mark.parametrize("kind, fields, channel", CASES, ids=IDS)
-    def test_one_hash_pass_and_one_pairing(self, monkeypatch, kind, fields, channel):
+    @pytest.mark.parametrize("kind, fields", [case[:2] for case in CASES], ids=IDS)
+    def test_one_hash_pass_and_one_pairing(self, monkeypatch, kind, fields):
         calls = Counter()
         real_run_pass, real_paired = qss.protocol.run_pass, qss.protocol.paired_series
 
@@ -652,6 +652,21 @@ class TestHypothesisSeries:
         inst, _, _ = self.setting(kind)
         run_attack(inst, AttackSpec(kind=kind, shots=500, seed=3, hypotheses=(0, 2), **fields))
         assert calls == {"secret": 3, "hash": 1, "paired_series": 1}
+
+    def test_only_the_attacked_series_meets_the_pairing_bound(self, monkeypatch):
+        # The bound guards a pairing draw, and only the attacked series makes
+        # one. At seed 4 it passes 97 shots to the hash pass and the two
+        # hypothesis series would pass 111 and 103.
+        inst = instance()
+        spec = AttackSpec(kind="intercept_iqft", shots=500, seed=4, hypotheses=(0, 2))
+        series = split_shot_series(inst, 500, 4, TestSplitSeriesMatchesPerShot.IQFT)
+        paired = int(series.pair_shots.sum())
+        assert paired == 97
+        monkeypatch.setattr(qss.protocol, "MAX_PAIRED_SHOTS", paired)
+        assert run_attack(inst, spec).extra["series_digest"] == series_digest(series)
+        monkeypatch.setattr(qss.protocol, "MAX_PAIRED_SHOTS", paired - 1)
+        with pytest.raises(ValueOutOfRange, match="pairing"):
+            run_attack(inst, spec)
 
 
 class TestNoTranscriptPerPair:
