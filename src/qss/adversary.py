@@ -151,8 +151,8 @@ def run_shot_series(
     out = []
     for _ in range(shots):
         inst = per_shot(instance, rng) if per_shot is not None else instance
-        secret = run_pass(inst, channel, "secret", 1, draw)
-        hashed = [] if secret[0][0].ancilla else [p for p, _ in run_pass(inst, channel, "hash", 1, draw)]
+        secret = run_pass([inst], channel, "secret", [1], [draw])[0]
+        hashed = [] if secret[0][0].ancilla else [p for p, _ in run_pass([inst], channel, "hash", [1], [draw])[0]]
         row = np.zeros(len(hashed), dtype=np.int64)
         out.append(paired_series(inst, secret, hashed, row, row, row + 1))
     return out

@@ -1,8 +1,10 @@
 """Command-line front end: honest runs, shot-count simulation presets,
 attack scenarios, and parameter sweeps. All outputs are deterministic for a
 fixed seed; JSON files are written with sorted keys so reruns are
-byte-identical. A sweep of enough cells runs them in worker processes, one
-per CPU the process may use, and writes the same bytes as a run in one process.
+byte-identical. A sweep runs each stretch of consecutive cells of equal
+(d, t) as one batch through the protocol engine. A sweep of enough cells runs
+them in worker processes, one per CPU the process may use, and writes the
+same bytes as a run in one process.
 The argument parser is built once, when the module is imported, and
 main(argv) may be called repeatedly in one process.
 
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .errors import PresetInfeasible, QssError
 from .field import is_prime
 from .protocol import (
     HOME, MAX_SHOTS, TRANSMITTED, VERDICT_ACCEPTED, ProtocolInstance, instance_from_deal,
-    split_shot_series,
+    run_batch, split_shot_series,
 )
 from .qudit import RegisterLayout
 
@@ -35,10 +38,11 @@ PRESET_PLAYERS = (3, 4, 15)
 MAX_PRESET_QUBITS = 3
 # A sweep holds about 1.1 kB per cell (cell, seed and row): 2**20 cells is 1 GB.
 MAX_SWEEP_CELLS = 2**20
-# Starting and joining a pool of sweep workers takes 10-20 ms on a 2-vCPU
-# Xeon host, the time of 20-40 cells of 0.45-0.9 ms each; a worker given fewer
-# cells would not repay its start-up.
-MIN_CELLS_PER_WORKER = 40
+# Starting and joining a pool of two sweep workers takes 17-26 ms on a 2-vCPU
+# Xeon host, the time of 45-70 batched cells of 0.22-0.37 ms each
+# (scripts/sweep_pool_cost.py); a worker given fewer cells would not repay
+# its start-up.
+MIN_CELLS_PER_WORKER = 60
 # Chunks of cells handed out per worker, so that one slow chunk (cells grow
 # dearer along the list) does not leave the other workers idle.
 CHUNKS_PER_WORKER = 4
@@ -173,30 +177,32 @@ def _sweep_rows(seed: int, start: int, cells: list[tuple[int, int, int]]) -> lis
     """The rows of `cells`, which are cells start, start + 1, ... of the sweep.
     Cell i draws from SeedSequence(seed, spawn_key=(i,)), which is child i of
     SeedSequence(seed).spawn(...), so any contiguous chunk of cells can be run
-    on its own, in any process, and gives the rows it would give in a serial run."""
+    on its own, in any process, and gives the rows it would give in a serial run.
+    Consecutive cells of equal (d, t) run as one batch (protocol.run_batch),
+    each drawing from its own generator as in a run of its own."""
     rows = []
-    for i, (d, t, n) in enumerate(cells, start):
-        child = np.random.SeedSequence(seed, spawn_key=(i,))
-        cell_seed = int(child.generate_state(1, dtype=np.uint64)[0])
-        rng = np.random.default_rng(cell_seed)
-        secret = int(rng.integers(d))
-        # A dealer seeded with cell_seed would draw the secret again as a1.
-        dealer_seed = int(rng.integers(2**63))
-        config = DealerConfig(n=n, t=t, secret=secret, rng_seed=dealer_seed, d_override=d)
-        instance = instance_from_deal(config)
-        transcript = instance.run(seed=rng)
-        rows.append(
-            {
-                "d": d,
-                "t": t,
-                "n": n,
-                "seed": cell_seed,
-                "verdict": transcript.verdict,
-                "f0": transcript.f0,
+    for (d, t), stretch in groupby(enumerate(cells, start), key=lambda cell: cell[1][:2]):
+        configs, seeds, rngs = [], [], []
+        for i, (_, _, n) in stretch:
+            child = np.random.SeedSequence(seed, spawn_key=(i,))
+            seeds.append(int(child.generate_state(1, dtype=np.uint64)[0]))
+            rngs.append(np.random.default_rng(seeds[-1]))
+            secret = int(rngs[-1].integers(d))
+            # A dealer seeded with the cell seed would draw the secret again as a1.
+            dealer_seed = int(rngs[-1].integers(2**63))
+            configs.append(
+                DealerConfig(n=n, t=t, secret=secret, rng_seed=dealer_seed, d_override=d)
+            )
+        instances = [instance_from_deal(config) for config in configs]
+        for config, cell_seed, instance, transcript in zip(
+            configs, seeds, instances, run_batch(instances, rngs)
+        ):
+            rows.append({
+                "d": d, "t": t, "n": config.n, "seed": cell_seed,
+                "verdict": transcript.verdict, "f0": transcript.f0,
                 "expected": instance.expected_value("secret"),
-                "correct": transcript.f0 == secret and transcript.accepted,
-            }
-        )
+                "correct": transcript.f0 == config.secret and transcript.accepted,
+            })
     return rows
 
 

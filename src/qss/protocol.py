@@ -28,7 +28,9 @@ ShotSeries): the secret-pass leaves, the hash-pass leaves and the random
 pairing of their shots as a count table, each row's verdict computed once.
 Reports count shots from the table, so their work follows the pass leaves,
 not the pairs, and build no transcript; ProtocolInstance.run builds the one
-transcript of a one-shot series.
+transcript of a one-shot series. run_pass walks a batch of instances of
+equal d and t, one gate call per step, a lone instance being a batch of one;
+run_batch gives each member, drawing from its own generator, its own run.
 adversary.run_shot_series walks each shot on its own by inverse CDF, the
 independent reference the tests check the engine against.
 """
@@ -37,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
-from typing import Callable, Literal, Mapping, NamedTuple
+from typing import Callable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .qudit import (
     basis_state,
     collapse,
     outcome_probabilities,
+    unstack,
 )
 
 HOME = "H"
@@ -177,23 +180,32 @@ class ProtocolInstance:
         """One two-pass run: the transcript of a one-shot split_shot_series
         drawing from default_rng(seed); a Generator is used as is. The
         transcript records seed only when it is an int."""
-        series = split_shot_series(self, 1, seed, channel)
+        return run_batch([self], [seed], channel)[0]
+
+
+def run_batch(
+    instances: Sequence[ProtocolInstance], seeds: Sequence, channel: Channel | None = None
+) -> list[ProtocolTranscript]:
+    """One two-pass run of each instance of a batch that shares d and t, member
+    b drawing from default_rng(seeds[b]): the transcript instances[b].run(
+    channel, seeds[b]) gives, from one gate call per step for the batch."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    transcripts = []
+    for instance, series, seed in zip(instances, split_batch(instances, 1, rngs, channel), seeds):
         # One shot takes one secret-pass leaf and, if it passed, one
         # hash-pass leaf and one row of the table.
         passes = [series.secret[0][0], *series.hashed]
-        return ProtocolTranscript(
-            d=self.modulus.d,
-            t=self.t,
-            xs=self.xs,
-            shadows_secret=self.shadows_secret,
-            shadows_hash=self.shadows_hash,
+        transcripts.append(ProtocolTranscript(
+            d=instance.modulus.d, t=instance.t, xs=instance.xs,
+            shadows_secret=instance.shadows_secret, shadows_hash=instance.shadows_hash,
             ancilla=tuple(p.ancilla for p in passes),
             f0=passes[0].value,
             g0=passes[1].value if series.hashed else None,
             verdict=VERDICTS[series.pair_verdict[0]] if series.hashed else VERDICT_ABORT_ANCILLA,
             seed=seed if isinstance(seed, int) else None,
             hook_events=tuple(e for p in passes for e in p.events),
-        )
+        ))
+    return transcripts
 
 
 def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:
@@ -336,33 +348,45 @@ def split_shot_series(
     adversary.run_shot_series with the same arguments. A pairing draw takes
     at most MAX_PAIRED_SHOTS shots; a series that needs a larger one raises
     ValueOutOfRange before its hash pass runs."""
-    rng = np.random.default_rng(seed)
+    return split_batch([instance], shots, [np.random.default_rng(seed)], channel)[0]
+
+
+def split_batch(
+    instances: Sequence[ProtocolInstance], shots: int, rngs: Sequence[np.random.Generator],
+    channel: Channel | None = None,
+) -> list[ShotSeries]:
+    """split_shot_series for each instance of a batch sharing d and t, member
+    b drawing from rngs[b] alone and in the order of a series of its own."""
     channel = channel or Channel()
+    policies = [partial(_split, rng) for rng in rngs]
+    secrets = run_pass(instances, channel, "secret", [shots] * len(instances), policies)
     # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
     # passes of one shot are independent, so the hash-pass leaves are dealt
     # out to the secret-pass leaves by a uniformly random pairing of their
     # shots: one multivariate hypergeometric draw per secret-pass leaf.
-    secret = secret_pass(instance, shots, rng, channel)
-    passed = [i for i, (p, _) in enumerate(secret) if p.ancilla == 0]
-    if not passed:
-        empty = np.empty(0, dtype=np.int64)
-        return paired_series(instance, secret, [], empty, empty, empty)
-    hash_shots = sum(secret[i][1] for i in passed)
-    if len(passed) > 1 and hash_shots > MAX_PAIRED_SHOTS:
-        raise ValueOutOfRange(
-            f"{hash_shots} shots pass the secret pass in {len(passed)} leaves; "
-            f"pairing them with the hash pass takes at most {MAX_PAIRED_SHOTS} shots"
-        )
-    hashed = run_pass(instance, channel, "hash", hash_shots, partial(_split, rng))
-    left = np.array([n for _, n in hashed], dtype=np.int64)
-    rows = []
-    for k, i in enumerate(passed, 1):
-        dealt = rng.multivariate_hypergeometric(left, secret[i][1]) if k < len(passed) else left
-        left = left - dealt
-        j = dealt.nonzero()[0]
-        rows.append((np.full(len(j), i), j, dealt[j]))
-    table = (np.concatenate(column) for column in zip(*rows))
-    return paired_series(instance, secret, [q for q, _ in hashed], *table)
+    passed = [[i for i, (p, _) in enumerate(secret) if p.ancilla == 0] for secret in secrets]
+    hash_shots = [sum(secret[i][1] for i in p) for secret, p in zip(secrets, passed)]
+    for p, n in zip(passed, hash_shots):
+        if len(p) > 1 and n > MAX_PAIRED_SHOTS:
+            raise ValueOutOfRange(f"{n} shots pass the secret pass in {len(p)} leaves; pairing "
+                                  f"them with the hash pass takes at most {MAX_PAIRED_SHOTS} shots")
+    go = [b for b, p in enumerate(passed) if p]
+    hashed = dict(zip(go, run_pass(
+        [instances[b] for b in go], channel, "hash", [hash_shots[b] for b in go],
+        [policies[b] for b in go]) if go else []))
+    out = []
+    for b, (instance, rng, secret) in enumerate(zip(instances, rngs, secrets)):
+        leaves, last = hashed.get(b, []), len(passed[b])
+        left = np.array([n for _, n in leaves], dtype=np.int64)
+        rows = [(np.empty(0, dtype=np.int64),) * 3]
+        for k, i in enumerate(passed[b], 1):
+            dealt = rng.multivariate_hypergeometric(left, secret[i][1]) if k < last else left
+            left = left - dealt
+            j = dealt.nonzero()[0]
+            rows.append((np.full(len(j), i), j, dealt[j]))
+        table = (np.concatenate(column) for column in zip(*rows))
+        out.append(paired_series(instance, secret, [q for q, _ in leaves], *table))
+    return out
 
 
 def secret_pass(
@@ -370,7 +394,7 @@ def secret_pass(
 ) -> list[tuple[PassResult, int]]:
     """The secret-pass leaves of `shots` runs, the engine's first draws from
     rng: what split_shot_series pairs, and all an attacker observes."""
-    return run_pass(instance, channel, "secret", shots, partial(_split, rng))
+    return run_pass([instance], channel, "secret", [shots], [partial(_split, rng)])[0]
 
 
 def _split(rng: np.random.Generator, probs: np.ndarray, shots: int) -> list[tuple[int, int]]:
@@ -381,18 +405,25 @@ def _split(rng: np.random.Generator, probs: np.ndarray, shots: int) -> list[tupl
 
 
 def run_pass(
-    instance: ProtocolInstance,
+    instances: Sequence[ProtocolInstance],
     channel: Channel,
     pass_name: PassName,
-    shots: int,
-    branch: Callable[[np.ndarray, int], list[tuple[int, int]]],
-) -> list[tuple[PassResult, int]]:
-    """One pass of the ring on the secret or hash shadows with `shots` shots:
-    the pass's steps walked depth first. At each measurement branch(probs,
-    shots) splits the shots reaching it as [(outcome, shots), ...] in
-    increasing outcome order, and each outcome that got shots is walked in
-    turn. Returns (pass result, shots) per leaf, in walk order."""
-    t = instance.t
+    shots: Sequence[int],
+    branches: Sequence[Callable[[np.ndarray, int], list[tuple[int, int]]]],
+) -> list[list[tuple[PassResult, int]]]:
+    """One pass of the ring on the secret or hash shadows for a batch of
+    instances sharing d and t, member b with shots[b] shots: the pass's steps
+    walked depth first. At each measurement branches[b](probs, shots) splits
+    the shots reaching it as [(outcome, shots), ...] in increasing outcome
+    order, and each outcome that got shots is walked in turn. The batch takes
+    each step before its first Measure, and P1's checks, in one gate call,
+    and each policy is called as in a walk of its member alone. Returns, per
+    member, (pass result, shots) per leaf, in walk order."""
+    if not instances or not len(instances) == len(shots) == len(branches):
+        raise ValueError("a batch takes one shot count and one branch policy per member")
+    d, t = instances[0].modulus.d, instances[0].t
+    if any(inst.modulus.d != d or inst.t != t for inst in instances):
+        raise ValueError("the instances of a batch must share d and t")
     hops = t if t > 1 else 0
     stray = [k for k in channel.hooks if k not in range(hops)]
     if stray:
@@ -400,51 +431,75 @@ def run_pass(
     registers = (HOME, TRANSMITTED)
     if channel.ancilla_register is not None:
         registers = registers + (channel.ancilla_register,)
-    layout = RegisterLayout(d=instance.modulus.d, registers=registers)
-    shadows = instance.shadows_secret if pass_name == "secret" else instance.shadows_hash
+    layout = RegisterLayout(d=d, registers=registers)
+    table = [i.shadows_secret if pass_name == "secret" else i.shadows_hash for i in instances]
 
-    # (hop, step, args) after P1's preparation: a gate runs as step(state,
-    # *args), and hop files a Measure step's outcome.
-    steps: list[tuple[int | None, Step, tuple]] = []
-    for hop_index in range(hops):
-        for step in channel.hooks.get(hop_index, ()):
-            steps.append((hop_index, step, ()))
-        if hop_index < t - 1:
-            steps.append((hop_index, apply_shadow_phase, (TRANSMITTED, shadows[hop_index + 1])))
-    steps.append((None, apply_copy, (HOME, TRANSMITTED)))
-    steps += [(None, step, ()) for step in channel.post_uncopy]
-    leaves: list[tuple[PassResult, int]] = []
-    # Branches still to walk, as (first step, state, collapse args, shots,
-    # events): a branch's state is collapsed only when it is popped, and a
-    # measurement pushes its outcomes in reverse, so the walk keeps the
+    def plan(shadows) -> list[tuple[int | None, Step, tuple]]:
+        # (hop, step, args) after P1's preparation; hop files a Measure's outcome.
+        steps: list[tuple[int | None, Step, tuple]] = []
+        for hop_index in range(hops):
+            for step in channel.hooks.get(hop_index, ()):
+                steps.append((hop_index, step, ()))
+            if hop_index < t - 1:
+                steps.append((hop_index, apply_shadow_phase, (TRANSMITTED, shadows[hop_index + 1])))
+        steps.append((None, apply_copy, (HOME, TRANSMITTED)))
+        return steps + [(None, step, ()) for step in channel.post_uncopy]
+
+    # A walk holds member b's lone state (who = b) or the whole batch (who =
+    # None), whose per-member shadows and shots are lists.
+    whole = None if len(instances) > 1 else 0
+    shadows, n = ([list(c) for c in zip(*table)], shots) if whole is None else (table[0], shots[0])
+    plans = {whole: plan(shadows)}
+    leaves: list[list[tuple[PassResult, int]]] = [[] for _ in instances]
+    # Branches still to walk, as (first step, state, collapse args, who,
+    # shots, events): a branch's state is collapsed only when it is popped,
+    # and a measurement pushes its outcomes in reverse, so the walk keeps the
     # depth-first order without recursing once per Measure step.
     state = apply_qft(basis_state(layout, {**dict.fromkeys(registers, 0), HOME: shadows[0]}), HOME)
-    stack = [(0, apply_copy(state, HOME, TRANSMITTED), None, shots, ())]
+    stack = [(0, apply_copy(state, HOME, TRANSMITTED), None, whole, n, ())]
     while stack:
-        start, state, collapsed, shots, events = stack.pop()
+        start, state, collapsed, who, shots, events = stack.pop()
         if collapsed is not None:
             state = collapse(state, *collapsed)
+        steps = plans[who]
         for i in range(start, len(steps)):
             hop_index, step, args = steps[i]
             if not isinstance(step, Measure):
                 state = step(state, *args)
                 continue
+            if who is None:  # from its first Measure the batch goes on member by member
+                plans.update((b, plan(row)) for b, row in enumerate(table))
+                members = enumerate(unstack(state))
+                stack += reversed([(i, m, None, b, shots[b], ()) for b, m in members])
+                break
             probs = outcome_probabilities(state, step.register)
             children = [
-                (i + 1, state, (step.register, value, probs), n,
+                (i + 1, state, (step.register, value, probs), who, n,
                  (*events, (pass_name, hop_index, {"value": value})))
-                for value, n in branch(probs, shots)
+                for value, n in branches[who](probs, shots)
             ]
             stack += reversed(children)
             break
         else:
-            # P1's checks: the ancilla T, then H after the inverse QFT.
+            # P1's checks: each member draws its ancilla T; the members whose
+            # ancilla 0 got shots are collapsed and inverse-transformed
+            # together, and each of them draws H.
             probs = outcome_probabilities(state, TRANSMITTED)
-            for ancilla, n in branch(probs, shots):
-                if ancilla != 0:
-                    leaves.append((PassResult(ancilla, None, events), n))
-                    continue
-                home = apply_iqft(collapse(state, TRANSMITTED, 0, probs), HOME)
-                for value, m in branch(outcome_probabilities(home, HOME), n):
-                    leaves.append((PassResult(0, value, events), m))
+            batch = enumerate(zip(probs, shots)) if who is None else [(who, (probs, shots))]
+            passed, aborts = {}, []
+            for b, (law, n) in batch:
+                for ancilla, m in branches[b](law, n):
+                    if ancilla == 0:
+                        passed[b] = m
+                    else:
+                        aborts.append((b, (PassResult(ancilla, None, events), m)))
+            if passed:
+                onto = 0 if who is not None else dict.fromkeys(passed, 0)
+                home = apply_iqft(collapse(state, TRANSMITTED, onto, probs), HOME)
+                laws = outcome_probabilities(home, HOME)
+                for b, law in zip(passed, laws if who is None else [laws]):
+                    for value, m in branches[b](law, passed[b]):
+                        leaves[b].append((PassResult(0, value, events), m))
+            for b, leaf in aborts:
+                leaves[b].append(leaf)
     return leaves

@@ -305,7 +305,7 @@ def exact(probs, weight):
 
 
 def exact_pass(inst, channel, pass_name):
-    return run_pass(inst, channel, pass_name, 1.0, exact)
+    return run_pass([inst], channel, pass_name, [1.0], [exact])[0]
 
 
 class TestExactLaws:

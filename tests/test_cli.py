@@ -569,6 +569,19 @@ class TestSweepWorkers:
         assert run_cli(capsys, *argv.split())[0] == 0
         assert pools == []
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_chunks_cut_inside_stretches_give_the_serial_rows(self, seed):
+        # Cells of equal (d, t) run as one batch; a chunk boundary that cuts
+        # such a stretch splits it into two batches, each of whose cells
+        # still draws from its own generator. Cuts 7, 257 and 1003 fall
+        # inside a stretch, 1 and 1000 between two.
+        cells = qss.cli._sweep_cells(97, 8, 16)
+        cuts = [0, 1, 7, 257, 1000, 1003, len(cells)]
+        inside = [c for c in cuts[1:-1] if cells[c - 1][:2] == cells[c][:2]]
+        assert inside == [7, 257, 1003]
+        chunks = [qss.cli._sweep_rows(seed, a, cells[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert [row for chunk in chunks for row in chunk] == qss.cli._sweep_rows(seed, 0, cells)
+
     def test_negative_seed_fails_before_any_worker(self, capsys, monkeypatch, pools):
         def no_cell(config):
             raise AssertionError("ran a cell despite a negative seed")

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import qss.dealer
 import qss.field
+import qss.protocol
 from qss.dealer import DealerConfig, deal, hash_to_field
-from qss.errors import InconsistentPackets, InvalidThreshold, ValueOutOfRange
+from qss.errors import InconsistentPackets, InvalidThreshold, NotNormalized, ValueOutOfRange
 from qss.field import PrimeModulus, interpolate_at_zero, shadow
 from qss.protocol import (
     Channel,
@@ -19,7 +20,9 @@ from qss.protocol import (
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
+    run_batch,
 )
+from qss.qudit import QuditState, apply_copy, apply_iqft, apply_qft
 
 
 def build_players(n, t, secret, seed, subset=None, d_override=None):
@@ -99,6 +102,85 @@ class TestShadowLevelPipeline:
         tr = inst.run(seed=seed)
         assert tr.f0 == sum(inst.shadows_secret) % d
         assert tr.ancilla[0] == 0
+
+
+class TestBatchRuns:
+    """run_batch walks instances of equal d and t together, one generator per
+    member: each member gets the transcript of its own run."""
+
+    @staticmethod
+    def members(d, t):
+        """Honest deals of different secrets where d admits t share points,
+        and shadow-level instances whose hash shadows fail the check."""
+        rng = np.random.default_rng(d * 100 + t)
+        out = [
+            instance_from_deal(DealerConfig(n=n, t=t, secret=int(rng.integers(d)),
+                                            rng_seed=int(rng.integers(2**32)), d_override=d))
+            for n in range(t, min(t + 3, d))
+        ]
+        for _ in range(2):
+            secret = tuple(int(v) for v in rng.integers(d, size=t))
+            hashed = [int(v) for v in rng.integers(d, size=t)]
+            if sum(hashed) % d == hash_to_field(sum(secret) % d, PrimeModulus(d)):
+                hashed[0] = (hashed[0] + 1) % d
+            out.append(instance_from_shadows(d, secret, tuple(hashed)))
+        return out
+
+    @pytest.mark.parametrize("d", [2, 5, 37, 41, 127])
+    @pytest.mark.parametrize("t", [1, 3, 5])
+    def test_members_get_their_own_runs(self, d, t, monkeypatch):
+        insts = self.members(d, t)
+        seeds = list(range(len(insts)))
+        alone = [inst.run(seed=seed) for inst, seed in zip(insts, seeds)]
+        verdicts = ["accepted"] * (len(insts) - 2) + ["abort_hash"] * 2
+        assert [tr.verdict for tr in alone] == verdicts
+        calls = []
+        real = qss.protocol.apply_qft
+        monkeypatch.setattr(qss.protocol, "apply_qft", lambda *a: calls.append(a) or real(*a))
+        assert run_batch(insts, seeds) == alone
+        # One QFT per pass for the whole batch.
+        assert len(calls) == 2
+        generators = [np.random.default_rng(seed) for seed in seeds]
+        assert run_batch(insts, generators) == [replace(tr, seed=None) for tr in alone]
+
+    @pytest.mark.parametrize("d", [5, 41])
+    def test_measuring_hooks_go_member_by_member(self, d):
+        def iqft_t(state):
+            return apply_iqft(state, "T")
+
+        def qft_t(state):
+            return apply_qft(state, "T")
+
+        def copy_t(state):
+            return apply_copy(state, "T", "E")
+
+        channels = [
+            Channel(hooks={0: (iqft_t, Measure("T"), qft_t), 2: (Measure("T"),)}),
+            Channel(hooks={1: (copy_t,)}, post_uncopy=(Measure("E"),), ancilla_register="E"),
+        ]
+        insts = self.members(d, 3)
+        for channel in channels:
+            for seed in range(3):
+                seeds = [seed * 10 + b for b in range(len(insts))]
+                alone = [inst.run(channel=channel, seed=s) for inst, s in zip(insts, seeds)]
+                assert run_batch(insts, seeds, channel) == alone
+
+    def test_one_generator_per_member(self):
+        insts = self.members(5, 3)
+        for seeds in ([1] * (len(insts) - 1), [1] * (len(insts) + 1)):
+            with pytest.raises(ValueError):
+                run_batch(insts, seeds)
+        with pytest.raises(ValueError):
+            run_batch([*insts, instance_from_shadows(7, (1, 2, 3))], range(len(insts) + 1))
+
+    def test_one_member_off_norm_rejected(self):
+        def drift(state):
+            scale = np.where(state.digits[0] == 1, 1.01, 1.0)
+            return QuditState(state.layout, state.digits, state.values * scale, state.batch)
+
+        insts = self.members(5, 3)
+        with pytest.raises(NotNormalized):
+            run_batch(insts, range(len(insts)), Channel(hooks={0: (drift,)}))
 
 
 class TestInstanceFromDeal:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import hashlib
 import math
 import tracemalloc
@@ -25,7 +26,10 @@ from qss.qudit import (
     apply_qft,
     apply_shadow_phase,
     basis_state,
+    collapse,
     measure,
+    outcome_probabilities,
+    unstack,
     _FFT_MIN_D,
     _qft_matrix,
 )
@@ -500,6 +504,128 @@ class TestSupport:
                 np.testing.assert_allclose(
                     psi.marginal(register), self.dense_marginal(psi, register), rtol=1e-12
                 )
+
+
+def sparse_state(lay, rng, points):
+    """A normalised state on `points` random basis states, in random order."""
+    flat = rng.choice(lay.d ** len(lay.registers), size=points, replace=False)
+    values = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+    digits = np.unravel_index(flat, (lay.d,) * len(lay.registers))
+    return QuditState(lay, digits, values / np.linalg.norm(values))
+
+
+def stacked(states):
+    """The batch whose members are the given lone states, in order."""
+    members = np.concatenate([np.full(len(s.values), b) for b, s in enumerate(states)])
+    columns = [np.concatenate(c) for c in zip(*(s.digits for s in states))]
+    values = np.concatenate([s.values for s in states])
+    return QuditState(states[0].layout, (members, *columns), values, len(states))
+
+
+def same_bits(a, b):
+    """Lone states a and b list the same points in the same order, with
+    bit-identical amplitudes."""
+    return (
+        all(np.array_equal(x, y) for x, y in zip(a.digits, b.digits))
+        and a.values.view(np.float64).tobytes() == b.values.view(np.float64).tobytes()
+    )
+
+
+class TestBatch:
+    """A batch stacks independent members; every gate on it gives each member
+    what the gate gives that member alone, bit for bit."""
+
+    CASES = [(d, k) for d in (5, 37, 41, 127) for k in (2, 3)]
+
+    @staticmethod
+    def members(d, k, seed):
+        lay = layout(d, *("H", "T", "E")[:k])
+        rng = np.random.default_rng(seed)
+        # Dense members below the FFT threshold (at d = 37 with three
+        # registers, 50k points each), sparse ones above it.
+        points = [lay.d**k if d < _FFT_MIN_D else 40, 1, 7]
+        return [sparse_state(lay, rng, n) for n in points]
+
+    @pytest.mark.parametrize("d, k", CASES)
+    def test_gates_act_per_member(self, d, k):
+        lone = self.members(d, k, seed=d * 10 + k)
+        batch = stacked(lone)
+        registers = lone[0].layout.registers
+        gates = []
+        for register in registers:
+            gates += [lambda s, r=register: apply_qft(s, r), lambda s, r=register: apply_iqft(s, r)]
+        for control, target in itertools.permutations(registers, 2):
+            gates.append(lambda s, c=control, t=target: apply_copy(s, c, t))
+        shadows = [0, d - 1, 3]
+        for register in registers:
+            gates.append((register, shadows))
+        for gate in gates:
+            if isinstance(gate, tuple):
+                register, shadows = gate
+                out = unstack(apply_shadow_phase(batch, register, shadows))
+                alone = [apply_shadow_phase(s, register, v) for s, v in zip(lone, shadows)]
+            else:
+                out, alone = unstack(gate(batch)), [gate(s) for s in lone]
+            assert len(out) == len(alone)
+            assert all(same_bits(a, b) for a, b in zip(out, alone)), (d, k, gate)
+
+    @pytest.mark.parametrize("d, k", CASES)
+    def test_laws_and_collapse_per_member(self, d, k):
+        lone = self.members(d, k, seed=d * 10 + k + 1)
+        batch = stacked(lone)
+        for register in lone[0].layout.registers:
+            laws = outcome_probabilities(batch, register)
+            alone = [outcome_probabilities(s, register) for s in lone]
+            assert laws.tobytes() == np.stack(alone).tobytes()
+            # Member 1 is dropped; the others collapse onto an outcome they can take.
+            onto = {0: int(alone[0].argmax()), 2: int(alone[2].argmax())}
+            out = unstack(collapse(batch, register, onto, laws))
+            kept = [collapse(lone[b], register, onto[b], alone[b]) for b in (0, 2)]
+            assert len(out) == 2 and all(same_bits(a, b) for a, b in zip(out, kept))
+
+    def test_amplitudes_in_member_order(self):
+        lone = self.members(5, 2, seed=3)
+        dense = stacked(lone).amplitudes
+        assert dense.tobytes() == np.concatenate([s.amplitudes for s in lone]).tobytes()
+        back = QuditState.from_amplitudes(lone[0].layout, dense, batch=3)
+        assert back.batch == 3 and np.array_equal(back.amplitudes, dense)
+
+    def test_basis_state_batch(self):
+        lay = layout(7, "H", "T")
+        batch = basis_state(lay, {"H": [3, 0, 6], "T": 2})
+        assert batch.batch == 3
+        for member, h in zip(unstack(batch), (3, 0, 6)):
+            assert same_bits(member, basis_state(lay, {"H": h, "T": 2}))
+        with pytest.raises(ValueOutOfRange):
+            basis_state(lay, {"H": [3, 7], "T": 2})
+
+    def test_one_member_off_norm_rejected(self):
+        lone = self.members(41, 2, seed=5)
+        lone[1] = QuditState(lone[1].layout, lone[1].digits, lone[1].values * 1.01)
+        batch = stacked(lone)
+        for gate in (lambda s: apply_qft(s, "H"), lambda s: apply_copy(s, "H", "T"),
+                     lambda s: apply_shadow_phase(s, "T", [1, 2, 3]),
+                     lambda s: outcome_probabilities(s, "T")):
+            with pytest.raises(NotNormalized):
+                gate(batch)
+
+    def test_shadow_per_member(self):
+        batch = stacked(self.members(5, 2, seed=6))
+        for shadows in ([1, 2], [1, 2, 5], [1, -1, 2]):
+            with pytest.raises(ValueOutOfRange):
+                apply_shadow_phase(batch, "T", shadows)
+
+    def test_support_budget_bounds_the_batch(self, monkeypatch):
+        # Three members of 41 fibers each need 3 * 41 * 41 entries after a
+        # QFT of T; a budget one below that refuses the batch, whose members
+        # each fit.
+        lay = layout(41, "H", "T")
+        members = [apply_qft(basis_state(lay, {"H": 0, "T": 0}), "H") for _ in range(3)]
+        monkeypatch.setattr(qudit, "MAX_SUPPORT", 3 * 41 * 41 - 1)
+        for member in members:
+            apply_qft(member, "T")
+        with pytest.raises(ValueOutOfRange, match="support budget"):
+            apply_qft(stacked(members), "T")
 
 
 class TestCaches:
