@@ -17,15 +17,16 @@ pass (a protocol.ShotSeries), and it has the law of running every shot on
 its own. A report counts shots from it without building a transcript:
 tally weighs each secret-pass leaf by its shots (every attacker observation
 is made in the secret pass), and the verdicts, the rates and series_digest
-come from the pairing table's RunOutcome counts. Forgery runs one series
+come from its shots per RunOutcome (`runs`). Forgery runs one series
 per forged value, so these take one series or a list of them. A hypothesis
 series is only tallied, so it draws the secret pass alone (secret_pass).
 
 run_shot_series runs every shot on its own: it walks each pass of each shot
 through run_pass with a one-shot policy that draws the outcome by inverse
 CDF (qudit.draw_outcome), and calls neither ProtocolInstance.run nor the
-splitting engine. It returns one one-shot series per shot, which the same
-counters read; it is kept as the independent per-shot reference the tests
+splitting engine. It returns one one-shot series per shot, built by the
+engine's protocol.shot_series, which makes no draw for one shot, so the
+same counters read it; it is kept as the independent per-shot reference the tests
 check the engine against.
 
 An attack hook is a tuple of steps (see protocol.Channel); its gates look up
@@ -53,9 +54,9 @@ from .protocol import (
     TRANSMITTED,
     VERDICT_ABORT_HASH,
     VERDICT_ACCEPTED,
-    paired_series,
     run_pass,
     secret_pass,
+    shot_series,
     split_shot_series,
 )
 from .qudit import QuditState, apply_copy, apply_iqft, draw_outcome
@@ -141,7 +142,7 @@ def run_shot_series(
     outcome drawn by qudit.draw_outcome. `per_shot(instance, rng)` may swap in a
     mutated instance (e.g. a forged shadow) before each run, drawing from the
     same generator. Returns one one-shot series per shot: one secret-pass
-    leaf and, if it passed, one hash-pass leaf paired with it."""
+    leaf and, if it passed, one hash-pass leaf, and the one run they make."""
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
 
@@ -152,9 +153,8 @@ def run_shot_series(
     for _ in range(shots):
         inst = per_shot(instance, rng) if per_shot is not None else instance
         secret = run_pass([inst], channel, "secret", [1], [draw])[0]
-        hashed = [] if secret[0][0].ancilla else [p for p, _ in run_pass([inst], channel, "hash", [1], [draw])[0]]
-        row = np.zeros(len(hashed), dtype=np.int64)
-        out.append(paired_series(inst, secret, hashed, row, row, row + 1))
+        hashed = [] if secret[0][0].ancilla else run_pass([inst], channel, "hash", [1], [draw])[0]
+        out.append(shot_series(inst, secret, hashed, rng))
     return out
 
 
@@ -168,18 +168,14 @@ def tally(secret: list[tuple[PassResult, int]], key: Callable[[PassResult], obje
     return out
 
 
-def series_digest(series: Series, grouped: list[Counter] | None = None) -> str:
+def series_digest(series: Series) -> str:
     """Order-free fingerprint of a series: SHA1 over the sorted (line, count)
     pairs of its transcript multiset, hook events left out, so the split
-    engine can be checked against the per-shot reference series. `grouped`,
-    each part's outcomes() in part order, spares grouping the parts again."""
-    parts = _parts(series)
-    if grouped is None:
-        grouped = [part.outcomes() for part in parts]
+    engine can be checked against the per-shot reference series."""
     counts: Counter = Counter()
-    for part, runs in zip(parts, grouped):
+    for part in _parts(series):
         shadows = f"{part.instance.shadows_secret}|{part.instance.shadows_hash}"
-        for run, n in runs.items():
+        for run, n in part.runs.items():
             counts[f"{run.verdict}|{run.f0}|{run.g0}|{run.ancilla}|{shadows}"] += n
     h = hashlib.sha1()
     for line, n in sorted(counts.items()):
@@ -259,12 +255,11 @@ def _summarize(
     chi2_pvalue: float | None,
     extra: dict,
 ) -> AttackReport:
-    grouped = [part.outcomes() for part in _parts(series)]
-    runs = [(run, count) for part in grouped for run, count in part.items()]
+    runs = [(run, count) for part in _parts(series) for run, count in part.runs.items()]
     detected = sum(count for run, count in runs if run.verdict != VERDICT_ACCEPTED)
     ancilla = sum(count for run, count in runs if run.ancilla[0] != 0)
     hashes = sum(count for run, count in runs if run.verdict == VERDICT_ABORT_HASH)
-    extra = {**extra, "series_digest": series_digest(series, grouped)}
+    extra = {**extra, "series_digest": series_digest(series)}
     if spec.kind == "forgery":
         # Every forgery shot runs with a wrong shadow: each accepted one collided.
         extra["residual_collision_shots"] = spec.shots - detected

@@ -118,7 +118,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     instance = _instance(args, n, t, d)
     series = split_shot_series(instance, args.shots, args.seed)
     histogram = tally(series.secret, lambda leaf: leaf.value)
-    runs = series.outcomes()
+    runs = series.runs
     expected = instance.expected_value("secret")
     payload = _envelope(
         args,

@@ -24,15 +24,15 @@ distinct measurement branch: a branch policy splits the shots reaching a
 measurement across its outcomes, and each outcome that got any is walked on
 from the collapsed state. The one engine, split_shot_series, draws one
 multinomial per measurement and returns the series factored by pass (a
-ShotSeries): the secret-pass leaves, the hash-pass leaves and the random
-pairing of their shots as a count table, each row's verdict computed once.
-Reports count shots from the table, so their work follows the pass leaves,
-not the pairs, and build no transcript; ProtocolInstance.run builds the one
-transcript of a one-shot series. run_pass walks a batch of instances of
-equal d and t, one gate call per step, a lone instance being a batch of one;
-run_batch gives each member, drawing from its own generator, its own run.
-adversary.run_shot_series walks each shot on its own by inverse CDF, the
-independent reference the tests check the engine against.
+ShotSeries): the secret-pass leaves, the hash-pass leaves and the shots per
+RunOutcome, the passes paired by the keys a report reads (shot_series).
+Reports count shots from those, so their work follows the pass leaves and
+the keys, not the shots, and build no transcript; ProtocolInstance.run
+builds the one transcript of a one-shot series. run_pass walks a batch of
+instances of equal d and t, one gate call per step, a lone instance being a
+batch of one; run_batch gives each member, drawing from its own generator,
+its own run. adversary.run_shot_series walks each shot on its own by inverse
+CDF, the independent reference the tests check the engine against.
 """
 from __future__ import annotations
 
@@ -67,8 +67,6 @@ PassName = Literal["secret", "hash"]
 VERDICT_ACCEPTED = "accepted"
 VERDICT_ABORT_ANCILLA = "abort_ancilla"
 VERDICT_ABORT_HASH = "abort_hash"
-# A pairing table holds each row's verdict as an index into VERDICTS.
-VERDICTS = (VERDICT_ACCEPTED, VERDICT_ABORT_ANCILLA, VERDICT_ABORT_HASH)
 # Shot counts are drawn as int64 by the multinomial splits.
 MAX_SHOTS = 2**63 - 1
 # numpy's multivariate_hypergeometric (method "marginals") takes fewer than
@@ -192,18 +190,13 @@ def run_batch(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     transcripts = []
     for instance, series, seed in zip(instances, split_batch(instances, 1, rngs, channel), seeds):
-        # One shot takes one secret-pass leaf and, if it passed, one
-        # hash-pass leaf and one row of the table.
-        passes = [series.secret[0][0], *series.hashed]
+        # One shot makes one run, and takes one leaf in each pass it ran.
+        (run,) = series.runs
         transcripts.append(ProtocolTranscript(
             d=instance.modulus.d, t=instance.t, xs=instance.xs,
             shadows_secret=instance.shadows_secret, shadows_hash=instance.shadows_hash,
-            ancilla=tuple(p.ancilla for p in passes),
-            f0=passes[0].value,
-            g0=passes[1].value if series.hashed else None,
-            verdict=VERDICTS[series.pair_verdict[0]] if series.hashed else VERDICT_ABORT_ANCILLA,
-            seed=seed if isinstance(seed, int) else None,
-            hook_events=tuple(e for p in passes for e in p.events),
+            **run._asdict(), seed=seed if isinstance(seed, int) else None,
+            hook_events=tuple(e for p, _ in series.secret + series.hashed for e in p.events),
         ))
     return transcripts
 
@@ -279,61 +272,48 @@ class RunOutcome(NamedTuple):
 class ShotSeries(NamedTuple):
     """A shot series factored by pass. Every secret-pass leaf comes with its
     shots, in walk order; the shots of the leaves whose ancilla read 0 go on
-    to the hash pass, whose leaves are `hashed`. Row k of the pairing table
-    says that pair_shots[k] shots took secret-pass leaf pair_secret[k] and
-    hash-pass leaf pair_hash[k], and pair_verdict[k] is their verdict as an
-    index into VERDICTS. A run that aborts on the secret pass has no row."""
+    to the hash pass, whose leaves come with theirs in `hashed`. `runs`
+    counts the shots per RunOutcome: what a transcript records of a run, but
+    its hook events."""
 
     instance: ProtocolInstance
     secret: list[tuple[PassResult, int]]
-    hashed: list[PassResult]
-    pair_secret: np.ndarray
-    pair_hash: np.ndarray
-    pair_shots: np.ndarray
-    pair_verdict: np.ndarray
-
-    def outcomes(self) -> Counter:
-        """Shots per RunOutcome, counted from the table in numpy: one key per
-        distinct (verdict, f0, g0, ancilla), whatever the hook events."""
-        out: Counter = Counter()
-        for p, n in self.secret:
-            if p.ancilla:
-                out[RunOutcome(VERDICT_ABORT_ANCILLA, None, None, (p.ancilla,))] += n
-        if not len(self.pair_shots):
-            return out
-        # Row key (verdict, f0, hash ancilla, g0) in base d, an aborted
-        # hash pass reading g0 as 0.
-        d = self.instance.modulus.d
-        f0 = np.array([p.value or 0 for p, _ in self.secret])
-        hashed = np.array([q.ancilla * d + (q.value or 0) for q in self.hashed])
-        keys = (self.pair_verdict * d + f0[self.pair_secret]) * d * d + hashed[self.pair_hash]
-        distinct, row = np.unique(keys, return_inverse=True)
-        shots = np.zeros(len(distinct), dtype=np.int64)
-        np.add.at(shots, row, self.pair_shots)
-        for key, n in zip(distinct.tolist(), shots.tolist()):
-            verdict, f0_value = divmod(key // (d * d), d)
-            ancilla, g0 = divmod(key % (d * d), d)
-            run = RunOutcome(VERDICTS[verdict], f0_value, None if ancilla else g0, (0, ancilla))
-            out[run] += n
-        return out
+    hashed: list[tuple[PassResult, int]]
+    runs: Counter
 
 
-def paired_series(
+def shot_series(
     instance: ProtocolInstance, secret: list[tuple[PassResult, int]],
-    hashed: list[PassResult], pair_secret: np.ndarray, pair_hash: np.ndarray,
-    pair_shots: np.ndarray,
+    hashed: list[tuple[PassResult, int]], rng: np.random.Generator,
 ) -> ShotSeries:
-    """The series with the given pairing, each row's verdict computed once:
-    one hash per passed secret-pass leaf, compared with the g(0)' of every
-    hash-pass leaf it is paired with."""
-    hashes = np.array([
-        hash_to_field(p.value, instance.modulus) if p.ancilla == 0 else -1 for p, _ in secret
-    ])
-    # g(0)' per row, -1 where the hash pass aborted on its ancilla.
-    g0 = np.array([-1 if q.ancilla else q.value for q in hashed], dtype=np.int64)[pair_hash]
-    # Indices into VERDICTS: accepted 0, abort_ancilla 1, abort_hash 2.
-    verdict = np.where(g0 < 0, 1, np.where(hashes[pair_secret] == g0, 0, 2))
-    return ShotSeries(instance, secret, hashed, pair_secret, pair_hash, pair_shots, verdict)
+    """The series of these pass leaves, its passes paired by key. The passed
+    secret-pass shots are grouped by f(0)', the hash-pass shots by (ancilla,
+    g(0)'), and the hash-pass groups are dealt out to the f(0)' groups, in
+    order of first appearance, by one multivariate hypergeometric draw per
+    f(0)' but the last. That is a uniformly random matching of the shots of
+    the two passes, which are independent, summed over the groups. The
+    verdict rule runs once per f(0)': one hash, compared with each g(0)'."""
+    runs: Counter = Counter()
+    f0s: Counter = Counter()
+    for p, n in secret:
+        if p.ancilla:
+            runs[RunOutcome(VERDICT_ABORT_ANCILLA, None, None, (p.ancilla,))] += n
+        else:
+            f0s[p.value] += n
+    groups: Counter = Counter()
+    for q, n in hashed:
+        groups[q.ancilla, q.value] += n
+    keys, left = list(groups), np.array(list(groups.values()), dtype=np.int64)
+    for k, (f0, n) in enumerate(f0s.items(), 1):
+        dealt = rng.multivariate_hypergeometric(left, n) if k < len(f0s) else left
+        left = left - dealt
+        h = hash_to_field(f0, instance.modulus)
+        for i in dealt.nonzero()[0].tolist():
+            ancilla, g0 = keys[i]
+            verdict = (VERDICT_ABORT_ANCILLA if ancilla else
+                       VERDICT_ACCEPTED if g0 == h else VERDICT_ABORT_HASH)
+            runs[RunOutcome(verdict, f0, g0, (0, ancilla))] += int(dealt[i])
+    return ShotSeries(instance, secret, hashed, runs)
 
 
 def split_shot_series(
@@ -346,8 +326,9 @@ def split_shot_series(
     branch and drawn from one generator seeded once; a Generator passed as
     `seed` is drawn from as it is. The series has the law of
     adversary.run_shot_series with the same arguments. A pairing draw takes
-    at most MAX_PAIRED_SHOTS shots; a series that needs a larger one raises
-    ValueOutOfRange before its hash pass runs."""
+    at most MAX_PAIRED_SHOTS shots; a series that needs one, its passed
+    shots holding more than one f(0)', raises ValueOutOfRange before its
+    hash pass runs."""
     return split_batch([instance], shots, [np.random.default_rng(seed)], channel)[0]
 
 
@@ -360,33 +341,20 @@ def split_batch(
     channel = channel or Channel()
     policies = [partial(_split, rng) for rng in rngs]
     secrets = run_pass(instances, channel, "secret", [shots] * len(instances), policies)
-    # Only shots whose secret-pass ancilla read 0 go on to the hash pass. The
-    # passes of one shot are independent, so the hash-pass leaves are dealt
-    # out to the secret-pass leaves by a uniformly random pairing of their
-    # shots: one multivariate hypergeometric draw per secret-pass leaf.
-    passed = [[i for i, (p, _) in enumerate(secret) if p.ancilla == 0] for secret in secrets]
-    hash_shots = [sum(secret[i][1] for i in p) for secret, p in zip(secrets, passed)]
+    # Only shots whose secret-pass ancilla read 0 go on to the hash pass.
+    passed = [[(p.value, n) for p, n in secret if p.ancilla == 0] for secret in secrets]
+    hash_shots = [sum(n for _, n in p) for p in passed]
     for p, n in zip(passed, hash_shots):
-        if len(p) > 1 and n > MAX_PAIRED_SHOTS:
-            raise ValueOutOfRange(f"{n} shots pass the secret pass in {len(p)} leaves; pairing "
+        f0s = len({value for value, _ in p})
+        if f0s > 1 and n > MAX_PAIRED_SHOTS:
+            raise ValueOutOfRange(f"{n} shots pass the secret pass with {f0s} values of f(0)'; pairing "
                                   f"them with the hash pass takes at most {MAX_PAIRED_SHOTS} shots")
     go = [b for b, p in enumerate(passed) if p]
     hashed = dict(zip(go, run_pass(
         [instances[b] for b in go], channel, "hash", [hash_shots[b] for b in go],
         [policies[b] for b in go]) if go else []))
-    out = []
-    for b, (instance, rng, secret) in enumerate(zip(instances, rngs, secrets)):
-        leaves, last = hashed.get(b, []), len(passed[b])
-        left = np.array([n for _, n in leaves], dtype=np.int64)
-        rows = [(np.empty(0, dtype=np.int64),) * 3]
-        for k, i in enumerate(passed[b], 1):
-            dealt = rng.multivariate_hypergeometric(left, secret[i][1]) if k < last else left
-            left = left - dealt
-            j = dealt.nonzero()[0]
-            rows.append((np.full(len(j), i), j, dealt[j]))
-        table = (np.concatenate(column) for column in zip(*rows))
-        out.append(paired_series(instance, secret, [q for q, _ in leaves], *table))
-    return out
+    return [shot_series(instance, secret, hashed.get(b, []), rng)
+            for b, (instance, rng, secret) in enumerate(zip(instances, rngs, secrets))]
 
 
 def secret_pass(

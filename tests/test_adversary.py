@@ -43,33 +43,29 @@ def instance(n=4, t=3, secret=1, seed=5, d=5):
 
 
 def joint(series):
-    """(transcript, shots) per leaf of the joint law of one series or of a
-    list of them, read from each pairing table: the secret-pass aborts in
-    walk order, then one transcript per row, its verdict worked out here from
-    the two pass leaves. The reports' counters are checked against it."""
+    """(transcript, shots) per run of one series or of a list of them, read
+    from each series' runs, the verdict worked out here from the ancillas,
+    f(0)' and g(0)'. Only a one-shot series knows which pass leaves its shot
+    took, so only its transcript carries their hook events. The reports'
+    counters are checked against it."""
     out = []
     for part in series if isinstance(series, list) else [series]:
         inst = part.instance
-
-        def transcript(passes):
-            if passes[0].ancilla or passes[1].ancilla:
+        one_shot = sum(n for _, n in part.secret) == 1
+        events = tuple(e for p, _ in part.secret + part.hashed for e in p.events) if one_shot else ()
+        for run, n in part.runs.items():
+            if any(run.ancilla):
                 verdict = "abort_ancilla"
-            elif hash_to_field(passes[0].value, inst.modulus) == passes[1].value:
+            elif hash_to_field(run.f0, inst.modulus) == run.g0:
                 verdict = "accepted"
             else:
                 verdict = "abort_hash"
-            return ProtocolTranscript(
+            out.append((ProtocolTranscript(
                 d=inst.modulus.d, t=inst.t, xs=inst.xs,
                 shadows_secret=inst.shadows_secret, shadows_hash=inst.shadows_hash,
-                ancilla=tuple(p.ancilla for p in passes),
-                f0=passes[0].value, g0=passes[1].value if len(passes) > 1 else None,
-                verdict=verdict, seed=None,
-                hook_events=tuple(e for p in passes for e in p.events),
-            )
-
-        out += [(transcript((p,)), n) for p, n in part.secret if p.ancilla]
-        rows = zip(part.pair_secret.tolist(), part.pair_hash.tolist(), part.pair_shots.tolist())
-        out += [(transcript((part.secret[i][0], part.hashed[j])), n) for i, j, n in rows]
+                ancilla=run.ancilla, f0=run.f0, g0=run.g0, verdict=verdict, seed=None,
+                hook_events=events,
+            ), n))
     return out
 
 
@@ -242,7 +238,7 @@ class TestSplitSeriesMatchesPerShot:
     )
     COLLUDE = Channel(hooks={1: _measure_resend_hook, 2: _measure_resend_hook})
 
-    # observed: hook measurements per secret pass
+    # measured: hook measurements per secret pass
     CASES = [
         ("intercept_resend d=5", instance(), INTERCEPT, 1),
         ("intercept_iqft d=3", instance(n=2, t=2, secret=2, seed=8, d=3), IQFT, 1),
@@ -252,19 +248,25 @@ class TestSplitSeriesMatchesPerShot:
          COLLUDE, 2),
     ]
 
-    @pytest.mark.parametrize("label, inst, channel, observed", CASES)
-    def test_channel_series(self, label, inst, channel, observed):
+    @pytest.mark.parametrize("label, inst, channel, measured", CASES)
+    def test_channel_series(self, label, inst, channel, measured):
         d, shots = inst.modulus.d, self.SHOTS
-        leaves = joint(split_shot_series(inst, shots, seed=90, channel=channel))
+        series = split_shot_series(inst, shots, seed=90, channel=channel)
+        leaves = joint(series)
         assert sum(n for _, n in leaves) == shots, label
         assert all(n > 0 for _, n in leaves), label
         reference = joint(run_shot_series(inst, shots, seed=91, channel=channel))
-        for key, categories in ((secret_pass_values, d**observed), (lambda tr: tr.verdict, 3)):
-            tv = tv_distance(tally(leaves, key), tally(reference, key), shots, shots)
+        verdict = lambda tr: tr.verdict  # noqa: E731
+        for engine, per_shot, categories in (
+            (qss.adversary.tally(series.secret, observed), tally(reference, secret_pass_values),
+             d**measured),
+            (tally(leaves, verdict), tally(reference, verdict), 3),
+        ):
+            tv = tv_distance(engine, per_shot, shots, shots)
             assert tv <= tv_bound(categories, shots), (label, tv)
 
-    @pytest.mark.parametrize("label, inst, channel, observed", CASES)
-    def test_run_is_one_shot_series(self, label, inst, channel, observed):
+    @pytest.mark.parametrize("label, inst, channel, measured", CASES)
+    def test_run_is_one_shot_series(self, label, inst, channel, measured):
         # One engine: a run is the single leaf of a one-shot series, hook
         # events included, and records its int seed.
         for s in range(20):
@@ -457,9 +459,9 @@ class TestWorkPerSeries:
         per_shot = self.passes(monkeypatch, lambda: instance().run(channel=channel, seed=6))
         assert split == per_shot == 2
 
-    def test_one_hash_per_secret_pass_leaf(self, monkeypatch):
+    def test_one_hash_per_f0(self, monkeypatch):
         # The hash check depends only on f(0)', so a collusion series takes
-        # one SHA1 per secret-pass leaf, not one per pair of pass leaves.
+        # one SHA1 per value of f(0)' that passed, not one per pass leaf.
         calls = []
 
         def sha1(data):
@@ -470,10 +472,8 @@ class TestWorkPerSeries:
         channel = Channel(hooks={1: _measure_resend_hook, 2: _measure_resend_hook})
         monkeypatch.setattr(qss.dealer, "hashlib", SimpleNamespace(sha1=sha1))
         series = split_shot_series(inst, 4000, 17, channel)
-        hashes = len(calls)
-        paired = [tr for tr, _ in joint(series) if len(tr.ancilla) == 2]
-        secret_leaves = {(secret_pass_values(tr), tr.f0) for tr in paired}
-        assert 0 < hashes <= len(secret_leaves) < len(paired)
+        passed = [p.value for p, _ in series.secret if p.ancilla == 0]
+        assert 0 < len(calls) == len(set(passed)) < len(passed)
 
 
 class TestControlRuns:
@@ -524,8 +524,9 @@ def observed(leaf):
 
 
 class TestTableMatchesLeaves:
-    """A report counts shots from the pairing table; every count must equal
-    the per-transcript formula over the series' transcripts (joint)."""
+    """A report counts shots from the pass leaves and the series' runs; every
+    count must equal the per-transcript formula over the series' transcripts
+    (joint)."""
 
     CASES = [(label, inst, channel) for label, inst, channel, _ in TestSplitSeriesMatchesPerShot.CASES]
     CASES += [
@@ -539,9 +540,10 @@ class TestTableMatchesLeaves:
             series = split_shot_series(inst, shots, seed, channel)
             leaves = joint(series)
             assert sum(n for _, n in leaves) == shots, (label, seed, shots)
-            for leaf_key, transcript_key in (
-                (observed, secret_pass_values), (lambda leaf: leaf.value, lambda tr: tr.f0),
-            ):
+            keys = [(lambda leaf: leaf.value, lambda tr: tr.f0)]
+            if shots == 1:  # only a one-shot transcript carries hook events
+                keys.append((observed, secret_pass_values))
+            for leaf_key, transcript_key in keys:
                 table = qss.adversary.tally(series.secret, leaf_key)
                 reference = tally(leaves, transcript_key)
                 # Same counts, keys first seen in the same order.
@@ -581,6 +583,114 @@ class TestTableMatchesLeaves:
             assert report.extra["series_digest"] == digest_of_leaves(leaves)
             residuals += residual
         assert residuals > 0
+
+
+class RecordingGenerator(np.random.Generator):
+    """default_rng(seed)'s stream, recording the number of groups of each
+    multivariate hypergeometric draw it makes."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = []
+
+    def multivariate_hypergeometric(self, colors, nsample, *args, **kwargs):
+        self.draws.append(len(colors))
+        return super().multivariate_hypergeometric(colors, nsample, *args, **kwargs)
+
+
+def run_marginals(runs):
+    """Shots per secret-pass abort ancilla, per passed f(0)' and per hash-pass
+    (ancilla, g(0)'), summed over a series' runs."""
+    aborts, f0s, groups = Counter(), Counter(), Counter()
+    for run, n in runs.items():
+        if len(run.ancilla) == 1:
+            aborts[run.ancilla[0]] += n
+        else:
+            f0s[run.f0] += n
+            groups[run.ancilla[1], run.g0] += n
+    return aborts, f0s, groups
+
+
+class TestPairing:
+    """A series pairs its passes by key: the passed secret-pass shots, grouped
+    by f(0)', are matched at random with the hash-pass shots, grouped by
+    (ancilla, g(0)')."""
+
+    INTERCEPTS = [TestSplitSeriesMatchesPerShot.INTERCEPT, TestSplitSeriesMatchesPerShot.ENTANGLE]
+
+    @pytest.mark.parametrize("label, inst, channel", TestTableMatchesLeaves.CASES,
+                             ids=[c[0] for c in TestTableMatchesLeaves.CASES])
+    def test_runs_add_up_to_the_pass_leaves(self, label, inst, channel):
+        for seed, shots in itertools.product(range(3), (1, 7, 500)):
+            series = split_shot_series(inst, shots, seed, channel)
+            aborts, f0s, groups = Counter(), Counter(), Counter()
+            for p, n in series.secret:
+                if p.ancilla:
+                    aborts[p.ancilla] += n
+                else:
+                    f0s[p.value] += n
+            for q, n in series.hashed:
+                groups[q.ancilla, q.value] += n
+            assert run_marginals(series.runs) == (aborts, f0s, groups), (label, seed, shots)
+            assert sum(f0s.values()) == sum(groups.values()), (label, seed, shots)
+
+    @pytest.mark.parametrize("d", [5, 7])
+    @pytest.mark.parametrize("channel", INTERCEPTS, ids=["intercept_resend", "entangle_measure"])
+    def test_runs_follow_the_product_law(self, d, channel):
+        # The passes are independent, so a run's law is the product of the
+        # two pass laws: P(f(0)') P(hash ancilla, g(0)') once the secret pass
+        # passed, and P(accepted) = sum over f(0)' of P_s(0, f(0)') P_h(0, h(f(0)')).
+        inst, shots = instance(secret=1, seed=1, d=d), 10**6
+        law = Counter()
+        hashed = [(q.ancilla, q.value, w) for q, w in exact_pass(inst, channel, "hash")]
+        for p, w in exact_pass(inst, channel, "secret"):
+            if p.ancilla:
+                law["abort", p.ancilla] += w
+                continue
+            h = hash_to_field(p.value, inst.modulus)
+            for ancilla, g0, v in hashed:
+                law[p.value, ancilla, g0] += w * v
+                law["accepted"] += w * v if (ancilla, g0) == (0, h) else 0.0
+        accepted = law.pop("accepted")
+        series = split_shot_series(inst, shots, 5, channel)
+        counts = Counter()
+        for run, n in series.runs.items():
+            key = ("abort", run.ancilla[0]) if len(run.ancilla) == 1 else (run.f0, run.ancilla[1], run.g0)
+            counts[key] += n
+        rate = sum(n for run, n in series.runs.items() if run.verdict == "accepted") / shots
+        assert within_binomial_4sigma(rate, accepted, shots), (rate, accepted)
+        assert set(counts) <= set(law)
+        chi2 = sum((counts[k] - shots * p) ** 2 / (shots * p) for k, p in law.items())
+        assert _chi2_sf(chi2, len(law) - 1) > 1e-4, chi2
+
+    CASES = [
+        ("intercept_resend d=5", instance(), TestSplitSeriesMatchesPerShot.INTERCEPT),
+        ("entangle_measure d=5", instance(), TestSplitSeriesMatchesPerShot.ENTANGLE),
+        ("collusion_probe d=5 t=4", instance(n=4, t=4, d=5), TestSplitSeriesMatchesPerShot.COLLUDE),
+        ("intercept_resend d=31", instance(d=31), TestSplitSeriesMatchesPerShot.INTERCEPT),
+    ]
+
+    @pytest.mark.parametrize("label, inst, channel", CASES, ids=[c[0] for c in CASES])
+    def test_one_draw_per_f0_but_the_last(self, label, inst, channel):
+        # Each draw deals the hash-pass groups, at most d + d - 1 of them, to
+        # one f(0)'; the last f(0)' takes what is left.
+        rng = RecordingGenerator(8)
+        series = split_shot_series(inst, 5000, rng, channel)
+        passed = [p.value for p, _ in series.secret if p.ancilla == 0]
+        assert len(rng.draws) == len(set(passed)) - 1 < len(passed) - 1, label
+        assert max(rng.draws) <= 2 * inst.modulus.d, label
+
+    def test_one_f0_makes_no_draw(self):
+        channel = TestSplitSeriesMatchesPerShot.INTERCEPT
+        for draw in (
+            lambda rng: split_shot_series(instance(), 5000, rng),
+            lambda rng: split_shot_series(instance(), 1, rng, channel),
+            lambda rng: instance().run(channel, rng),
+            lambda rng: run_shot_series(instance(), 50, rng, channel),
+        ):
+            rng = RecordingGenerator(3)
+            draw(rng)
+            assert rng.draws == []
 
 
 def full_series_tally(forced, shots, seed, salt, channel, key):
@@ -637,21 +747,21 @@ class TestHypothesisSeries:
     @pytest.mark.parametrize("kind, fields", [case[:2] for case in CASES], ids=IDS)
     def test_one_hash_pass_and_one_pairing(self, monkeypatch, kind, fields):
         calls = Counter()
-        real_run_pass, real_paired = qss.protocol.run_pass, qss.protocol.paired_series
+        real_run_pass, real_shot_series = qss.protocol.run_pass, qss.protocol.shot_series
 
         def run_pass(instance, channel, pass_name, *args):
             calls[pass_name] += 1
             return real_run_pass(instance, channel, pass_name, *args)
 
-        def paired_series(*args):
-            calls["paired_series"] += 1
-            return real_paired(*args)
+        def shot_series(*args):
+            calls["shot_series"] += 1
+            return real_shot_series(*args)
 
         monkeypatch.setattr(qss.protocol, "run_pass", run_pass)
-        monkeypatch.setattr(qss.protocol, "paired_series", paired_series)
+        monkeypatch.setattr(qss.protocol, "shot_series", shot_series)
         inst, _, _ = self.setting(kind)
         run_attack(inst, AttackSpec(kind=kind, shots=500, seed=3, hypotheses=(0, 2), **fields))
-        assert calls == {"secret": 3, "hash": 1, "paired_series": 1}
+        assert calls == {"secret": 3, "hash": 1, "shot_series": 1}
 
     def test_only_the_attacked_series_meets_the_pairing_bound(self, monkeypatch):
         # The bound guards a pairing draw, and only the attacked series makes
@@ -660,7 +770,7 @@ class TestHypothesisSeries:
         inst = instance()
         spec = AttackSpec(kind="intercept_iqft", shots=500, seed=4, hypotheses=(0, 2))
         series = split_shot_series(inst, 500, 4, TestSplitSeriesMatchesPerShot.IQFT)
-        paired = int(series.pair_shots.sum())
+        paired = sum(n for _, n in series.hashed)
         assert paired == 97
         monkeypatch.setattr(qss.protocol, "MAX_PAIRED_SHOTS", paired)
         assert run_attack(inst, spec).extra["series_digest"] == series_digest(series)
@@ -670,8 +780,8 @@ class TestHypothesisSeries:
 
 
 class TestNoTranscriptPerPair:
-    """Reports and simulate count shots from the pairing table: they build
-    no ProtocolTranscript at all."""
+    """Reports and simulate count shots from the pass leaves and the runs:
+    they build no ProtocolTranscript at all."""
 
     @staticmethod
     def transcripts(monkeypatch, action):

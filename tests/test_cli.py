@@ -284,7 +284,7 @@ class TestShotBounds:
         assert passes == ["secret"]
 
     def test_largest_shot_counts_in_range_run(self, capsys):
-        # Forgery rings pass one secret-pass leaf each, so they make no
+        # Forgery rings pass one value of f(0)' each, so they make no
         # pairing draw; an iqft intercept passes about 1/d of its shots.
         for kind, shots in (("forgery", 4_000_000_000), ("intercept_iqft", 999_999_999)):
             code, out, _ = run_cli(capsys, *self.ATTACK, kind, "--shots", str(shots))

@@ -16,21 +16,21 @@ GOLDEN = [
     ("simulate --n 4 --t 2 --d 7 --secret 3 --shots 64 --seed 8", 0, "1c18da88622f546aa11bda07059f518a80118989e5966cf4c819f82e3a9ad3c0"),
     ("sweep --d-max 13 --t-max 4 --n-max 6 --seed 3", 0, "69630262d54e42e1aa877a810d193a1cae233225eaf0a61116de54fa2f3687e3"),
     ("sweep --d-max 7 --t-max 3 --n-max 4 --seed 2 --format json", 0, "46406856114e1a552a0d7c0c037caba43903a1c22ac0c86b9db0073c4bca1feb"),
-    ("attack --attack intercept_resend --n 4 --t 3 --d 5 --shots 400 --seed 3 --hypotheses 1 3", 0, "d487099d0face57956770f943adcfa03f3759380a437757953195363e181e116"),
-    ("attack --attack intercept_resend --n 3 --t 3 --d 13 --shots 100000 --seed 8 --hop 1", 0, "1818989a8c3bb4ed638c43e7535be161604baadc9df590f4ed72b9ee1d8ecbe9"),
-    ("attack --attack intercept_iqft --n 4 --t 3 --d 7 --shots 1000 --seed 5 --hop 1 --hypotheses 0 6", 0, "0f14ead69ae874b7ac26f65eabcaf716e56d161f009c20756d63795e715bf251"),
-    ("attack --attack entangle_measure --n 4 --t 3 --d 5 --shots 300 --seed 2 --hypotheses 2 4", 0, "062b8424dab67f0a0e0098c30c7bc83d8a237c5d74bff811e8be53f7b3d4b270"),
+    ("attack --attack intercept_resend --n 4 --t 3 --d 5 --shots 400 --seed 3 --hypotheses 1 3", 0, "79699aa940eba3a03c1e53108b3e8a729a8bceb7a79ac66945307efcf8014bfe"),
+    ("attack --attack intercept_resend --n 3 --t 3 --d 13 --shots 100000 --seed 8 --hop 1", 0, "39ceb22182a8c95787e39e512b119afabc185f10b195121384255aac5a56434d"),
+    ("attack --attack intercept_iqft --n 4 --t 3 --d 7 --shots 1000 --seed 5 --hop 1 --hypotheses 0 6", 0, "93213c51d435d2c9e9449c24dc9c047421fec62ea0dc37f3e79243add36fb285"),
+    ("attack --attack entangle_measure --n 4 --t 3 --d 5 --shots 300 --seed 2 --hypotheses 2 4", 0, "ab3e436b727a4128ee264bf24036871d23768cbca0a3eb83243fd599994a9d37"),
     ("attack --attack forgery --n 4 --t 3 --d 5 --shots 200 --seed 4", 0, "0c2290b256667ee7db18ac91faa30715f7cb2c953dfbb2a6cfb49e7aa926bc9e"),
     ("attack --attack forgery --n 5 --t 4 --d 31 --shots 5000 --seed 7 --player 3", 0, "cc768f858b836cd0f3f67cc56f4ff7a2085df9eb4085a7c1286e21a822e6543b"),
-    ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 3000 --seed 1 --hypotheses 1 5", 0, "250f0e5c8102ecbd7c6cb2ebd1e02da7f424937e8905c099eead739a164990c9"),
-    ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 2000 --seed 2 --player 3 --escalate --hypotheses 0 3", 0, "fb5e8552eb180a9fddedff5ec911fdfa3ee19964db28759b878c448e01398e8f"),
+    ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 3000 --seed 1 --hypotheses 1 5", 0, "dfe96571bf8fb0adc7a795579f11729ee0160f29203ca5a3a44143c099160408"),
+    ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 2000 --seed 2 --player 3 --escalate --hypotheses 0 3", 0, "2590577da2fc84d58004c9137d6338f6e53410f2094a0cdce2cea6c9086249a1"),
     # Series with many measurement branches (d = 31).
-    ("attack --attack entangle_measure --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "47ec30f937b16a6745a020a50111bb7178f49b4b63207c2470f28fb86c18ac48"),
-    ("attack --attack intercept_iqft --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "b8c849950650a14e0ab07ea5f0fdd47991b36933e1aba4dd8119427ae6e34156"),
+    ("attack --attack entangle_measure --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "2ee40e43e1ac8a359ce2d194b1e484f57011fa0c736891c0d5ab88d9ab6222cd"),
+    ("attack --attack intercept_iqft --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "9e4c2b8db8865dc3165829f10008020b88ff0f6287a1fce79555672857497004"),
     # About d**2 hash-pass leaves: the intercept kind with the most pairs.
-    ("attack --attack intercept_resend --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "5d21b3f6c48e2214a1743516ef81b56e3d76c8398dcb1d7e81760e192e21f816"),
+    ("attack --attack intercept_resend --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "79433fcd930a9aefe627e68f603c677b9da21d25e653902485a2ba466c984893"),
     # About 6400 leaves in each pass of each series (d = 127).
-    ("attack --attack intercept_resend --n 4 --t 3 --d 127 --shots 8192 --hypotheses 1 2 --seed 1", 0, "b09b3b13e7a4ee1f6d6fb49e85070d5e3cf0cfb1450caa7049b89bc07e8dd5a3"),
+    ("attack --attack intercept_resend --n 4 --t 3 --d 127 --shots 8192 --hypotheses 1 2 --seed 1", 0, "bcf3ae72d7f6fbc6919f7bffb4e0435ebc931c4e55e3a1dc6733e88cbb0cb8c1"),
 ]
 
 
