@@ -366,8 +366,15 @@ def secret_pass(
 
 
 def _split(rng: np.random.Generator, probs: np.ndarray, shots: int) -> list[tuple[int, int]]:
-    """The engine's branch policy: one multinomial draw splits the shots."""
-    counts = rng.multinomial(shots, probs / probs.sum())
+    """The engine's branch policy: one multinomial draw splits the shots over
+    the law snapped to a 1e-12 grid, so that the last bits of the arithmetic
+    that computed it do not reach the draw. numpy draws each outcome by a
+    binomial that takes another branch above p = 0.5, where one ulp of a
+    uniform law can fall."""
+    # Whole units of 1e-12 are exact integers, so the law drawn from them
+    # depends on the units alone.
+    units = np.rint(probs * (1e12 / probs.sum()))
+    counts = rng.multinomial(shots, units / units.sum())
     hit = counts.nonzero()[0]
     return list(zip(hit.tolist(), counts[hit].tolist()))
 

@@ -23,16 +23,17 @@ is outcome_probabilities (the norm-checked law of one register) followed by
 collapse onto one outcome, which returns the collapsed state; measure draws
 the outcome in between (draw_outcome) and returns (outcome, collapsed state).
 
-Every seeded output is bit-for-bit what a dense simulation gives: the
-Fourier gates do a dense simulation's arithmetic exactly, and a marginal
-adds in the dense reduction's order (see QuditState.marginal). Below 41 the
-dense view (.amplitudes) is multiplied by the cached d x d QFT matrix, or by
-its conjugate, and read back by from_amplitudes; from 41 up the register's
-nonzero fibers are gathered, in order of the member and the other digits,
-and run through one numpy FFT call. Either way only exact zeros are dropped
-from the result: round-off amplitudes (about 1e-17 on outcomes that should
-be impossible) stay, since a probability of exactly 0 draws no random number
-in numpy's binomial and would shift every later draw. The only tables are
+Below 41 the dense view (.amplitudes) is multiplied by the cached d x d QFT
+matrix, or by its conjugate, and read back by from_amplitudes; from 41 up
+the register's nonzero fibers are gathered, in order of the member and the
+other digits, and run through one numpy FFT call. The two round differently
+in the last bit, but no seeded output sees it: the engine snaps every law
+to a 1e-12 grid before it draws (protocol._split), so a law value moves the
+draw only if it lies within about 1e-16 of a grid boundary. Either way
+only exact zeros are dropped from a gate's result: round-off amplitudes
+(about 1e-17 on outcomes that should be impossible) stay, and snap to a
+probability of exactly 0, which draws no random number. A marginal adds in
+the dense reduction's order (see QuditState.marginal). The only tables are
 the QFT matrix below 41 and the phase rows, both cached by dimension;
 callers work at one d at a time, so the QFT table keeps one entry.
 """
@@ -63,8 +64,10 @@ MAX_SUPPORT = 2**24
 # d=47 dense 22-36 us against FFT 19-25 us, and near 41 the two are within
 # a few us. Cold, the dense path first builds its matrix (about 100 us at
 # d=41), so there the FFT always wins. The threshold also decides which
-# arithmetic a fiber gets (a BLAS product or pocketfft), and the two round
-# differently in the last bit, so moving it changes seeded outputs.
+# arithmetic a fiber gets (a BLAS product or pocketfft). The two round
+# differently in the last bit, which moves states (TestStateGolden pins them)
+# but no seeded output, since each law is snapped before it is drawn, so the
+# threshold can be chosen on speed alone.
 _FFT_MIN_D = 41
 
 

@@ -765,13 +765,13 @@ class TestHypothesisSeries:
 
     def test_only_the_attacked_series_meets_the_pairing_bound(self, monkeypatch):
         # The bound guards a pairing draw, and only the attacked series makes
-        # one. At seed 4 it passes 97 shots to the hash pass and the two
-        # hypothesis series would pass 111 and 103.
+        # one. At seed 4 it passes 98 shots to the hash pass and the two
+        # hypothesis series would pass 110 and 103.
         inst = instance()
         spec = AttackSpec(kind="intercept_iqft", shots=500, seed=4, hypotheses=(0, 2))
         series = split_shot_series(inst, 500, 4, TestSplitSeriesMatchesPerShot.IQFT)
         paired = sum(n for _, n in series.hashed)
-        assert paired == 97
+        assert paired == 98
         monkeypatch.setattr(qss.protocol, "MAX_PAIRED_SHOTS", paired)
         assert run_attack(inst, spec).extra["series_digest"] == series_digest(series)
         monkeypatch.setattr(qss.protocol, "MAX_PAIRED_SHOTS", paired - 1)

@@ -13,6 +13,7 @@ import pytest
 import qss
 import qss.cli
 import qss.protocol
+import qss.qudit
 from qss.cli import main, resolve_preset
 from qss.dealer import deal
 from qss.errors import PresetInfeasible, QssError
@@ -289,6 +290,23 @@ class TestShotBounds:
         for kind, shots in (("forgery", 4_000_000_000), ("intercept_iqft", 999_999_999)):
             code, out, _ = run_cli(capsys, *self.ATTACK, kind, "--shots", str(shots))
             assert code == 0 and json.loads(out)["report"]["shots"] == shots, kind
+
+
+class TestFourierArithmeticIsFree:
+    """The engine snaps each law to a 1e-12 grid before it draws, so the
+    attack goldens give the same bytes whether the Fourier gates run as a
+    dense product at every d, as an FFT at every d, or switch at d = 41."""
+
+    ATTACKS = [argv for argv, _, _ in GOLDEN if argv.startswith("attack")]
+
+    @pytest.mark.parametrize("argv", ATTACKS)
+    def test_same_output_at_every_threshold(self, capsys, monkeypatch, argv):
+        outputs = []
+        for threshold in (41, 2, 1025):
+            monkeypatch.setattr(qss.qudit, "_FFT_MIN_D", threshold)
+            code, out, _ = run_cli(capsys, *argv.split())
+            outputs.append((code, hashlib.sha256(out.encode()).hexdigest()))
+        assert outputs[1:] == outputs[:1] * 2
 
 
 class TestAttack:

@@ -16,21 +16,21 @@ GOLDEN = [
     ("simulate --n 4 --t 2 --d 7 --secret 3 --shots 64 --seed 8", 0, "1c18da88622f546aa11bda07059f518a80118989e5966cf4c819f82e3a9ad3c0"),
     ("sweep --d-max 13 --t-max 4 --n-max 6 --seed 3", 0, "69630262d54e42e1aa877a810d193a1cae233225eaf0a61116de54fa2f3687e3"),
     ("sweep --d-max 7 --t-max 3 --n-max 4 --seed 2 --format json", 0, "46406856114e1a552a0d7c0c037caba43903a1c22ac0c86b9db0073c4bca1feb"),
-    ("attack --attack intercept_resend --n 4 --t 3 --d 5 --shots 400 --seed 3 --hypotheses 1 3", 0, "79699aa940eba3a03c1e53108b3e8a729a8bceb7a79ac66945307efcf8014bfe"),
-    ("attack --attack intercept_resend --n 3 --t 3 --d 13 --shots 100000 --seed 8 --hop 1", 0, "39ceb22182a8c95787e39e512b119afabc185f10b195121384255aac5a56434d"),
-    ("attack --attack intercept_iqft --n 4 --t 3 --d 7 --shots 1000 --seed 5 --hop 1 --hypotheses 0 6", 0, "93213c51d435d2c9e9449c24dc9c047421fec62ea0dc37f3e79243add36fb285"),
-    ("attack --attack entangle_measure --n 4 --t 3 --d 5 --shots 300 --seed 2 --hypotheses 2 4", 0, "ab3e436b727a4128ee264bf24036871d23768cbca0a3eb83243fd599994a9d37"),
+    ("attack --attack intercept_resend --n 4 --t 3 --d 5 --shots 400 --seed 3 --hypotheses 1 3", 0, "3432cbfd236ec2f6ab648a8207af39dc8862ff5e48d447eb1eb5c5a44ba59193"),
+    ("attack --attack intercept_resend --n 3 --t 3 --d 13 --shots 100000 --seed 8 --hop 1", 0, "70ee37887a885b6bf8b717bb7f359d061f00097e600553dbcfd2cd7f2cad12cf"),
+    ("attack --attack intercept_iqft --n 4 --t 3 --d 7 --shots 1000 --seed 5 --hop 1 --hypotheses 0 6", 0, "4a43b8b48c0e8be4521f350330c9e54c78e6ce2663e9c617bc44786f21756160"),
+    ("attack --attack entangle_measure --n 4 --t 3 --d 5 --shots 300 --seed 2 --hypotheses 2 4", 0, "f52aa4fba0d2be7e770ae610a5fa4652281062564ec1f6678ab018b94d4ebd43"),
     ("attack --attack forgery --n 4 --t 3 --d 5 --shots 200 --seed 4", 0, "0c2290b256667ee7db18ac91faa30715f7cb2c953dfbb2a6cfb49e7aa926bc9e"),
     ("attack --attack forgery --n 5 --t 4 --d 31 --shots 5000 --seed 7 --player 3", 0, "cc768f858b836cd0f3f67cc56f4ff7a2085df9eb4085a7c1286e21a822e6543b"),
-    ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 3000 --seed 1 --hypotheses 1 5", 0, "dfe96571bf8fb0adc7a795579f11729ee0160f29203ca5a3a44143c099160408"),
-    ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 2000 --seed 2 --player 3 --escalate --hypotheses 0 3", 0, "2590577da2fc84d58004c9137d6338f6e53410f2094a0cdce2cea6c9086249a1"),
+    ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 3000 --seed 1 --hypotheses 1 5", 0, "667752f67557b31f0317cf6e75b9ee03cebd4cdd99ad04fc1c2044de0c15e489"),
+    ("attack --attack collusion_probe --n 5 --t 4 --d 7 --shots 2000 --seed 2 --player 3 --escalate --hypotheses 0 3", 0, "59bd80f8ae5b34307b016f89aa576a93ee5ec4fcd198b60e0ddb1bdf75f974d3"),
     # Series with many measurement branches (d = 31).
-    ("attack --attack entangle_measure --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "2ee40e43e1ac8a359ce2d194b1e484f57011fa0c736891c0d5ab88d9ab6222cd"),
-    ("attack --attack intercept_iqft --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "9e4c2b8db8865dc3165829f10008020b88ff0f6287a1fce79555672857497004"),
+    ("attack --attack entangle_measure --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "ce94b921559b3a8eef884b74bdb7ce77fd67701fe2d548203e6fefbe6f188dcd"),
+    ("attack --attack intercept_iqft --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "28af1e8bd1d8aeccde1d937abf92866ec85270a26f85b6330e9682b05b9d7fe5"),
     # About d**2 hash-pass leaves: the intercept kind with the most pairs.
-    ("attack --attack intercept_resend --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "79433fcd930a9aefe627e68f603c677b9da21d25e653902485a2ba466c984893"),
+    ("attack --attack intercept_resend --n 4 --t 3 --d 31 --shots 8192 --hypotheses 1 2 --seed 1", 0, "fe49d2b375fcf983129ae69e6aeafa935c2bcdc7b87c0403e14481ddb9e064b9"),
     # About 6400 leaves in each pass of each series (d = 127).
-    ("attack --attack intercept_resend --n 4 --t 3 --d 127 --shots 8192 --hypotheses 1 2 --seed 1", 0, "bcf3ae72d7f6fbc6919f7bffb4e0435ebc931c4e55e3a1dc6733e88cbb0cb8c1"),
+    ("attack --attack intercept_resend --n 4 --t 3 --d 127 --shots 8192 --hypotheses 1 2 --seed 1", 0, "40861ebea210021c0db4f437093a3434e553f492533737ee8c250add7b3e30d9"),
 ]
 
 
