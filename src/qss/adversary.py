@@ -26,8 +26,8 @@ through run_pass with a one-shot policy that draws the outcome by inverse
 CDF (qudit.draw_outcome), and calls neither ProtocolInstance.run nor the
 splitting engine. It returns one one-shot series per shot, built by the
 engine's protocol.shot_series, which makes no draw for one shot, so the
-same counters read it; it is kept as the independent per-shot reference the tests
-check the engine against.
+same counters read it; it is kept as the independent per-shot reference
+the tests check the engine against.
 
 An attack hook is a tuple of steps (see protocol.Channel); its gates look up
 the qudit gate when called, so a wrapper installed on the gate sees them.

@@ -339,6 +339,29 @@ class TestExactLaws:
         assert max(worst) <= self.TOL
 
     @pytest.mark.parametrize("d", [7, 31])
+    def test_each_hop_carries_the_shadows_so_far(self, d):
+        # Hop j carries T from P_{j+1} to P_{j+2}, after P1..P_{j+1} have
+        # each phased it by their shadow: the state in transit is
+        # sum_k w^((s_1 + ... + s_{j+1}) k) |k>_H |k>_T / sqrt d.
+        t, seen = 5, {}
+
+        def record(hop):
+            def step(state):
+                seen[hop] = state.amplitudes.reshape(d, d)  # [H, T]
+                return state
+            return step
+
+        channel = Channel(hooks={hop: (record(hop),) for hop in range(t)})
+        inst = instance(n=6, t=t, secret=3, seed=4, d=d)
+        for pass_name, shadows in (("secret", inst.shadows_secret), ("hash", inst.shadows_hash)):
+            seen.clear()
+            exact_pass(inst, channel, pass_name)
+            for hop in range(t):
+                phase = sum(shadows[:hop + 1]) % d
+                want = np.diag(np.exp(2j * np.pi * phase * np.arange(d) / d)) / math.sqrt(d)
+                assert np.abs(seen[hop] - want).max() <= self.TOL, (pass_name, hop)
+
+    @pytest.mark.parametrize("d", [7, 31])
     def test_honest_pass_has_one_leaf_on_the_secret(self, d):
         for secret in (0, 3, d - 1):
             inst = instance(n=6, t=5, secret=secret, seed=secret + 1, d=d)
