@@ -256,11 +256,10 @@ class TestSplitSeriesMatchesPerShot:
         assert sum(n for _, n in leaves) == shots, label
         assert all(n > 0 for _, n in leaves), label
         reference = joint(run_shot_series(inst, shots, seed=91, channel=channel))
-        verdict = lambda tr: tr.verdict  # noqa: E731
         for engine, per_shot, categories in (
             (qss.adversary.tally(series.secret, observed), tally(reference, secret_pass_values),
              d**measured),
-            (tally(leaves, verdict), tally(reference, verdict), 3),
+            (tally(leaves, lambda tr: tr.verdict), tally(reference, lambda tr: tr.verdict), 3),
         ):
             tv = tv_distance(engine, per_shot, shots, shots)
             assert tv <= tv_bound(categories, shots), (label, tv)
@@ -621,19 +620,6 @@ class RecordingGenerator(np.random.Generator):
         return super().multivariate_hypergeometric(colors, nsample, *args, **kwargs)
 
 
-def run_marginals(runs):
-    """Shots per secret-pass abort ancilla, per passed f(0)' and per hash-pass
-    (ancilla, g(0)'), summed over a series' runs."""
-    aborts, f0s, groups = Counter(), Counter(), Counter()
-    for run, n in runs.items():
-        if len(run.ancilla) == 1:
-            aborts[run.ancilla[0]] += n
-        else:
-            f0s[run.f0] += n
-            groups[run.ancilla[1], run.g0] += n
-    return aborts, f0s, groups
-
-
 class TestPairing:
     """A series pairs its passes by key: the passed secret-pass shots, grouped
     by f(0)', are matched at random with the hash-pass shots, grouped by
@@ -654,7 +640,14 @@ class TestPairing:
                     f0s[p.value] += n
             for q, n in series.hashed:
                 groups[q.ancilla, q.value] += n
-            assert run_marginals(series.runs) == (aborts, f0s, groups), (label, seed, shots)
+            marginals = Counter(), Counter(), Counter()
+            for run, n in series.runs.items():
+                if len(run.ancilla) == 1:
+                    marginals[0][run.ancilla[0]] += n
+                else:
+                    marginals[1][run.f0] += n
+                    marginals[2][run.ancilla[1], run.g0] += n
+            assert marginals == (aborts, f0s, groups), (label, seed, shots)
             assert sum(f0s.values()) == sum(groups.values()), (label, seed, shots)
 
     @pytest.mark.parametrize("d", [5, 7])
@@ -664,7 +657,7 @@ class TestPairing:
         # two pass laws: P(f(0)') P(hash ancilla, g(0)') once the secret pass
         # passed, and P(accepted) = sum over f(0)' of P_s(0, f(0)') P_h(0, h(f(0)')).
         inst, shots = instance(secret=1, seed=1, d=d), 10**6
-        law = Counter()
+        law, accepted = Counter(), 0.0
         hashed = [(q.ancilla, q.value, w) for q, w in exact_pass(inst, channel, "hash")]
         for p, w in exact_pass(inst, channel, "secret"):
             if p.ancilla:
@@ -673,8 +666,8 @@ class TestPairing:
             h = hash_to_field(p.value, inst.modulus)
             for ancilla, g0, v in hashed:
                 law[p.value, ancilla, g0] += w * v
-                law["accepted"] += w * v if (ancilla, g0) == (0, h) else 0.0
-        accepted = law.pop("accepted")
+                if (ancilla, g0) == (0, h):
+                    accepted += w * v
         series = split_shot_series(inst, shots, 5, channel)
         counts = Counter()
         for run, n in series.runs.items():
@@ -695,8 +688,8 @@ class TestPairing:
 
     @pytest.mark.parametrize("label, inst, channel", CASES, ids=[c[0] for c in CASES])
     def test_one_draw_per_f0_but_the_last(self, label, inst, channel):
-        # Each draw deals the hash-pass groups, at most d + d - 1 of them, to
-        # one f(0)'; the last f(0)' takes what is left.
+        # Each draw deals the hash-pass groups, at most 2d - 1 of them, to one
+        # f(0)'; the last f(0)' takes what is left.
         rng = RecordingGenerator(8)
         series = split_shot_series(inst, 5000, rng, channel)
         passed = [p.value for p, _ in series.secret if p.ancilla == 0]
