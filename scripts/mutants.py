@@ -1,6 +1,6 @@
 """Mutation check: every named mutant of the engine must fail a law test.
 
-    python3 scripts/mutants.py [--only NAME ...] [--list]
+    python3 scripts/mutants.py
 
 A mutant is a list of text patches (file, old text, new text), each old text
 found exactly once. For each mutant the script copies the repository,
@@ -18,7 +18,6 @@ installed.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -118,19 +117,11 @@ def run_suite(tree: Path) -> tuple[int, list[str]]:
     return done.returncode, failed
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", choices=list(MUTANTS), metavar="NAME")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        print("\n".join(MUTANTS))
-        return 0
-    names = args.only or list(MUTANTS)
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="qss-mutants-") as scratch:
-        for name in [None, *names]:
-            tree = Path(scratch, str(names.index(name)) if name else "unpatched")
+        for i, name in enumerate([None, *MUTANTS]):
+            tree = Path(scratch, str(i))
             patched_copy(tree, MUTANTS[name] if name else [])
             code, failed = run_suite(tree)
             if name is None:

@@ -10,16 +10,17 @@ and _observe runs their series and, given two hypotheses, the secret pass
 with a shadow forced to each. "Information gain" is the total-variation
 distance between the observations under the two; "detected" means any abort.
 
-Every series starts at protocol.split_shot_series, which walks each
-distinct measurement branch once: at every measurement one multinomial draw
-splits the shots across the outcomes. The series comes back factored by
-pass (a protocol.ShotSeries), and it has the law of running every shot on
-its own. A report counts shots from it without building a transcript:
-tally weighs each secret-pass leaf by its shots (every attacker observation
-is made in the secret pass), and the verdicts, the rates and series_digest
-come from its shots per RunOutcome (`runs`). Forgery runs one series
-per forged value, so these take one series or a list of them. A hypothesis
-series is only tallied, so it draws the secret pass alone (secret_pass).
+Every series starts at protocol.split_shot_series, which walks each distinct
+measurement branch once: at every measurement one multinomial draw splits
+the shots across the outcomes. The series comes back factored by pass (a
+protocol.ShotSeries), with the law of running every shot on its own to
+within 5e-13 per outcome, as the engine snaps each law to a 1e-12 grid. A
+report counts shots from it without building a transcript: tally weighs each
+secret-pass leaf by its shots (every attacker observation is made in the
+secret pass), and the verdicts, the rates and series_digest come from its
+shots per RunOutcome (`runs`). Forgery runs one series per forged value, so
+these take one series or a list of them. A hypothesis series is only
+tallied, so it draws the secret pass alone (secret_pass).
 
 run_shot_series runs every shot on its own: it walks each pass of each shot
 through run_pass with a one-shot policy that draws the outcome by inverse

@@ -325,10 +325,11 @@ def split_shot_series(
     """`shots` runs of the instance, simulated once per distinct measurement
     branch and drawn from one generator seeded once; a Generator passed as
     `seed` is drawn from as it is. The series has the law of
-    adversary.run_shot_series with the same arguments. A pairing draw takes
-    at most MAX_PAIRED_SHOTS shots; a series that needs one, its passed
-    shots holding more than one f(0)', raises ValueOutOfRange before its
-    hash pass runs."""
+    adversary.run_shot_series with the same arguments but for one known
+    difference: the engine snaps each law to a 1e-12 grid (_split), so the
+    laws agree only to 5e-13 per outcome. A pairing draw takes at most
+    MAX_PAIRED_SHOTS shots; a series that needs one, its passed shots holding
+    more than one f(0)', raises ValueOutOfRange before its hash pass runs."""
     return split_batch([instance], shots, [np.random.default_rng(seed)], channel)[0]
 
 
