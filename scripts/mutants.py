@@ -27,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PROTOCOL, QUDIT = "src/qss/protocol.py", "src/qss/qudit.py"
+PROTOCOL, QUDIT, ADVERSARY = "src/qss/protocol.py", "src/qss/qudit.py", "src/qss/adversary.py"
 # What the copy leaves out: version control, caches and benchmark results.
 LEFT_OUT = (".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")
 PINNED = [
@@ -67,11 +67,11 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     # P_{j+2}'s shadow phases T after hop j + 1's hooks, not before them.
     "shadow one hop late": [(
         PROTOCOL,
-        "            if hop_index < t - 1:\n"
-        "                steps.append((hop_index, apply_shadow_phase, "
+        "        if hop_index < t - 1:\n"
+        "            steps.append((hop_index, apply_shadow_phase, "
         "(TRANSMITTED, shadows[hop_index + 1])))",
-        "            if 0 < hop_index < t:\n"
-        "                steps.append((hop_index, apply_shadow_phase, "
+        "        if 0 < hop_index < t:\n"
+        "            steps.append((hop_index, apply_shadow_phase, "
         "(TRANSMITTED, shadows[hop_index])))",
     )],
     # Batch mutants: a batch member no longer acts as that member alone.
@@ -88,8 +88,14 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     )],
     "batch draws H from member 0's law": [(
         PROTOCOL,
-        "for b, law in zip(passed, laws if who is None else [laws]):",
-        "for b, law in zip(passed, [laws[0]] * len(passed) if who is None else [laws]):",
+        "for b, law in zip(passed, laws if state.batch else [laws]):",
+        "for b, law in zip(passed, [laws[0]] * len(passed) if state.batch else [laws]):",
+    )],
+    # Every forged ring gets the first forged shadow, whatever value its shots drew.
+    "forged rings share the first forged shadow": [(
+        ADVERSARY,
+        "forged = [instance.with_shadow(position, (true_value + 1 + k) % d) for k in hit]",
+        "forged = [instance.with_shadow(position, (true_value + 1 + hit[0]) % d) for k in hit]",
     )],
 }
 

@@ -10,7 +10,7 @@ and _observe runs their series and, given two hypotheses, the secret pass
 with a shadow forced to each. "Information gain" is the total-variation
 distance between the observations under the two; "detected" means any abort.
 
-Every series starts at protocol.split_shot_series, which walks each distinct
+Every series starts at protocol.split_batch, which walks each distinct
 measurement branch once: at every measurement one multinomial draw splits
 the shots across the outcomes. The series comes back factored by pass (a
 protocol.ShotSeries), with the law of running every shot on its own to
@@ -18,8 +18,8 @@ within 5e-13 per outcome, as the engine snaps each law to a 1e-12 grid. A
 report counts shots from it without building a transcript: tally weighs each
 secret-pass leaf by its shots (every attacker observation is made in the
 secret pass), and the verdicts, the rates and series_digest come from its
-shots per RunOutcome (`runs`). Forgery runs one series per forged value, so
-these take one series or a list of them. A hypothesis series is only
+shots per RunOutcome (`runs`). Forgery runs one series per forged value, all
+in one batch, so these take a list of series. A hypothesis series is only
 tallied, so it draws the secret pass alone (secret_pass).
 
 run_shot_series runs every shot on its own: it walks each pass of each shot
@@ -58,6 +58,7 @@ from .protocol import (
     run_pass,
     secret_pass,
     shot_series,
+    split_batch,
     split_shot_series,
 )
 from .qudit import QuditState, apply_copy, apply_iqft, draw_outcome
@@ -123,14 +124,6 @@ def _key(k) -> str:
     return ",".join(str(v) for v in k) if isinstance(k, tuple) else str(k)
 
 
-# One series, or several whose shots make up one report (forgery).
-Series = ShotSeries | list[ShotSeries]
-
-
-def _parts(series: Series) -> list[ShotSeries]:
-    return [series] if isinstance(series, ShotSeries) else series
-
-
 def run_shot_series(
     instance: ProtocolInstance,
     shots: int,
@@ -169,12 +162,13 @@ def tally(secret: list[tuple[PassResult, int]], key: Callable[[PassResult], obje
     return out
 
 
-def series_digest(series: Series) -> str:
-    """Order-free fingerprint of a series: SHA1 over the sorted (line, count)
-    pairs of its transcript multiset, hook events left out, so the split
-    engine can be checked against the per-shot reference series."""
+def series_digest(series: list[ShotSeries]) -> str:
+    """Order-free fingerprint of the series whose shots make up one report:
+    SHA1 over the sorted (line, count) pairs of their transcript multiset,
+    hook events left out, so the split engine can be checked against the
+    per-shot reference series."""
     counts: Counter = Counter()
-    for part in _parts(series):
+    for part in series:
         shadows = f"{part.instance.shadows_secret}|{part.instance.shadows_hash}"
         for run, n in part.runs.items():
             counts[f"{run.verdict}|{run.f0}|{run.g0}|{run.ancilla}|{shadows}"] += n
@@ -250,13 +244,13 @@ def _intercepted_value(leaf: PassResult) -> int:
 
 def _summarize(
     spec: AttackSpec,
-    series: Series,
+    series: list[ShotSeries],
     observations: Counter,
     leakage: float | None,
     chi2_pvalue: float | None,
     extra: dict,
 ) -> AttackReport:
-    runs = [(run, count) for part in _parts(series) for run, count in part.runs.items()]
+    runs = [(run, count) for part in series for run, count in part.runs.items()]
     detected = sum(count for run, count in runs if run.verdict != VERDICT_ACCEPTED)
     ancilla = sum(count for run, count in runs if run.ancilla[0] != 0)
     hashes = sum(count for run, count in runs if run.verdict == VERDICT_ABORT_HASH)
@@ -317,7 +311,7 @@ def _intercept_attack(
             {_key(k): v for k, v in sorted(h.items())} for h in histograms
         ]
     chi2 = uniformity_pvalue(observations, instance.modulus.d)
-    return _summarize(spec, series, observations, leakage, chi2, extra)
+    return _summarize(spec, [series], observations, leakage, chi2, extra)
 
 
 def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
@@ -332,12 +326,12 @@ def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
     true_value = instance.shadows_secret[position - 1]
     rng = np.random.default_rng(spec.seed)
     # One multinomial split of the shots over the d - 1 wrong values, then one
-    # series per forged instance, all drawing from the same generator.
+    # batch of the forged rings, sharing the generator: a ring honest but for
+    # one shadow draws only from point masses, so no draw order reaches the output.
     counts = rng.multinomial(spec.shots, np.full(d - 1, 1 / (d - 1)))
-    series = [
-        split_shot_series(instance.with_shadow(position, (true_value + 1 + k) % d), int(n), rng)
-        for k, n in enumerate(counts) if n
-    ]
+    hit = counts.nonzero()[0].tolist()
+    forged = [instance.with_shadow(position, (true_value + 1 + k) % d) for k in hit]
+    series = split_batch(forged, counts[hit].tolist(), [rng] * len(hit))
     secret = [leaf for part in series for leaf in part.secret]
     observations = tally(secret, lambda leaf: leaf.value)
     extra = {"target_position": position, "true_shadow": true_value}
@@ -366,7 +360,7 @@ def _collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackRepo
 
     series, observations, leakage, _ = _observe(instance, spec, channel, joint, position)
     extra = {"middle_position": position, "colluders": [position - 1, position + 1]}
-    return _summarize(spec, series, observations, leakage, None, extra)
+    return _summarize(spec, [series], observations, leakage, None, extra)
 
 
 _RUNNERS: dict[str, Callable[[ProtocolInstance, AttackSpec], AttackReport]] = {

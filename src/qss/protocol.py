@@ -28,11 +28,12 @@ ShotSeries): the secret-pass leaves, the hash-pass leaves and the shots per
 RunOutcome, the passes paired by the keys a report reads (shot_series).
 Reports count shots from those, so their work follows the pass leaves and
 the keys, not the shots, and build no transcript; ProtocolInstance.run
-builds the one transcript of a one-shot series. run_pass walks a batch of
-instances of equal d and t, one gate call per step, a lone instance being a
-batch of one; run_batch gives each member, drawing from its own generator,
-its own run. adversary.run_shot_series walks each shot on its own by inverse
-CDF, the independent reference the tests check the engine against.
+builds the one transcript of a one-shot series. run_pass walks one instance,
+or a batch of instances of equal d and t whose hooks measure nothing, with one
+gate call per step; run_batch gives each member, drawing from its own
+generator, its own run, and forgery runs its forged rings as one batch.
+adversary.run_shot_series walks each shot on its own by inverse CDF, the
+independent reference the tests check the engine against.
 """
 from __future__ import annotations
 
@@ -56,7 +57,6 @@ from .qudit import (
     basis_state,
     collapse,
     outcome_probabilities,
-    unstack,
 )
 
 HOME = "H"
@@ -189,7 +189,8 @@ def run_batch(
     channel, seeds[b]) gives, from one gate call per step for the batch."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     transcripts = []
-    for instance, series, seed in zip(instances, split_batch(instances, 1, rngs, channel), seeds):
+    series_list = split_batch(instances, [1] * len(instances), rngs, channel)
+    for instance, series, seed in zip(instances, series_list, seeds):
         # One shot makes one run, and takes one leaf in each pass it ran.
         (run,) = series.runs
         transcripts.append(ProtocolTranscript(
@@ -330,18 +331,19 @@ def split_shot_series(
     laws agree only to 5e-13 per outcome. A pairing draw takes at most
     MAX_PAIRED_SHOTS shots; a series that needs one, its passed shots holding
     more than one f(0)', raises ValueOutOfRange before its hash pass runs."""
-    return split_batch([instance], shots, [np.random.default_rng(seed)], channel)[0]
+    return split_batch([instance], [shots], [np.random.default_rng(seed)], channel)[0]
 
 
 def split_batch(
-    instances: Sequence[ProtocolInstance], shots: int, rngs: Sequence[np.random.Generator],
-    channel: Channel | None = None,
+    instances: Sequence[ProtocolInstance], shots: Sequence[int],
+    rngs: Sequence[np.random.Generator], channel: Channel | None = None,
 ) -> list[ShotSeries]:
-    """split_shot_series for each instance of a batch sharing d and t, member
-    b drawing from rngs[b] alone and in the order of a series of its own."""
+    """split_shot_series(instances[b], shots[b], rngs[b], channel) for each
+    member b of a batch sharing d and t, one walk per pass. Members sharing a
+    generator draw from it in batch order, pass by pass (see run_pass)."""
     channel = channel or Channel()
     policies = [partial(_split, rng) for rng in rngs]
-    secrets = run_pass(instances, channel, "secret", [shots] * len(instances), policies)
+    secrets = run_pass(instances, channel, "secret", shots, policies)
     # Only shots whose secret-pass ancilla read 0 go on to the hash pass.
     passed = [[(p.value, n) for p, n in secret if p.ancilla == 0] for secret in secrets]
     hash_shots = [sum(n for _, n in p) for p in passed]
@@ -391,10 +393,11 @@ def run_pass(
     instances sharing d and t, member b with shots[b] shots: the pass's steps
     walked depth first. At each measurement branches[b](probs, shots) splits
     the shots reaching it as [(outcome, shots), ...] in increasing outcome
-    order, and each outcome that got shots is walked in turn. The batch takes
-    each step before its first Measure, and P1's checks, in one gate call,
-    and each policy is called as in a walk of its member alone. Returns, per
-    member, (pass result, shots) per leaf, in walk order."""
+    order, and each outcome that got shots is walked in turn. A batch of two
+    or more raises ValueError before any gate if a hook measures; it takes
+    each step, and P1's checks, in one gate call, and each policy is called as
+    in a walk of its member alone. Returns, per member, (pass result, shots)
+    per leaf, in walk order."""
     if not instances or not len(instances) == len(shots) == len(branches):
         raise ValueError("a batch takes one shot count and one branch policy per member")
     d, t = instances[0].modulus.d, instances[0].t
@@ -409,50 +412,40 @@ def run_pass(
         registers = registers + (channel.ancilla_register,)
     layout = RegisterLayout(d=d, registers=registers)
     table = [i.shadows_secret if pass_name == "secret" else i.shadows_hash for i in instances]
-
-    def plan(shadows) -> list[tuple[int | None, Step, tuple]]:
-        # (hop, step, args) after P1's preparation; hop files a Measure's outcome.
-        steps: list[tuple[int | None, Step, tuple]] = []
-        for hop_index in range(hops):
-            for step in channel.hooks.get(hop_index, ()):
-                steps.append((hop_index, step, ()))
-            if hop_index < t - 1:
-                steps.append((hop_index, apply_shadow_phase, (TRANSMITTED, shadows[hop_index + 1])))
-        steps.append((None, apply_copy, (HOME, TRANSMITTED)))
-        return steps + [(None, step, ()) for step in channel.post_uncopy]
-
-    # A walk holds member b's lone state (who = b) or the whole batch (who =
-    # None), whose per-member shadows and shots are lists.
-    whole = None if len(instances) > 1 else 0
-    shadows, n = ([list(c) for c in zip(*table)], shots) if whole is None else (table[0], shots[0])
-    plans = {whole: plan(shadows)}
+    # A lone walk holds its shadows and shots as values, a batch as lists.
+    lone = len(instances) == 1
+    shadows, n = (table[0], shots[0]) if lone else ([list(c) for c in zip(*table)], shots)
+    # (hop, step, args) after P1's preparation; hop files a Measure's outcome.
+    steps: list[tuple[int | None, Step, tuple]] = []
+    for hop_index in range(hops):
+        for step in channel.hooks.get(hop_index, ()):
+            steps.append((hop_index, step, ()))
+        if hop_index < t - 1:
+            steps.append((hop_index, apply_shadow_phase, (TRANSMITTED, shadows[hop_index + 1])))
+    steps.append((None, apply_copy, (HOME, TRANSMITTED)))
+    steps += [(None, step, ()) for step in channel.post_uncopy]
+    if not lone and any(isinstance(step, Measure) for _, step, _ in steps):
+        raise ValueError("a batch of two or more instances takes no measuring hook")
     leaves: list[list[tuple[PassResult, int]]] = [[] for _ in instances]
-    # Branches still to walk, as (first step, state, collapse args, who,
-    # shots, events): a branch's state is collapsed only when it is popped,
-    # and a measurement pushes its outcomes in reverse, so the walk keeps the
-    # depth-first order without recursing once per Measure step.
+    # Branches still to walk, as (first step, state, collapse args, shots,
+    # events), each collapsed only when popped; a measurement pushes its
+    # outcomes in reverse, so the walk stays depth first without recursing.
     state = apply_qft(basis_state(layout, {**dict.fromkeys(registers, 0), HOME: shadows[0]}), HOME)
-    stack = [(0, apply_copy(state, HOME, TRANSMITTED), None, whole, n, ())]
+    stack = [(0, apply_copy(state, HOME, TRANSMITTED), None, n, ())]
     while stack:
-        start, state, collapsed, who, shots, events = stack.pop()
+        start, state, collapsed, n, events = stack.pop()
         if collapsed is not None:
             state = collapse(state, *collapsed)
-        steps = plans[who]
         for i in range(start, len(steps)):
             hop_index, step, args = steps[i]
             if not isinstance(step, Measure):
                 state = step(state, *args)
                 continue
-            if who is None:  # from its first Measure the batch goes on member by member
-                plans.update((b, plan(row)) for b, row in enumerate(table))
-                members = enumerate(unstack(state))
-                stack += reversed([(i, m, None, b, shots[b], ()) for b, m in members])
-                break
             probs = outcome_probabilities(state, step.register)
             children = [
-                (i + 1, state, (step.register, value, probs), who, n,
+                (i + 1, state, (step.register, value, probs), m,
                  (*events, (pass_name, hop_index, {"value": value})))
-                for value, n in branches[who](probs, shots)
+                for value, m in branches[0](probs, n)
             ]
             stack += reversed(children)
             break
@@ -461,21 +454,21 @@ def run_pass(
             # ancilla 0 got shots are collapsed and inverse-transformed
             # together, and each of them draws H.
             probs = outcome_probabilities(state, TRANSMITTED)
-            batch = enumerate(zip(probs, shots)) if who is None else [(who, (probs, shots))]
+            members = enumerate(zip(probs, n)) if state.batch else [(0, (probs, n))]
             passed, aborts = {}, []
-            for b, (law, n) in batch:
-                for ancilla, m in branches[b](law, n):
+            for b, (law, m) in members:
+                for ancilla, k in branches[b](law, m):
                     if ancilla == 0:
-                        passed[b] = m
+                        passed[b] = k
                     else:
-                        aborts.append((b, (PassResult(ancilla, None, events), m)))
+                        aborts.append((b, (PassResult(ancilla, None, events), k)))
             if passed:
-                onto = 0 if who is not None else dict.fromkeys(passed, 0)
+                onto = dict.fromkeys(passed, 0) if state.batch else 0
                 home = apply_iqft(collapse(state, TRANSMITTED, onto, probs), HOME)
                 laws = outcome_probabilities(home, HOME)
-                for b, law in zip(passed, laws if who is None else [laws]):
-                    for value, m in branches[b](law, passed[b]):
-                        leaves[b].append((PassResult(0, value, events), m))
+                for b, law in zip(passed, laws if state.batch else [laws]):
+                    for value, k in branches[b](law, passed[b]):
+                        leaves[b].append((PassResult(0, value, events), k))
             for b, leaf in aborts:
                 leaves[b].append(leaf)
     return leaves

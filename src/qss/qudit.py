@@ -332,14 +332,6 @@ def collapse(state: QuditState, register: str, value, probs: np.ndarray) -> Qudi
     return QuditState(state.layout, digits, state.values[hit] / scale, len(value))
 
 
-def unstack(state: QuditState) -> list[QuditState]:
-    """A batch's members, each as a lone state."""
-    members = state.digits[0]
-    hits = [members == b for b in range(state.batch)]
-    return [QuditState(state.layout, tuple([c[hit] for c in state.digits[1:]]),
-                       state.values[hit]) for hit in hits]
-
-
 def draw_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
     """One outcome drawn from a law by inverse CDF, so the outcome is a
     deterministic function of the rng stream."""

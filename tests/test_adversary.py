@@ -515,7 +515,7 @@ class TestControlRuns:
             leaves = joint(series)
             assert all(tr.accepted for tr, _ in leaves), kind
             assert tally(leaves, lambda tr: tr.f0) == {secret: 40}, kind
-            assert series_digest(series) == series_digest(run_shot_series(inst, 40, 33)), kind
+            assert series_digest([series]) == series_digest(run_shot_series(inst, 40, 33)), kind
 
     def test_control_detection_rate_zero_d2(self):
         # d=2 control: the only d=2 ring lives at the shadow level, so build
@@ -571,7 +571,7 @@ class TestTableMatchesLeaves:
                 # Same counts, keys first seen in the same order.
                 assert list(table.items()) == list(reference.items()), (label, seed, shots)
             report = qss.adversary._summarize(
-                AttackSpec(kind="intercept_resend", shots=shots), series, Counter(), None, None, {}
+                AttackSpec(kind="intercept_resend", shots=shots), [series], Counter(), None, None, {}
             )
             detected = sum(n for tr, n in leaves if not tr.accepted)
             ancilla = sum(n for tr, n in leaves if tr.ancilla and tr.ancilla[0] != 0)
@@ -579,24 +579,25 @@ class TestTableMatchesLeaves:
             assert (report.detection_rate, report.ancilla_abort_rate, report.hash_abort_rate) == (
                 detected / shots, ancilla / shots, hashes / shots
             ), (label, seed, shots)
-            assert series_digest(series) == digest_of_leaves(leaves), (label, seed, shots)
+            assert series_digest([series]) == digest_of_leaves(leaves), (label, seed, shots)
 
     def test_forgery_report(self, monkeypatch):
         # Forgery at d=5 on secret 0: the forged f(0)' = 4 hashes like 0, so
         # about a quarter of the shots are residual collisions.
         recorded = []
-        real = qss.adversary.split_shot_series
+        real = qss.adversary.split_batch
 
         def recording(*args, **kwargs):
             recorded.append(real(*args, **kwargs))
             return recorded[-1]
 
-        monkeypatch.setattr(qss.adversary, "split_shot_series", recording)
+        monkeypatch.setattr(qss.adversary, "split_batch", recording)
         residuals = 0
         for seed, shots in itertools.product(range(5), (1, 7, 500)):
             recorded.clear()
             report = run_attack(instance(secret=0), AttackSpec(kind="forgery", shots=shots, seed=seed))
-            leaves = joint(recorded)
+            (batch,) = recorded  # one batch of every forged ring
+            leaves = joint(batch)
             assert sum(n for _, n in leaves) == shots
             residual = sum(n for tr, n in leaves if tr.accepted)
             assert report.extra["residual_collision_shots"] == residual, (seed, shots)
@@ -789,7 +790,7 @@ class TestHypothesisSeries:
         paired = sum(n for _, n in series.hashed)
         assert paired == 98
         monkeypatch.setattr(qss.protocol, "MAX_PAIRED_SHOTS", paired)
-        assert run_attack(inst, spec).extra["series_digest"] == series_digest(series)
+        assert run_attack(inst, spec).extra["series_digest"] == series_digest([series])
         monkeypatch.setattr(qss.protocol, "MAX_PAIRED_SHOTS", paired - 1)
         with pytest.raises(ValueOutOfRange, match="pairing"):
             run_attack(inst, spec)
@@ -1034,6 +1035,20 @@ class TestForgery:
     def test_target_position_validated(self):
         with pytest.raises(ValueError):
             run_attack(instance(), AttackSpec(kind="forgery", shots=2, player_id=9))
+
+    @pytest.mark.parametrize("d", [5, 31])
+    def test_walks_each_pass_once(self, d, monkeypatch):
+        # The forged rings run as one batch: one QFT per pass, however many
+        # forged values get shots.
+        calls = []
+        real = qss.protocol.apply_qft
+        monkeypatch.setattr(qss.protocol, "apply_qft", lambda *a: calls.append(a) or real(*a))
+        for shots in (1, 40, 5000):
+            calls.clear()
+            report = run_attack(instance(d=d), AttackSpec(kind="forgery", shots=shots, seed=3))
+            assert len(calls) == 2, (d, shots)
+        # 5000 shots reach every forged value.
+        assert len(report.outcome_histogram) == d - 1
 
 
 class TestCollusionProbe:

@@ -144,26 +144,46 @@ class TestBatchRuns:
         assert run_batch(insts, generators) == [replace(tr, seed=None) for tr in alone]
 
     @pytest.mark.parametrize("d", [5, 41])
-    def test_measuring_hooks_go_member_by_member(self, d):
+    def test_measuring_hooks_take_a_lone_instance(self, d, monkeypatch):
+        # A batch of two or more refuses a channel whose hop or post_uncopy
+        # step measures, before any gate; a lone instance runs it.
+        gates = []
+        for name in ("basis_state", "apply_qft", "apply_iqft", "apply_copy",
+                     "apply_shadow_phase", "outcome_probabilities", "collapse"):
+            real = getattr(qss.protocol, name)
+            monkeypatch.setattr(qss.protocol, name,
+                                lambda *a, real=real, name=name: gates.append(name) or real(*a))
+
         def iqft_t(state):
+            gates.append("hook")
             return apply_iqft(state, "T")
 
         def qft_t(state):
+            gates.append("hook")
             return apply_qft(state, "T")
 
         def copy_t(state):
+            gates.append("hook")
             return apply_copy(state, "T", "E")
 
-        channels = [
-            Channel(hooks={0: (iqft_t, Measure("T"), qft_t), 2: (Measure("T"),)}),
-            Channel(hooks={1: (copy_t,)}, post_uncopy=(Measure("E"),), ancilla_register="E"),
-        ]
+        channels = {
+            (0, 2): Channel(hooks={0: (iqft_t, Measure("T"), qft_t), 2: (Measure("T"),)}),
+            (None,): Channel(hooks={1: (copy_t,)}, post_uncopy=(Measure("E"),),
+                             ancilla_register="E"),
+        }
         insts = self.members(d, 3)
-        for channel in channels:
-            for seed in range(3):
-                seeds = [seed * 10 + b for b in range(len(insts))]
-                alone = [inst.run(channel=channel, seed=s) for inst, s in zip(insts, seeds)]
-                assert run_batch(insts, seeds, channel) == alone
+        for hops, channel in channels.items():
+            for batch in (insts, insts[:2]):
+                with pytest.raises(ValueError, match="measuring hook"):
+                    run_batch(batch, range(len(batch)), channel)
+            assert gates == []
+            for seed, inst in enumerate(insts):
+                (tr,) = run_batch([inst], [seed], channel)
+                # Each pass that ran filed one outcome per measuring step.
+                passes = 2 if tr.ancilla[0] == 0 else 1
+                assert [hop for _, hop, _ in tr.hook_events] == list(hops) * passes
+            assert "hook" in gates
+            gates.clear()
 
     def test_one_generator_per_member(self):
         insts = self.members(5, 3)

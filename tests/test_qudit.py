@@ -29,7 +29,6 @@ from qss.qudit import (
     collapse,
     measure,
     outcome_probabilities,
-    unstack,
     _FFT_MIN_D,
     _qft_matrix,
 )
@@ -523,7 +522,7 @@ def stacked(states):
 
 
 def same_bits(a, b):
-    """Lone states a and b list the same points in the same order, with
+    """States a and b list the same points in the same order, with
     bit-identical amplitudes."""
     return (
         all(np.array_equal(x, y) for x, y in zip(a.digits, b.digits))
@@ -562,12 +561,12 @@ class TestBatch:
         for gate in gates:
             if isinstance(gate, tuple):
                 register, shadows = gate
-                out = unstack(apply_shadow_phase(batch, register, shadows))
+                out = apply_shadow_phase(batch, register, shadows)
                 alone = [apply_shadow_phase(s, register, v) for s, v in zip(lone, shadows)]
             else:
-                out, alone = unstack(gate(batch)), [gate(s) for s in lone]
-            assert len(out) == len(alone)
-            assert all(same_bits(a, b) for a, b in zip(out, alone)), (d, k, gate)
+                out, alone = gate(batch), [gate(s) for s in lone]
+            assert out.batch == len(alone)
+            assert same_bits(out, stacked(alone)), (d, k, gate)
 
     @pytest.mark.parametrize("d, k", CASES)
     def test_laws_and_collapse_per_member(self, d, k):
@@ -579,9 +578,9 @@ class TestBatch:
             assert laws.tobytes() == np.stack(alone).tobytes()
             # Member 1 is dropped; the others collapse onto an outcome they can take.
             onto = {0: int(alone[0].argmax()), 2: int(alone[2].argmax())}
-            out = unstack(collapse(batch, register, onto, laws))
+            out = collapse(batch, register, onto, laws)
             kept = [collapse(lone[b], register, onto[b], alone[b]) for b in (0, 2)]
-            assert len(out) == 2 and all(same_bits(a, b) for a, b in zip(out, kept))
+            assert out.batch == 2 and same_bits(out, stacked(kept))
 
     def test_amplitudes_in_member_order(self):
         lone = self.members(5, 2, seed=3)
@@ -594,8 +593,8 @@ class TestBatch:
         lay = layout(7, "H", "T")
         batch = basis_state(lay, {"H": [3, 0, 6], "T": 2})
         assert batch.batch == 3
-        for member, h in zip(unstack(batch), (3, 0, 6)):
-            assert same_bits(member, basis_state(lay, {"H": h, "T": 2}))
+        alone = [basis_state(lay, {"H": h, "T": 2}) for h in (3, 0, 6)]
+        assert same_bits(batch, stacked(alone))
         with pytest.raises(ValueOutOfRange):
             basis_state(lay, {"H": [3, 7], "T": 2})
 
