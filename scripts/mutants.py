@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL, QUDIT, ADVERSARY = "src/qss/protocol.py", "src/qss/qudit.py", "src/qss/adversary.py"
+CLI = "src/qss/cli.py"
 # What the copy leaves out: version control, caches and benchmark results.
 LEFT_OUT = (".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")
 PINNED = [
@@ -96,6 +97,10 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
         ADVERSARY,
         "forged = [instance.with_shadow(position, (true_value + 1 + k) % d) for k in hit]",
         "forged = [instance.with_shadow(position, (true_value + 1 + hit[0]) % d) for k in hit]",
+    )],
+    # Every sweep cell reads the first member's run of its batch.
+    "sweep cells read the first member's run": [(
+        CLI, "(run,) = part.runs", "(run,) = series[0].runs",
     )],
 }
 

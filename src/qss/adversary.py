@@ -129,14 +129,12 @@ def run_shot_series(
     shots: int,
     seed: int | np.random.SeedSequence | np.random.Generator,
     channel: Channel | None = None,
-    per_shot=None,
 ) -> list[ShotSeries]:
     """Per-shot reference: `shots` runs from one generator seeded once (a
     Generator is drawn from as it is), every pass through run_pass and every
-    outcome drawn by qudit.draw_outcome. `per_shot(instance, rng)` may swap in a
-    mutated instance (e.g. a forged shadow) before each run, drawing from the
-    same generator. Returns one one-shot series per shot: one secret-pass
-    leaf and, if it passed, one hash-pass leaf, and the one run they make."""
+    outcome drawn by qudit.draw_outcome. Returns one one-shot series per shot:
+    one secret-pass leaf and, if it passed, one hash-pass leaf, and the one
+    run they make."""
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
 
@@ -145,10 +143,9 @@ def run_shot_series(
 
     out = []
     for _ in range(shots):
-        inst = per_shot(instance, rng) if per_shot is not None else instance
-        secret = run_pass([inst], channel, "secret", [1], [draw])[0]
-        hashed = [] if secret[0][0].ancilla else run_pass([inst], channel, "hash", [1], [draw])[0]
-        out.append(shot_series(inst, secret, hashed, rng))
+        secret = run_pass([instance], channel, "secret", [1], [draw])[0]
+        hashed = [] if secret[0][0].ancilla else run_pass([instance], channel, "hash", [1], [draw])[0]
+        out.append(shot_series(instance, secret, hashed, rng))
     return out
 
 

@@ -30,7 +30,7 @@ from .errors import PresetInfeasible, QssError
 from .field import is_prime
 from .protocol import (
     HOME, MAX_SHOTS, TRANSMITTED, VERDICT_ACCEPTED, ProtocolInstance, instance_from_deal,
-    run_batch, split_shot_series,
+    split_batch, split_shot_series,
 )
 from .qudit import RegisterLayout
 
@@ -178,8 +178,8 @@ def _sweep_rows(seed: int, start: int, cells: list[tuple[int, int, int]]) -> lis
     Cell i draws from SeedSequence(seed, spawn_key=(i,)), which is child i of
     SeedSequence(seed).spawn(...), so any contiguous chunk of cells can be run
     on its own, in any process, and gives the rows it would give in a serial run.
-    Consecutive cells of equal (d, t) run as one batch (protocol.run_batch),
-    each drawing from its own generator as in a run of its own."""
+    Consecutive cells of equal (d, t) run as one batch of one-shot series
+    (protocol.split_batch), each member drawing as a run of its own would."""
     rows = []
     for (d, t), stretch in groupby(enumerate(cells, start), key=lambda cell: cell[1][:2]):
         configs, seeds, rngs = [], [], []
@@ -194,14 +194,14 @@ def _sweep_rows(seed: int, start: int, cells: list[tuple[int, int, int]]) -> lis
                 DealerConfig(n=n, t=t, secret=secret, rng_seed=dealer_seed, d_override=d)
             )
         instances = [instance_from_deal(config) for config in configs]
-        for config, cell_seed, instance, transcript in zip(
-            configs, seeds, instances, run_batch(instances, rngs)
-        ):
+        series = split_batch(instances, [1] * len(instances), rngs)
+        for config, cell_seed, instance, part in zip(configs, seeds, instances, series):
+            (run,) = part.runs
             rows.append({
                 "d": d, "t": t, "n": config.n, "seed": cell_seed,
-                "verdict": transcript.verdict, "f0": transcript.f0,
+                "verdict": run.verdict, "f0": run.f0,
                 "expected": instance.expected_value("secret"),
-                "correct": transcript.f0 == config.secret and transcript.accepted,
+                "correct": run.f0 == config.secret and run.verdict == VERDICT_ACCEPTED,
             })
     return rows
 

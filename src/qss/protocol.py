@@ -30,8 +30,8 @@ Reports count shots from those, so their work follows the pass leaves and
 the keys, not the shots, and build no transcript; ProtocolInstance.run
 builds the one transcript of a one-shot series. run_pass walks one instance,
 or a batch of instances of equal d and t whose hooks measure nothing, with one
-gate call per step; run_batch gives each member, drawing from its own
-generator, its own run, and forgery runs its forged rings as one batch.
+gate call per step; split_batch, the one batch entry, gives each member the
+series it would get alone: sweep cells and forged rings run through it.
 adversary.run_shot_series walks each shot on its own by inverse CDF, the
 independent reference the tests check the engine against.
 """
@@ -178,28 +178,15 @@ class ProtocolInstance:
         """One two-pass run: the transcript of a one-shot split_shot_series
         drawing from default_rng(seed); a Generator is used as is. The
         transcript records seed only when it is an int."""
-        return run_batch([self], [seed], channel)[0]
-
-
-def run_batch(
-    instances: Sequence[ProtocolInstance], seeds: Sequence, channel: Channel | None = None
-) -> list[ProtocolTranscript]:
-    """One two-pass run of each instance of a batch that shares d and t, member
-    b drawing from default_rng(seeds[b]): the transcript instances[b].run(
-    channel, seeds[b]) gives, from one gate call per step for the batch."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    transcripts = []
-    series_list = split_batch(instances, [1] * len(instances), rngs, channel)
-    for instance, series, seed in zip(instances, series_list, seeds):
+        series = split_shot_series(self, 1, seed, channel)
         # One shot makes one run, and takes one leaf in each pass it ran.
         (run,) = series.runs
-        transcripts.append(ProtocolTranscript(
-            d=instance.modulus.d, t=instance.t, xs=instance.xs,
-            shadows_secret=instance.shadows_secret, shadows_hash=instance.shadows_hash,
+        return ProtocolTranscript(
+            d=self.modulus.d, t=self.t, xs=self.xs,
+            shadows_secret=self.shadows_secret, shadows_hash=self.shadows_hash,
             **run._asdict(), seed=seed if isinstance(seed, int) else None,
             hook_events=tuple(e for p, _ in series.secret + series.hashed for e in p.events),
-        ))
-    return transcripts
+        )
 
 
 def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:

@@ -181,23 +181,6 @@ class TestShotSeries:
                 tr.hook_events for tr, _ in joint(manual)
             ]
 
-    def test_per_shot_draws_before_each_run(self):
-        inst = instance()
-        channel = Channel(hooks={0: _measure_resend_hook})
-
-        def forge(base, rng):
-            return base.with_shadow(2, int(rng.integers(5)))
-
-        series = run_shot_series(inst, 5, seed=4, channel=channel, per_shot=forge)
-        g = np.random.default_rng(4)
-        manual = [
-            part for _ in range(5) for part in run_shot_series(inst, 1, g, channel, forge)
-        ]
-        assert series_digest(series) == series_digest(manual)
-        assert [tr.hook_events for tr, _ in joint(series)] == [
-            tr.hook_events for tr, _ in joint(manual)
-        ]
-
     def test_reference_is_independent_of_the_engine(self, monkeypatch):
         # The reference draws every shot itself; were it to go through the
         # splitting engine, checking the engine against it would prove nothing.
@@ -256,12 +239,12 @@ class TestSplitSeriesMatchesPerShot:
         assert sum(n for _, n in leaves) == shots, label
         assert all(n > 0 for _, n in leaves), label
         reference = joint(run_shot_series(inst, shots, seed=91, channel=channel))
-        for engine, per_shot, categories in (
+        for engine, by_shot, categories in (
             (qss.adversary.tally(series.secret, observed), tally(reference, secret_pass_values),
              d**measured),
             (tally(leaves, lambda tr: tr.verdict), tally(reference, lambda tr: tr.verdict), 3),
         ):
-            tv = tv_distance(engine, per_shot, shots, shots)
+            tv = tv_distance(engine, by_shot, shots, shots)
             assert tv <= tv_bound(categories, shots), (label, tv)
 
     @pytest.mark.parametrize("label, inst, channel, measured", CASES)
@@ -283,7 +266,11 @@ class TestSplitSeriesMatchesPerShot:
 
         report = run_attack(inst, AttackSpec(kind="forgery", shots=shots, seed=92))
         assert sum(report.outcome_histogram.values()) == shots
-        reference = joint(run_shot_series(inst, shots, seed=93, per_shot=forge))
+        # Per shot, one draw of the forged shadow, then the run, from one generator.
+        g = np.random.default_rng(93)
+        reference = joint([
+            part for _ in range(shots) for part in run_shot_series(forge(inst, g), 1, g)
+        ])
         f0s = tally(reference, lambda tr: tr.f0)
         assert tv_distance(Counter(report.outcome_histogram), f0s, shots, shots) <= tv_bound(
             d, shots
@@ -370,14 +357,11 @@ class TestExactLaws:
                 assert (leaf.ancilla, leaf.value, leaf.events) == (0, value, ())
                 assert abs(weight - 1) <= self.TOL
 
-    @pytest.mark.parametrize("d", [7, 31])
-    @pytest.mark.parametrize("channel", [
-        TestSplitSeriesMatchesPerShot.INTERCEPT, TestSplitSeriesMatchesPerShot.ENTANGLE,
-    ], ids=["intercept_resend", "entangle_measure"])
-    def test_detection_is_one_minus_one_over_d(self, d, channel):
-        # The passes are independent: a run is accepted when both ancillas
-        # read 0 and the hash pass reads the hash of the secret pass's f(0)'.
-        inst = instance(secret=1, seed=1, d=d)
+    @staticmethod
+    def detection(inst, channel):
+        """The exact detection rate. The passes are independent: a run is
+        accepted when both ancillas read 0 and the hash pass reads the hash
+        of the secret pass's f(0)'."""
         law = {}
         for pass_name in ("secret", "hash"):
             law[pass_name] = Counter()
@@ -387,7 +371,25 @@ class TestExactLaws:
         accept = math.fsum(
             p * law["hash"][hash_to_field(f, inst.modulus)] for f, p in law["secret"].items()
         )
-        assert abs((1 - accept) - (d - 1) / d) <= self.TOL
+        return 1 - accept
+
+    @pytest.mark.parametrize("d", [7, 31])
+    @pytest.mark.parametrize("channel", [
+        TestSplitSeriesMatchesPerShot.INTERCEPT, TestSplitSeriesMatchesPerShot.ENTANGLE,
+    ], ids=["intercept_resend", "entangle_measure"])
+    def test_detection_is_one_minus_one_over_d(self, d, channel):
+        inst = instance(secret=1, seed=1, d=d)
+        assert abs(self.detection(inst, channel) - (d - 1) / d) <= self.TOL
+
+    @pytest.mark.parametrize("d", [7, 31])
+    def test_intercept_iqft_detection(self, d):
+        # The Fourier intercept trips the secret-pass ancilla with probability
+        # (d - 1)/d; a run is accepted only if both ancillas read 0 and the
+        # hash pass, disturbed too, lands on the hash: 1/d^3 in all.
+        inst, channel = instance(secret=1, seed=1, d=d), TestSplitSeriesMatchesPerShot.IQFT
+        aborted = math.fsum(w for leaf, w in exact_pass(inst, channel, "secret") if leaf.ancilla)
+        assert abs(aborted - (d - 1) / d) <= self.TOL
+        assert abs(self.detection(inst, channel) - (1 - 1 / d**3)) <= self.TOL
 
     INTERCEPTS = [
         TestSplitSeriesMatchesPerShot.INTERCEPT, TestSplitSeriesMatchesPerShot.IQFT,
@@ -478,8 +480,8 @@ class TestWorkPerSeries:
             ancilla_register=ADVERSARY_REGISTER,
         )
         split = self.passes(monkeypatch, lambda: split_shot_series(instance(), 1, 6, channel))
-        per_shot = self.passes(monkeypatch, lambda: instance().run(channel=channel, seed=6))
-        assert split == per_shot == 2
+        run = self.passes(monkeypatch, lambda: instance().run(channel=channel, seed=6))
+        assert split == run == 2
 
     def test_one_hash_per_f0(self, monkeypatch):
         # The hash check depends only on f(0)', so a collusion series takes
@@ -822,8 +824,16 @@ class TestNoTranscriptPerPair:
         argv = ["simulate", "--preset", "players-4", "--shots", "500"]
         assert self.transcripts(monkeypatch, lambda: main(argv)) == 0
 
+    def test_sweep(self, monkeypatch, capsys):
+        argv = ["sweep", "--d-max", "13", "--t-max", "4", "--n-max", "6", "--seed", "3"]
+        assert self.transcripts(monkeypatch, lambda: main(argv)) == 0
+
     def test_counter_sees_a_run(self, monkeypatch):
-        assert self.transcripts(monkeypatch, lambda: instance().run(seed=1)) == 1
+        def runs():
+            for seed in range(3):
+                instance().run(seed=seed)
+
+        assert self.transcripts(monkeypatch, runs) == 3
 
 
 class TestInterceptResend:
@@ -1031,6 +1041,19 @@ class TestForgery:
         report = run_attack(inst, AttackSpec(kind="forgery", shots=300, seed=16))
         assert report.detection_rate == 0.0
         assert report.extra["residual_collision_shots"] == 300
+
+    def test_partial_collision_set(self):
+        # d=5, S=0: of the forged values f(0)' = 1..4, only 4 hashes as 0
+        # does, so only its shots are accepted and detection is 3/4.
+        d, shots = 5, 4000
+        mod = PrimeModulus(d)
+        colliding = [v for v in range(1, d) if hash_to_field(v, mod) == hash_to_field(0, mod)]
+        assert colliding == [4]
+        report = run_attack(instance(secret=0), AttackSpec(kind="forgery", shots=shots, seed=21))
+        assert set(report.outcome_histogram) == {1, 2, 3, 4}
+        assert report.extra["residual_collision_shots"] == report.outcome_histogram[4]
+        assert report.ancilla_abort_rate == 0.0
+        assert within_binomial_4sigma(report.detection_rate, 3 / 4, shots)
 
     def test_target_position_validated(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ from qss.protocol import (
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
-    run_batch,
+    split_batch,
+    split_shot_series,
 )
 from qss.qudit import QuditState, apply_copy, apply_iqft, apply_qft
 
@@ -105,8 +106,8 @@ class TestShadowLevelPipeline:
 
 
 class TestBatchRuns:
-    """run_batch walks instances of equal d and t together, one generator per
-    member: each member gets the transcript of its own run."""
+    """split_batch walks instances of equal d and t together, one generator
+    per member: each member gets the series of its own run."""
 
     @staticmethod
     def members(d, t):
@@ -126,22 +127,26 @@ class TestBatchRuns:
             out.append(instance_from_shadows(d, secret, tuple(hashed)))
         return out
 
+    @staticmethod
+    def batch(insts, channel=None):
+        """One-shot series of the members, member b drawing from default_rng(b)."""
+        rngs = [np.random.default_rng(seed) for seed in range(len(insts))]
+        return split_batch(insts, [1] * len(insts), rngs, channel)
+
     @pytest.mark.parametrize("d", [2, 5, 37, 41, 127])
     @pytest.mark.parametrize("t", [1, 3, 5])
     def test_members_get_their_own_runs(self, d, t, monkeypatch):
         insts = self.members(d, t)
-        seeds = list(range(len(insts)))
-        alone = [inst.run(seed=seed) for inst, seed in zip(insts, seeds)]
+        alone = [split_shot_series(inst, 1, seed) for seed, inst in enumerate(insts)]
         verdicts = ["accepted"] * (len(insts) - 2) + ["abort_hash"] * 2
-        assert [tr.verdict for tr in alone] == verdicts
+        assert [run.verdict for series in alone for run in series.runs] == verdicts
         calls = []
         real = qss.protocol.apply_qft
         monkeypatch.setattr(qss.protocol, "apply_qft", lambda *a: calls.append(a) or real(*a))
-        assert run_batch(insts, seeds) == alone
+        # Each member's runs and pass leaves are those of its lone series.
+        assert self.batch(insts) == alone
         # One QFT per pass for the whole batch.
         assert len(calls) == 2
-        generators = [np.random.default_rng(seed) for seed in seeds]
-        assert run_batch(insts, generators) == [replace(tr, seed=None) for tr in alone]
 
     @pytest.mark.parametrize("d", [5, 41])
     def test_measuring_hooks_take_a_lone_instance(self, d, monkeypatch):
@@ -175,10 +180,10 @@ class TestBatchRuns:
         for hops, channel in channels.items():
             for batch in (insts, insts[:2]):
                 with pytest.raises(ValueError, match="measuring hook"):
-                    run_batch(batch, range(len(batch)), channel)
+                    self.batch(batch, channel)
             assert gates == []
             for seed, inst in enumerate(insts):
-                (tr,) = run_batch([inst], [seed], channel)
+                tr = inst.run(channel, seed)
                 # Each pass that ran filed one outcome per measuring step.
                 passes = 2 if tr.ancilla[0] == 0 else 1
                 assert [hop for _, hop, _ in tr.hook_events] == list(hops) * passes
@@ -187,11 +192,12 @@ class TestBatchRuns:
 
     def test_one_generator_per_member(self):
         insts = self.members(5, 3)
-        for seeds in ([1] * (len(insts) - 1), [1] * (len(insts) + 1)):
+        shots = [1] * len(insts)
+        for members in (len(insts) - 1, len(insts) + 1):
             with pytest.raises(ValueError):
-                run_batch(insts, seeds)
+                split_batch(insts, shots, [np.random.default_rng(1)] * members)
         with pytest.raises(ValueError):
-            run_batch([*insts, instance_from_shadows(7, (1, 2, 3))], range(len(insts) + 1))
+            self.batch([*insts, instance_from_shadows(7, (1, 2, 3))])
 
     def test_one_member_off_norm_rejected(self):
         def drift(state):
@@ -200,7 +206,7 @@ class TestBatchRuns:
 
         insts = self.members(5, 3)
         with pytest.raises(NotNormalized):
-            run_batch(insts, range(len(insts)), Channel(hooks={0: (drift,)}))
+            self.batch(insts, Channel(hooks={0: (drift,)}))
 
 
 class TestInstanceFromDeal:
