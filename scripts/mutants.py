@@ -87,6 +87,9 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
         "key = (np.ravel_multi_index(others[batch is not None:], shape[batch is not None:])\n"
         "               if others[batch is not None:] else np.zeros_like(digits[axis]))",
     )],
+    "a batch's phases take member 0's shadow": [(
+        QUDIT, "np.array(shadow)[state.digits[0]]", "shadow[0]",
+    )],
     "batch draws H from member 0's law": [(
         PROTOCOL,
         "for b, law in zip(passed, laws if state.batch else [laws]):",

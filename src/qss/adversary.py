@@ -85,6 +85,8 @@ class AttackSpec:
             raise ValueError(f"shots must be in [1, {MAX_SHOTS}]")
         if self.kind == "forgery" and self.hypotheses is not None:
             raise ValueError("forgery has no leakage statistic to condition on hypotheses")
+        if self.hypotheses is not None and len(self.hypotheses) != 2:
+            raise ValueError(f"hypotheses must be two shadow values, got {len(self.hypotheses)}")
         if self.escalate and self.kind != "collusion_probe":
             raise ValueError(f"{self.kind} has no colluders to escalate")
         targets_player = self.kind in ("forgery", "collusion_probe")

@@ -34,8 +34,8 @@ only exact zeros are dropped from a gate's result: round-off amplitudes
 (about 1e-17 on outcomes that should be impossible) stay, and snap to a
 probability of exactly 0, which draws no random number. A marginal adds in
 the dense reduction's order (see QuditState.marginal). The only tables are
-the QFT matrix below 41 and the phase rows, both cached by dimension;
-callers work at one d at a time, so the QFT table keeps one entry.
+the d-th roots of unity, indexed by exponent mod d, and the QFT matrix below
+41, built from them; callers work at one d at a time, so each keeps one entry.
 """
 from __future__ import annotations
 
@@ -62,8 +62,8 @@ MAX_SUPPORT = 2**24
 # of a QFT on a two-register state (2-vCPU Xeon, BLAS on one thread) crosses
 # between d=37 and d=47: at d=31 dense 12-17 us against FFT 17-25 us, at
 # d=47 dense 22-36 us against FFT 19-25 us, and near 41 the two are within
-# a few us. Cold, the dense path first builds its matrix (about 100 us at
-# d=41), so there the FFT always wins. The threshold also decides which
+# a few us. Cold, the dense path first builds its matrix (about 25-40 us
+# at d=41), so there the FFT always wins. The threshold also decides which
 # arithmetic a fiber gets (a BLAS product or pocketfft). The two round
 # differently in the last bit, which moves states (TestStateGolden pins them)
 # but no seeded output, since each law is snapped before it is drawn, so the
@@ -82,8 +82,7 @@ class RegisterLayout:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueOutOfRange("register dimension must be at least 2")
-        # Dealing is O(t**2) with t < d (1.5 s at t = 1000, d = 1009), and
-        # _phase_column caches up to 256 columns of d amplitudes: the cap bounds both.
+        # Dealing is O(t**2) with t < d (1.5 s at t = 1000, d = 1009): the cap bounds it.
         if self.d > 1024:
             raise ValueOutOfRange("register dimension capped at 1024")
         if not 1 <= len(self.registers) <= 3:
@@ -187,20 +186,19 @@ def basis_state(layout: RegisterLayout, values: dict[str, int | list[int]]) -> Q
 
 
 @lru_cache(maxsize=1)
+def _roots(d: int) -> np.ndarray:
+    """exp(2 pi i j / d) for j in [0, d): every phase, indexed by its exponent mod d."""
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    roots.setflags(write=False)
+    return roots
+
+
+@lru_cache(maxsize=1)
 def _qft_matrix(d: int) -> np.ndarray:
     q = np.arange(d)
-    m = np.exp(2j * np.pi * np.outer(q, q) / d) / math.sqrt(d)
+    m = _roots(d)[np.outer(q, q) % d] / math.sqrt(d)
     m.setflags(write=False)
     return m
-
-
-@lru_cache(maxsize=256)
-def _phase_column(d: int, shadow_value: int) -> np.ndarray:
-    """exp(2 pi i * s * value / d) for value in [0, d), shape (d,): indexed by
-    a digit column it gives each support point its phase."""
-    phases = np.exp(2j * np.pi * shadow_value * np.arange(d) / d)
-    phases.setflags(write=False)
-    return phases
 
 
 def _check_norm(state: QuditState, tol: float) -> QuditState:
@@ -297,11 +295,11 @@ def apply_shadow_phase(state: QuditState, register: str, shadow: int | list[int]
     if state.batch is None:
         if not 0 <= shadow < d:
             raise ValueOutOfRange(f"shadow {shadow} not in [0, {d})")
-        phases = _phase_column(d, shadow)[column]
     else:
         if len(shadow) != state.batch or not all(0 <= s < d for s in shadow):
             raise ValueOutOfRange(f"shadows {shadow} not in [0, {d}), one per member")
-        phases = np.stack([_phase_column(d, s) for s in shadow])[state.digits[0], column]
+        shadow = np.array(shadow)[state.digits[0]]
+    phases = _roots(d)[shadow * column % d]
     result = QuditState(state.layout, state.digits, state.values * phases, state.batch)
     return _check_norm(result, _GATE_NORM_TOL)
 

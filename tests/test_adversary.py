@@ -131,6 +131,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="hypotheses"):
             AttackSpec(kind="forgery", shots=4, hypotheses=(0, 1))
 
+    def test_exactly_two_hypotheses(self):
+        # One value would crash _observe; a third would run a series that
+        # leakage leaves out.
+        AttackSpec(kind="intercept_resend", shots=4, hypotheses=(1, 2))
+        for hypotheses in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="two shadow values"):
+                AttackSpec(kind="intercept_resend", shots=4, hypotheses=hypotheses)
+
     def test_hypotheses_in_field_range(self, monkeypatch):
         # Rejected before any series runs; 0 and d - 1 are accepted.
         inst = instance(n=4, t=4, d=5)

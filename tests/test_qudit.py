@@ -345,6 +345,18 @@ class TestShadowPhase:
             combined = apply_shadow_phase(psi, "T", (s2 + s3) % d)
             assert np.allclose(sequential.amplitudes, combined.amplitudes)
 
+    @pytest.mark.parametrize("d", [509, 1021])
+    def test_phase_is_the_reduced_root_of_unity(self, d):
+        # |k> gains exp(2 pi i (s k mod d) / d) to rounding, alone and in a
+        # batch; an exponent s k left unreduced drifts by up to about 1e-12.
+        lay = layout(d, "T")
+        for s in (1, d // 2, d - 1):
+            want = np.array([cmath.exp(2j * cmath.pi * (s * k % d) / d) for k in range(d)])
+            lone = [apply_shadow_phase(basis_state(lay, {"T": k}), "T", s).values for k in range(d)]
+            batch = apply_shadow_phase(basis_state(lay, {"T": list(range(d))}), "T", [s] * d)
+            assert np.max(np.abs(np.concatenate(lone) - want)) < 2e-15, s
+            assert np.max(np.abs(batch.values - want)) < 2e-15, s
+
     def test_shadow_out_of_range(self):
         psi = basis_state(layout(5, "H", "T"), {"H": 0, "T": 0})
         for s in (-1, 5):
@@ -628,6 +640,9 @@ class TestBatch:
 
 
 class TestCaches:
+    """qudit's tables, the roots of unity and the dense QFT matrix, are cached
+    by dimension; callers work at one d at a time, so each keeps one entry."""
+
     def test_one_dimension_at_a_time(self):
         # The dense Fourier path keeps one QFT matrix, for the current d.
         for d in (5, 7, 5):
@@ -651,6 +666,18 @@ class TestCaches:
         assert _qft_matrix.cache_info().currsize == 0
 
 
+    def test_every_cache_holds_one_entry(self):
+        # A forgery at d = 509 phases its rings with all d - 1 forged shadows;
+        # a lone run at d = 7 then takes the dense path.
+        caches = [f for f in vars(qudit).values() if hasattr(f, "cache_info")]
+        assert caches
+        forged = instance_from_deal(DealerConfig(n=4, t=3, secret=7, rng_seed=1, d_override=509))
+        run_attack(forged, AttackSpec(kind="forgery", shots=8192, seed=1))
+        assert all(f.cache_info().currsize <= 1 for f in caches)
+        instance_from_deal(DealerConfig(n=4, t=3, secret=3, rng_seed=1, d_override=7)).run(seed=1)
+        assert all(f.cache_info().currsize <= 1 for f in caches)
+
+
 class TestStateGolden:
     """Pinned states: every gate, outcome_probabilities and collapse call made
     by four fixed-seed CLI invocations is wrapped at each binding site, and
@@ -665,7 +692,7 @@ class TestStateGolden:
         "attack --attack intercept_iqft --n 4 --t 3 --d 61 --shots 200 --seed 5 --hop 1",
         "attack --attack entangle_measure --n 4 --t 3 --d 43 --shots 30 --seed 2 --hypotheses 2 4",
     ]
-    DIGEST = "48aa70b37a7093a2ce019355b82aa109f8a89ef72caee340d69eee856a5bbbe0"
+    DIGEST = "3b1f7dc20c5cff352eddaed39dce250260eae5cab42a35841fcfb9f6f5563800"
     NAMES = (
         "basis_state", "apply_qft", "apply_iqft", "apply_copy", "apply_shadow_phase",
         "outcome_probabilities", "collapse",
