@@ -665,7 +665,6 @@ class TestCaches:
             apply_iqft(apply_iqft(state, "T"), "H")
         assert _qft_matrix.cache_info().currsize == 0
 
-
     def test_every_cache_holds_one_entry(self):
         # A forgery at d = 509 phases its rings with all d - 1 forged shadows;
         # a lone run at d = 7 then takes the dense path.
