@@ -90,11 +90,19 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "a batch's phases take member 0's shadow": [(
         QUDIT, "np.array(shadow)[state.digits[0]]", "shadow[0]",
     )],
-    "batch draws H from member 0's law": [(
+    "batch members draw from member 0's law": [(
         PROTOCOL,
-        "for b, law in zip(passed, laws if state.batch else [laws]):",
-        "for b, law in zip(passed, [laws[0]] * len(passed) if state.batch else [laws]):",
+        "zip(probs if state.batch else [probs], n.items())",
+        "zip([probs[0]] * len(n) if state.batch else [probs], n.items())",
     )],
+    # P1's aborts filed before the leaves of the shots that passed its check.
+    "aborts filed before the passed leaves": [
+        (PROTOCOL,
+         "            if ended:\n                stack.append(ended)\n            for value, got in",
+         "            for value, got in"),
+        (PROTOCOL, "            break\n    return leaves",
+         "            if ended:\n                stack.append(ended)\n            break\n    return leaves"),
+    ],
     # Every forged ring gets the first forged shadow, whatever value its shots drew.
     "forged rings share the first forged shadow": [(
         ADVERSARY,

@@ -19,21 +19,22 @@ Hooks may only act on the transmitted register and the optional adversary
 ancilla; H never leaves P1. A hook is a tuple of steps, gates (state ->
 state) or Measure(register), whose outcome is filed under the pass and hop.
 
-A pass is a list of steps that run_pass walks depth first, once per
-distinct measurement branch: a branch policy splits the shots reaching a
-measurement across its outcomes, and each outcome that got any is walked on
-from the collapsed state. The one engine, split_shot_series, draws one
-multinomial per measurement and returns the series factored by pass (a
-ShotSeries): the secret-pass leaves, the hash-pass leaves and the shots per
-RunOutcome, the passes paired by the keys a report reads (shot_series).
-Reports count shots from those, so their work follows the pass leaves and
-the keys, not the shots, and build no transcript; ProtocolInstance.run
-builds the one transcript of a one-shot series. run_pass walks one instance,
-or a batch of instances of equal d and t whose hooks measure nothing, with one
-gate call per step; split_batch, the one batch entry, gives each member the
-series it would get alone: sweep cells and forged rings run through it.
-adversary.run_shot_series walks each shot on its own by inverse CDF, the
-independent reference the tests check the engine against.
+A pass is one list of steps, from P1's preparation to P1's readout, that
+run_pass walks depth first, once per distinct measurement branch. At every
+Measure, a hook's or P1's, a branch policy splits the shots reaching it across
+its outcomes; H and a nonzero ancilla at P1's check end the pass, and each
+other outcome that got shots is walked on from the collapsed state. The one
+engine, split_shot_series, draws one multinomial per measurement and returns
+the series factored by pass (a ShotSeries): the secret-pass leaves, the
+hash-pass leaves and the shots per RunOutcome, the passes paired by the keys a
+report reads (shot_series). Reports count shots from those, so their work
+follows the pass leaves and the keys, not the shots, and build no transcript;
+ProtocolInstance.run builds the one transcript of a one-shot series. run_pass
+walks one instance, or a batch of instances of equal d and t whose hooks
+measure nothing, with one gate call per step; split_batch, the one batch
+entry, gives each member the series it would get alone: sweep cells and forged
+rings run through it. adversary.run_shot_series walks each shot on its own by
+inverse CDF, the independent reference the tests check the engine against.
 """
 from __future__ import annotations
 
@@ -377,14 +378,17 @@ def run_pass(
     branches: Sequence[Callable[[np.ndarray, int], list[tuple[int, int]]]],
 ) -> list[list[tuple[PassResult, int]]]:
     """One pass of the ring on the secret or hash shadows for a batch of
-    instances sharing d and t, member b with shots[b] shots: the pass's steps
-    walked depth first. At each measurement branches[b](probs, shots) splits
-    the shots reaching it as [(outcome, shots), ...] in increasing outcome
-    order, and each outcome that got shots is walked in turn. A batch of two
-    or more raises ValueError before any gate if a hook measures; it takes
-    each step, and P1's checks, in one gate call, and each policy is called as
-    in a walk of its member alone. Returns, per member, (pass result, shots)
-    per leaf, in walk order."""
+    instances sharing d and t, member b with shots[b] shots, walked depth
+    first. At each Measure, P1's checks included, branches[b](probs, shots)
+    splits member b's shots as [(outcome, shots), ...] in increasing outcome
+    order; H and a nonzero ancilla at P1's check end the pass as leaves, and
+    each other outcome is walked on in turn with the members that got shots on
+    it. A batch takes each step in one gate call, and each policy is called as
+    in a walk of its member alone. A batch of two or more raises ValueError
+    before any gate if a hook measures: a part of it would meet a shadow phase
+    that takes the whole batch's shadows. Returns, per member, (pass result,
+    shots) per leaf in walk order, the leaves a measurement ends after those
+    of the outcomes it walks on."""
     if not instances or not len(instances) == len(shots) == len(branches):
         raise ValueError("a batch takes one shot count and one branch policy per member")
     d, t = instances[0].modulus.d, instances[0].t
@@ -399,11 +403,11 @@ def run_pass(
         registers = registers + (channel.ancilla_register,)
     layout = RegisterLayout(d=d, registers=registers)
     table = [i.shadows_secret if pass_name == "secret" else i.shadows_hash for i in instances]
-    # A lone walk holds its shadows and shots as values, a batch as lists.
-    lone = len(instances) == 1
-    shadows, n = (table[0], shots[0]) if lone else ([list(c) for c in zip(*table)], shots)
-    # (hop, step, args) after P1's preparation; hop files a Measure's outcome.
-    steps: list[tuple[int | None, Step, tuple]] = []
+    # A lone walk holds its shadows as values, a batch as lists.
+    shadows = table[0] if len(instances) == 1 else [list(c) for c in zip(*table)]
+    # (hop, step, args), from P1's preparation on; hop files a hook's Measure.
+    steps: list[tuple[int | None, Step, tuple]] = [
+        (None, apply_qft, (HOME,)), (None, apply_copy, (HOME, TRANSMITTED))]
     for hop_index in range(hops):
         for step in channel.hooks.get(hop_index, ()):
             steps.append((hop_index, step, ()))
@@ -411,16 +415,25 @@ def run_pass(
             steps.append((hop_index, apply_shadow_phase, (TRANSMITTED, shadows[hop_index + 1])))
     steps.append((None, apply_copy, (HOME, TRANSMITTED)))
     steps += [(None, step, ()) for step in channel.post_uncopy]
-    if not lone and any(isinstance(step, Measure) for _, step, _ in steps):
-        raise ValueError("a batch of two or more instances takes no measuring hook")
+    if len(instances) > 1 and any(isinstance(step, Measure) for _, step, _ in steps):
+        raise ValueError("a batch of two or more instances takes no measuring hook: its members "
+                         "would part before a shadow phase that takes the whole batch's shadows")
+    # P1's checks: the ancilla T, whose nonzero outcomes end the pass, then H.
+    check = len(steps)
+    steps += [(None, Measure(TRANSMITTED), ()), (None, apply_iqft, (HOME,)), (None, Measure(HOME), ())]
     leaves: list[list[tuple[PassResult, int]]] = [[] for _ in instances]
-    # Branches still to walk, as (first step, state, collapse args, shots,
-    # events), each collapsed only when popped; a measurement pushes its
-    # outcomes in reverse, so the walk stays depth first without recursing.
-    state = apply_qft(basis_state(layout, {**dict.fromkeys(registers, 0), HOME: shadows[0]}), HOME)
-    stack = [(0, apply_copy(state, HOME, TRANSMITTED), None, n, ())]
+    # A branch (first step, state, collapse args, {member: shots}, events) is
+    # collapsed when popped. A measurement pushes the (member, leaf) list it
+    # ended, then its outcomes in reverse: depth first, without recursing.
+    state = basis_state(layout, {**dict.fromkeys(registers, 0), HOME: shadows[0]})
+    stack: list = [(0, state, None, dict(enumerate(shots)), ())]
     while stack:
-        start, state, collapsed, n, events = stack.pop()
+        entry = stack.pop()
+        if isinstance(entry, list):
+            for b, leaf in entry:
+                leaves[b].append(leaf)
+            continue
+        start, state, collapsed, n, events = entry
         if collapsed is not None:
             state = collapse(state, *collapsed)
         for i in range(start, len(steps)):
@@ -429,33 +442,20 @@ def run_pass(
                 state = step(state, *args)
                 continue
             probs = outcome_probabilities(state, step.register)
-            children = [
-                (i + 1, state, (step.register, value, probs), m,
-                 (*events, (pass_name, hop_index, {"value": value})))
-                for value, m in branches[0](probs, n)
-            ]
-            stack += reversed(children)
-            break
-        else:
-            # P1's checks: each member draws its ancilla T; the members whose
-            # ancilla 0 got shots are collapsed and inverse-transformed
-            # together, and each of them draws H.
-            probs = outcome_probabilities(state, TRANSMITTED)
-            members = enumerate(zip(probs, n)) if state.batch else [(0, (probs, n))]
-            passed, aborts = {}, []
-            for b, (law, m) in members:
-                for ancilla, k in branches[b](law, m):
-                    if ancilla == 0:
-                        passed[b] = k
+            ended, onward = [], {}
+            for law, (b, m) in zip(probs if state.batch else [probs], n.items()):
+                for value, k in branches[b](law, m):
+                    if i > check:
+                        ended.append((b, (PassResult(0, value, events), k)))
+                    elif i == check and value:
+                        ended.append((b, (PassResult(value, None, events), k)))
                     else:
-                        aborts.append((b, (PassResult(ancilla, None, events), k)))
-            if passed:
-                onto = dict.fromkeys(passed, 0) if state.batch else 0
-                home = apply_iqft(collapse(state, TRANSMITTED, onto, probs), HOME)
-                laws = outcome_probabilities(home, HOME)
-                for b, law in zip(passed, laws if state.batch else [laws]):
-                    for value, k in branches[b](law, passed[b]):
-                        leaves[b].append((PassResult(0, value, events), k))
-            for b, leaf in aborts:
-                leaves[b].append(leaf)
+                        onward.setdefault(value, {})[b] = k
+            if ended:
+                stack.append(ended)
+            for value, got in sorted(onward.items(), reverse=True):
+                onto = {p: value for p, b in enumerate(n) if b in got} if state.batch else value
+                stack.append((i + 1, state, (step.register, onto, probs), got,
+                              events if i == check else (*events, (pass_name, hop_index, {"value": value}))))
+            break
     return leaves

@@ -1,6 +1,7 @@
 import itertools
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qss.protocol import (
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
+    run_pass,
     split_batch,
     split_shot_series,
 )
@@ -189,6 +191,25 @@ class TestBatchRuns:
                 assert [hop for _, hop, _ in tr.hook_events] == list(hops) * passes
             assert "hook" in gates
             gates.clear()
+
+    @pytest.mark.parametrize("d", [5, 41])
+    def test_members_aborting_at_p1_get_their_own_series(self, d):
+        # An inverse QFT on T at hop 0 measures nothing but disturbs every
+        # member, so P1's ancilla check splits each member's shots between
+        # ancilla 0, walked on in a part of the batch, and its aborts.
+        rng = np.random.default_rng(d)
+        insts = [instance_from_shadows(d, *(tuple(int(v) for v in rng.integers(d, size=3))
+                                            for _ in range(2))) for _ in range(4)]
+        shots = [300, 1, 57, 1000]
+        channel = Channel(hooks={0: (partial(apply_iqft, register="T"),)})
+        batch = split_batch(insts, shots, [np.random.default_rng(b) for b in range(4)], channel)
+        assert batch == [split_shot_series(inst, m, b, channel)
+                         for b, (inst, m) in enumerate(zip(insts, shots))]
+        for series, m in zip(batch, shots):
+            assert sum(n for _, n in series.secret) == m
+            if m > 1:
+                assert any(p.ancilla for p, _ in series.secret)
+                assert any(p.ancilla == 0 for p, _ in series.secret)
 
     def test_one_generator_per_member(self):
         insts = self.members(5, 3)
@@ -469,6 +490,24 @@ class TestHookPlumbing:
         channel = Channel(hooks={0: (Measure("T"),)})
         tr = instance_from_players(players).run(channel=channel, seed=0)
         assert "hook_events" not in tr.to_json()
+
+    @pytest.mark.parametrize("fourier", [False, True], ids=["computational", "fourier"])
+    def test_leaves_come_in_walk_order(self, fourier):
+        # Grouped by the hook's outcome, ascending; in each group the leaves
+        # whose ancilla read 0, H ascending, then the aborts, ancilla
+        # ascending. The pairing deals out the hash pass's (ancilla, g(0)')
+        # groups in this order, so it reaches the attack outputs. Only the
+        # Fourier-basis intercept leaves aborts to order.
+        hook = (partial(apply_iqft, register="T"), Measure("T")) if fourier else (Measure("T"),)
+        inst = instance_from_shadows(5, (1, 2, 3), (0, 4, 1))
+        policy = partial(qss.protocol._split, np.random.default_rng(1))
+        leaves = run_pass([inst], Channel(hooks={0: hook}), "secret", [100_000], [policy])[0]
+        keys = [(p.events[0][2]["value"], p.ancilla, -1 if p.value is None else p.value)
+                for p, _ in leaves]
+        assert keys == sorted(set(keys))
+        assert {k[0] for k in keys} == set(range(5))
+        assert {k[2] for k in keys if k[1] == 0} == set(range(5))
+        assert any(k[1] for k in keys) == fourier
 
     def test_deep_ring_walks_without_recursion(self):
         # One Measure hook on each of 1000 hops: a walk that recursed once
