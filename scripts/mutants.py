@@ -58,13 +58,19 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
         "counts = rng.multinomial(shots, units / units.sum())",
         "counts = rng.multinomial(shots, probs / probs.sum())",
     )],
-    # exp(-2 pi i s q / d) for the QFT, on both the dense and the FFT path.
+    # exp(-2 pi i s q / d) for the QFT, on the dense path, the FFT and the
+    # gathered one-point rows.
     "QFT sign flipped": [
         (QUDIT, "m = _qft_matrix(d).conj() if inverse else _qft_matrix(d)",
          "m = _qft_matrix(d) if inverse else _qft_matrix(d).conj()"),
         (QUDIT, "transform = np.fft.fft if inverse else np.fft.ifft",
          "transform = np.fft.ifft if inverse else np.fft.fft"),
+        (QUDIT, "sign = -1 if inverse else 1", "sign = 1 if inverse else -1"),
     ],
+    # A fiber of one point transforms under the inverse QFT as under the QFT.
+    "one-point rows take the forward sign in the inverse gate": [(
+        QUDIT, "sign = -1 if inverse else 1", "sign = 1",
+    )],
     # P_{j+2}'s shadow phases T after hop j + 1's hooks, not before them.
     "shadow one hop late": [(
         PROTOCOL,
@@ -83,9 +89,9 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     )],
     "member left out of the FFT key": [(
         QUDIT,
-        "key = np.ravel_multi_index(others, shape) if others else np.zeros_like(digits[axis])",
+        "key = np.ravel_multi_index(others, shape) if others else np.zeros_like(column)",
         "key = (np.ravel_multi_index(others[batch is not None:], shape[batch is not None:])\n"
-        "               if others[batch is not None:] else np.zeros_like(digits[axis]))",
+        "                   if others[batch is not None:] else np.zeros_like(column))",
     )],
     "a batch's phases take member 0's shadow": [(
         QUDIT, "np.array(shadow)[state.digits[0]]", "shadow[0]",

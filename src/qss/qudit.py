@@ -11,31 +11,34 @@ A batch stacks independent states of one layout, its members; each gate acts
 on every member, in one call, as on that member alone, bit for bit.
 
 Gates are pure functions returning new states and cost O(support); none
-builds a d**k array except the Fourier gates below d = _FFT_MIN_D (41), whose
-dense view has at most 40**3 entries per member. Only the Fourier gates grow
-a support, and below 41 the dense view bounds it, so only the FFT path checks
-MAX_SUPPORT, which bounds a whole batch. Each gate re-checks the 2-norm of
-each member's support and raises NotNormalized if it drifted beyond 1e-9. The
-copy gate remaps the target's digit column, the shadow phase multiplies each
-amplitude by the phase of its digit, a marginal is a bincount of one digit
-column, and a collapse keeps the entries holding the outcome. A measurement
-is outcome_probabilities (the norm-checked law of one register) followed by
-collapse onto one outcome, which returns the collapsed state; measure draws
-the outcome in between (draw_outcome) and returns (outcome, collapsed state).
+builds a d**k array except the Fourier gates below d = _FFT_MIN_D (41), and
+only when that dense view has fewer than 41**2 entries per member. Only the
+Fourier gates grow a support, and on the dense path the dense view bounds it,
+so only the fiber path checks MAX_SUPPORT, which bounds a whole batch. Each
+gate re-checks the 2-norm of each member's support and raises NotNormalized
+if it drifted beyond 1e-9. The copy gate remaps the target's digit column,
+the shadow phase multiplies each amplitude by the phase of its digit, a
+marginal is a bincount of one digit column, and a collapse keeps the entries
+holding the outcome. A measurement is outcome_probabilities (the norm-checked
+law of one register) followed by collapse onto one outcome, which returns the
+collapsed state; measure draws the outcome in between (draw_outcome) and
+returns (outcome, collapsed state).
 
-Below 41 the dense view (.amplitudes) is multiplied by the cached d x d QFT
-matrix, or by its conjugate, and read back by from_amplitudes; from 41 up
-the register's nonzero fibers are gathered, in order of the member and the
-other digits, and run through one numpy FFT call. The two round differently
-in the last bit, but no seeded output sees it: the engine snaps every law
-to a 1e-12 grid before it draws (protocol._split), so a law value moves the
-draw only if it lies within about 1e-16 of a grid boundary. Either way
-only exact zeros are dropped from a gate's result: round-off amplitudes
-(about 1e-17 on outcomes that should be impossible) stay, and snap to a
-probability of exactly 0, which draws no random number. A marginal adds in
-the dense reduction's order (see QuditState.marginal). The only tables are
-the d-th roots of unity, indexed by exponent mod d, and the QFT matrix below
-41, built from them; callers work at one d at a time, so each keeps one entry.
+On the dense path the dense view (.amplitudes) is multiplied by the cached
+d x d QFT matrix, or by its conjugate, and read back by from_amplitudes.
+Otherwise the register's nonzero fibers are taken in order of the member and
+the other digits: a fiber of one point becomes its amplitude times one row of
+the roots table, and the fibers of two or more points go through one numpy
+FFT call. The arithmetic of the two paths rounds differently in the last bit,
+but no seeded output sees it: the engine snaps every law to a 1e-12 grid
+before it draws (protocol._split), so a law value moves the draw only if it
+lies within about 1e-16 of a grid boundary. Either way only exact zeros are
+dropped from a gate's result: round-off amplitudes (about 1e-17 on outcomes
+that should be impossible) stay, and snap to a probability of exactly 0,
+which draws no random number. A marginal adds in the dense reduction's order
+(see QuditState.marginal). The only tables are the d-th roots of unity,
+indexed by exponent mod d, and the QFT matrix below 41, built from them;
+callers work at one d at a time, so each keeps one entry.
 """
 from __future__ import annotations
 
@@ -57,17 +60,22 @@ _MEASURE_NORM_TOL = 1e-6
 # Largest support a gate may build (2**24 complex128 is 256 MB): a Fourier gate
 # whose output could hold more raises ValueOutOfRange before it allocates it.
 MAX_SUPPORT = 2**24
-# Smallest register dimension whose QFT and inverse QFT run as an FFT; below
-# it they are a product with a cached dense d x d matrix. Warm per-call cost
-# of a QFT on a two-register state (2-vCPU Xeon, BLAS on one thread) crosses
-# between d=37 and d=47: at d=31 dense 12-17 us against FFT 17-25 us, at
-# d=47 dense 22-36 us against FFT 19-25 us, and near 41 the two are within
-# a few us. Cold, the dense path first builds its matrix (about 25-40 us
-# at d=41), so there the FFT always wins. The threshold also decides which
-# arithmetic a fiber gets (a BLAS product or pocketfft). The two round
-# differently in the last bit, which moves states (TestStateGolden pins them)
-# but no seeded output, since each law is snapped before it is drawn, so the
-# threshold can be chosen on speed alone.
+# Smallest register dimension whose QFT and inverse QFT always run on the
+# fibers; below it they are a product with a cached dense d x d matrix as
+# long as the dense view holds fewer than _FFT_MIN_D**2 entries (one or two
+# registers; three up to d = 11). Warm per-call cost on a two-register state
+# (2-vCPU Xeon, one CPU, BLAS on one thread), dense against fibers, for a
+# fiber of d points: 24.8 against 27.0 us at d=31, 30.9 against 29.2 at
+# d=37, 40.3 against 28.4 at d=41. A fiber of one point is gathered in 10-11
+# us at every d, but the threshold is per layout, not per state: a batch
+# member must take the arithmetic it takes alone. With three registers the
+# dense product costs 243 us at d=23 and 1 ms at d=37 against 11-28 us on
+# the fibers. Cold, the dense path first builds its matrix (about 25-40 us
+# at d=41). The threshold decides which arithmetic a fiber gets (a BLAS
+# product, or a gathered row and pocketfft). They round differently in the
+# last bit, which moves states (TestStateGolden pins them) but no seeded
+# output, since each law is snapped before it is drawn, so the threshold can
+# be chosen on speed alone.
 _FFT_MIN_D = 41
 
 
@@ -214,14 +222,39 @@ def _check_norm(state: QuditState, tol: float) -> QuditState:
     return state
 
 
+def _one_point_rows(values: np.ndarray, column: np.ndarray, d: int, inverse: bool) -> np.ndarray:
+    """The transforms of fibers holding one point each: row j is values[j]
+    times exp(+-2 pi i column[j] q / d) / sqrt d for q in [0, d), gathered
+    from the roots table (the sign is - for the inverse)."""
+    sign = -1 if inverse else 1
+    exponents = np.multiply.outer(sign * column, np.arange(d)) % d
+    return (values / math.sqrt(d))[:, None] * _roots(d)[exponents]
+
+
+def _fft_rows(rows: int, row: np.ndarray, column: np.ndarray, values: np.ndarray, d: int,
+              inverse: bool) -> np.ndarray:
+    """The transforms of `rows` fibers, fiber row[j] holding values[j] at
+    column[j], in one numpy FFT call. numpy's ifft has the QFT's sign; np.fft
+    is reached here as `import numpy` skips it."""
+    fibers = np.zeros((rows, d), dtype=np.complex128)
+    fibers[row, column] = values
+    transform = np.fft.fft if inverse else np.fft.ifft
+    return transform(fibers, axis=1, norm="ortho")
+
+
+def _check_budget(entries: int) -> None:
+    if entries > MAX_SUPPORT:
+        raise ValueOutOfRange(f"{entries} entries exceed the support budget {MAX_SUPPORT}")
+
+
 def _apply_fourier(state: QuditState, register: str, inverse: bool) -> QuditState:
     layout = state.layout
     d = layout.d
     axis = layout.axis(register)
     batch = state.batch
-    if d < _FFT_MIN_D:
-        # The dense product, on the dense view of at most 40**3 entries per
-        # member; a batch's member axis leads, so each member's is its own.
+    if d < _FFT_MIN_D and d ** len(layout.registers) < _FFT_MIN_D**2:
+        # The dense product, on the dense view of fewer than 41**2 entries
+        # per member; a batch's member axis leads, so each member's is its own.
         m = _qft_matrix(d).conj() if inverse else _qft_matrix(d)
         lead = () if batch is None else (batch,)
         out = m @ state.amplitudes.reshape(*lead, d**axis, d, -1)
@@ -229,24 +262,39 @@ def _apply_fourier(state: QuditState, register: str, inverse: bool) -> QuditStat
     else:
         # A fiber is the register's d amplitudes with the member and the
         # other registers held fixed. The gate maps a zero fiber to zero, so
-        # only nonzero fibers are transformed, in one call ordered by the flat
-        # index of the member and the other registers' digits. numpy's ifft has
-        # the QFT's sign; np.fft is reached here as `import numpy` skips it.
-        digits = state.digits
+        # only nonzero fibers are transformed, one output row each, ordered by
+        # the flat index of the member and the other registers' digits. A
+        # fiber of one point is a gathered row (_one_point_rows), the same
+        # alone as in any batch; the others go through one FFT (_fft_rows).
+        digits, values = state.digits, state.values
         axis += batch is not None
-        others = [column for i, column in enumerate(digits) if i != axis]
-        shape = _shape(layout, batch)[:-1]  # every register has d values
-        key = np.ravel_multi_index(others, shape) if others else np.zeros_like(digits[axis])
-        keys, fiber = np.unique(key, return_inverse=True)
-        if len(keys) * d > MAX_SUPPORT:
-            raise ValueOutOfRange(f"{len(keys) * d} entries exceed the support budget {MAX_SUPPORT}")
-        fibers = np.zeros((len(keys), d), dtype=np.complex128)
-        fibers[fiber, digits[axis]] = state.values
-        transform = np.fft.fft if inverse else np.fft.ifft
-        out = transform(fibers, axis=1, norm="ortho")
+        column = digits[axis]
+        others = [c for i, c in enumerate(digits) if i != axis]
+        if len(values) == (batch or 1):
+            # One point per member, so each point is its own fiber, in order.
+            _check_budget(len(values) * d)
+            out = _one_point_rows(values, column, d, inverse)
+        else:
+            shape = _shape(layout, batch)[:-1]  # every register has d values
+            key = np.ravel_multi_index(others, shape) if others else np.zeros_like(column)
+            keys, fiber = np.unique(key, return_inverse=True)
+            _check_budget(len(keys) * d)
+            single = np.bincount(fiber) == 1
+            if single.any():
+                out = np.empty((len(keys), d), dtype=np.complex128)
+                alone = single[fiber]  # the points alone in their fiber
+                out[fiber[alone]] = _one_point_rows(values[alone], column[alone], d, inverse)
+                if not alone.all():
+                    shared, grouped = ~single, ~alone
+                    row = np.cumsum(shared)  # 1 + each shared fiber's row
+                    out[shared] = _fft_rows(row[-1], row[fiber[grouped]] - 1, column[grouped],
+                                            values[grouped], d, inverse)
+            else:
+                out = _fft_rows(len(keys), fiber, column, values, d, inverse)
+            others = list(np.unravel_index(keys, shape)) if others else []  # per row
         rows, column = np.nonzero(out)
-        rest = list(np.unravel_index(keys[rows], shape)) if others else []
-        digits = tuple(rest[:axis] + [column] + rest[axis:])
+        held = [c[rows] for c in others]
+        digits = tuple(held[:axis] + [column] + held[axis:])
         result = QuditState(layout, digits, out[rows, column], batch)
     return _check_norm(result, _GATE_NORM_TOL)
 

@@ -178,8 +178,9 @@ class TestReferenceOperators:
 class TestFftPath:
     """From d = _FFT_MIN_D up, the QFT and its inverse transform only the
     nonzero fibers (the register's d amplitudes with the other registers
-    fixed). Dense states and states with zero fibers match an einsum with the
-    textbook matrix on every axis, and zero fibers stay exactly 0."""
+    fixed). Dense states, states with zero fibers and states whose fibers
+    hold one point or several match an einsum with the textbook matrix on
+    every axis, and zero fibers stay exactly 0."""
 
     @pytest.mark.parametrize(
         "d, k", [(41, 1), (41, 2), (41, 3), (43, 1), (43, 2), (43, 3), (127, 1), (127, 2)]
@@ -204,17 +205,116 @@ class TestFftPath:
                 keep = rng.random(shape) < p_keep
                 keep.flat[rng.integers(keep.size)] = True
                 patterns.append(keep)
+            # About 1.5 random points per fiber: fibers of none, one and several.
+            keep = rng.random((d,) * k) < 1.5 / d
+            keep.flat[rng.integers(keep.size)] = True
+            patterns.append(keep)
             subscripts = f"y{letters[axis]},{letters}->{letters.replace(letters[axis], 'y')}"
             for keep in patterns:
                 amps = random_state(lay, rng).amplitudes.reshape((d,) * k) * keep
                 psi = QuditState.from_amplitudes(lay, (amps / np.linalg.norm(amps)).reshape(-1))
                 amps = psi.amplitudes.reshape((d,) * k)
+                zero = np.broadcast_to(~keep.any(axis=axis, keepdims=True), amps.shape)
                 for gate, single in ((apply_qft, qft), (apply_iqft, qft.conj().T)):
                     got = gate(psi, register).amplitudes.reshape((d,) * k)
                     reference = np.einsum(subscripts, single, amps)
                     assert np.max(np.abs(got - reference)) < 1e-12, (d, k, axis, gate)
-                    zero = np.broadcast_to(~keep, got.shape)
                     assert np.all(got[zero] == 0), (d, k, axis, gate)
+
+
+class TestOnePointRows:
+    """From d = _FFT_MIN_D up, a fiber holding one point, at digit s with
+    amplitude a, transforms to the row a * exp(+-2 pi i s q / d) / sqrt d
+    gathered from the roots table; only fibers of two or more points reach
+    numpy's FFT, whose output the gathered rows match."""
+
+    @staticmethod
+    def handed_to_fft(monkeypatch):
+        """The list that every later np.fft.fft or ifft call appends its
+        input to."""
+        handed = []
+        for name in ("fft", "ifft"):
+            def recording(a, *args, transform=getattr(np.fft, name), **kwargs):
+                handed.append(np.array(a))
+                return transform(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recording)
+        return handed
+
+    @staticmethod
+    def mixed_state(lay, rng):
+        """A normalised two-register state on 12 random fibers along H: every
+        other one holds one point, the rest 2 to 5."""
+        d = lay.d
+        amps = np.zeros((d, d), dtype=complex)
+        for i, t in enumerate(rng.choice(d, size=12, replace=False)):
+            points = 1 if i % 2 == 0 else int(rng.integers(2, 6))
+            h = rng.choice(d, size=points, replace=False)
+            amps[h, t] = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+        return QuditState.from_amplitudes(lay, (amps / np.linalg.norm(amps)).reshape(-1))
+
+    @pytest.mark.parametrize("d", [41, 127, 509])
+    def test_one_point_fibers_call_no_fft(self, monkeypatch, d):
+        lay = layout(d, "H", "T", "E")
+        lone = basis_state(lay, {"H": 3, "T": 0, "E": d - 1})
+        batch = basis_state(lay, {"H": [0, 3, d - 1], "T": 0, "E": [1, 1, 2]})
+        # d points, each alone in its fiber along T
+        spread = apply_copy(apply_qft(lone, "H"), "H", "T")
+        handed = self.handed_to_fft(monkeypatch)
+        for state in (lone, batch):
+            for register in lay.registers:
+                apply_qft(state, register)
+                apply_iqft(state, register)
+        apply_qft(spread, "T")
+        apply_iqft(spread, "T")
+        assert handed == []
+
+    @pytest.mark.parametrize("d", [41, 127, 509])
+    def test_fft_gets_only_multi_point_rows(self, monkeypatch, d):
+        lay = layout(d, "H", "T")
+        rng = np.random.default_rng(d)
+        lone = self.mixed_state(lay, rng)
+        batch = stacked([lone, basis_state(lay, {"H": 1, "T": 2}), self.mixed_state(lay, rng)])
+        handed = self.handed_to_fft(monkeypatch)
+        for state in (lone, batch):
+            # the fiber along H of each point: its member and its T digit
+            key = state.digits[-1] + (d * state.digits[0] if state.batch else 0)
+            points = np.unique(key, return_counts=True)[1]
+            for gate in (apply_qft, apply_iqft):
+                handed.clear()
+                gate(state, "H")
+                assert len(handed) == 1
+                # one row per fiber of two or more points, in fiber order
+                assert list(np.count_nonzero(handed[0], axis=1)) == list(points[points > 1])
+
+    @pytest.mark.parametrize("d", [41, 127, 509, 1021])
+    def test_one_point_rows_match_cmath(self, d):
+        lay = layout(d, "H", "T")
+        digits = [0, 1, d // 2, d - 1]
+        lone = [basis_state(lay, {"H": s, "T": 5}) for s in digits]
+        # A batch of one point per member, and one beside a member whose
+        # fiber holds two points, which takes the FFT.
+        batches = [basis_state(lay, {"H": digits, "T": 5}),
+                   stacked(lone + [QuditState(lay, (np.array([0, 1]), np.array([5, 5])),
+                                              np.array([0.6, 0.8j]))])]
+        q = np.arange(d)
+        for gate, sign in ((apply_qft, 1), (apply_iqft, -1)):
+            reference = np.array([
+                [cmath.exp(2j * cmath.pi * (sign * s * b % d) / d) / math.sqrt(d) for b in q]
+                for s in digits
+            ])
+            got = np.zeros((len(digits), d), dtype=complex)
+            for b, state in enumerate(lone):
+                out = gate(state, "H")
+                assert np.all(out.digits[1] == 5)
+                got[b, out.digits[0]] = out.values
+            assert np.max(np.abs(got - reference)) < 1e-15, gate
+            for batch in batches:
+                out = gate(batch, "H")
+                assert np.all(out.digits[2] == 5)
+                got = np.zeros((batch.batch, d), dtype=complex)
+                got[out.digits[0], out.digits[1]] = out.values
+                assert np.max(np.abs(got[:len(digits)] - reference)) < 1e-15, (gate, batch.batch)
 
 
 class TestCopy:
@@ -552,8 +652,10 @@ class TestBatch:
     def members(d, k, seed):
         lay = layout(d, *("H", "T", "E")[:k])
         rng = np.random.default_rng(seed)
-        # Dense members below the FFT threshold (at d = 37 with three
-        # registers, 50k points each), sparse ones above it.
+        # Members of full support below the FFT threshold, sparse ones above
+        # it. At d = 5 the Fourier gates take the dense product; at d = 37
+        # they take it with two registers, but with three (50k points per
+        # member, a dense view of 41**2 entries or more) they run as FFTs.
         points = [lay.d**k if d < _FFT_MIN_D else 40, 1, 7]
         return [sparse_state(lay, rng, n) for n in points]
 
@@ -691,7 +793,7 @@ class TestStateGolden:
         "attack --attack intercept_iqft --n 4 --t 3 --d 61 --shots 200 --seed 5 --hop 1",
         "attack --attack entangle_measure --n 4 --t 3 --d 43 --shots 30 --seed 2 --hypotheses 2 4",
     ]
-    DIGEST = "3b1f7dc20c5cff352eddaed39dce250260eae5cab42a35841fcfb9f6f5563800"
+    DIGEST = "ec022c229fb1741bb747451e32b6412ba7fd23cb035e0d5d70aa639af106904c"
     NAMES = (
         "basis_state", "apply_qft", "apply_iqft", "apply_copy", "apply_shadow_phase",
         "outcome_probabilities", "collapse",
