@@ -176,17 +176,19 @@ class TestReferenceOperators:
 
 
 class TestFftPath:
-    """From d = _FFT_MIN_D up, the QFT and its inverse transform only the
-    nonzero fibers (the register's d amplitudes with the other registers
-    fixed). Dense states, states with zero fibers and states whose fibers
+    """From d = _FFT_MIN_D up, and below it wherever a member's dense view
+    holds _FFT_MIN_D**2 entries or more (three registers from d = 12), the
+    QFT and its inverse transform only the nonzero fibers (the register's d
+    amplitudes with the other registers fixed). Dense states, states with zero fibers and states whose fibers
     hold one point or several match an einsum with the textbook matrix on
     every axis, and zero fibers stay exactly 0."""
 
     @pytest.mark.parametrize(
-        "d, k", [(41, 1), (41, 2), (41, 3), (43, 1), (43, 2), (43, 3), (127, 1), (127, 2)]
+        "d, k", [(13, 3), (37, 3), (41, 1), (41, 2), (41, 3), (43, 1), (43, 2), (43, 3), (127, 1),
+                 (127, 2)]
     )
     def test_matches_einsum_reference(self, d, k):
-        assert d >= _FFT_MIN_D
+        assert d >= _FFT_MIN_D or d**k >= _FFT_MIN_D**2
         regs = ("H", "T", "E")[:k]
         lay = layout(d, *regs)
         q = np.arange(d)
@@ -655,7 +657,8 @@ class TestBatch:
         # Members of full support below the FFT threshold, sparse ones above
         # it. At d = 5 the Fourier gates take the dense product; at d = 37
         # they take it with two registers, but with three (50k points per
-        # member, a dense view of 41**2 entries or more) they run as FFTs.
+        # member, a dense view of 41**2 entries or more) they run on their
+        # fibers.
         points = [lay.d**k if d < _FFT_MIN_D else 40, 1, 7]
         return [sparse_state(lay, rng, n) for n in points]
 
