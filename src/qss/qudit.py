@@ -280,15 +280,21 @@ def _apply_fourier(state: QuditState, register: str, inverse: bool) -> QuditStat
             keys, fiber = np.unique(key, return_inverse=True)
             _check_budget(len(keys) * d)
             single = np.bincount(fiber) == 1
-            alone = single[fiber]  # the points alone in their fiber
-            out = np.empty((len(keys), d), dtype=np.complex128)
-            if single.any():
+            if not single.any():
+                # No fiber of one point, as in the honest inverse QFT: every
+                # fiber is an FFT row. The mixed case's masks and row map would
+                # give the same bits but cost about 10 us a call at d = 509 and
+                # runs_large_d 6% of its runs/s (BENCH_fiber_path_fold.json).
+                out = _fft_rows(len(keys), fiber, column, values, d, inverse)
+            else:
+                out = np.empty((len(keys), d), dtype=np.complex128)
+                alone = single[fiber]  # the points alone in their fiber
                 out[fiber[alone]] = _one_point_rows(values[alone], column[alone], d, inverse)
-            if not single.all():
-                shared, grouped = ~single, ~alone
-                row = np.cumsum(shared)  # 1 + each shared fiber's row
-                out[shared] = _fft_rows(row[-1], row[fiber[grouped]] - 1, column[grouped],
-                                        values[grouped], d, inverse)
+                if not alone.all():
+                    shared, grouped = ~single, ~alone
+                    row = np.cumsum(shared)  # 1 + each shared fiber's row
+                    out[shared] = _fft_rows(row[-1], row[fiber[grouped]] - 1, column[grouped],
+                                            values[grouped], d, inverse)
             others = list(np.unravel_index(keys, shape)) if others else []  # per row
         rows, column = np.nonzero(out)
         held = [c[rows] for c in others]
