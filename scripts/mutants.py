@@ -81,6 +81,12 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
         "            steps.append((hop_index, apply_shadow_phase, "
         "(TRANSMITTED, shadows[hop_index])))",
     )],
+    # A channel with an adversary never reads out its register E.
+    "the adversary register is never read out": [(
+        PROTOCOL,
+        "    if channel.adversary:\n        steps.append((None, Measure(ADVERSARY), ()))\n",
+        "",
+    )],
     # Batch mutants: a batch member no longer acts as that member alone.
     "batch renormalised by member 0's law": [(
         QUDIT,

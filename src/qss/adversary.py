@@ -5,10 +5,12 @@ instance and hands it to the runner its kind names. A runner builds the
 attacked ring (a channel with the attack hooks installed, or forged shadows),
 simulates a shot series drawing from one generator seeded once per series,
 and distills it into an AttackReport. The three intercept kinds share one
-runner and differ only in their hooks; they and collusion observe the ring,
-and _observe runs their series and, given two hypotheses, the secret pass
-with a shadow forced to each. "Information gain" is the total-variation
-distance between the observations under the two; "detected" means any abort.
+runner and differ only in their channels: each installs its own hook, and
+entangle-measure's alone has an adversary (protocol.Channel), whose
+register E is read out after P1's uncopy. They and collusion observe the ring, and _observe runs their
+series and, given two hypotheses, the secret pass with a shadow forced to
+each. "Information gain" is the total-variation distance between the
+observations under the two; "detected" means any abort.
 
 Every series starts at protocol.split_batch, which walks each distinct
 measurement branch once: at every measurement one multinomial draw splits
@@ -46,6 +48,7 @@ import numpy as np
 
 from .errors import ValueOutOfRange
 from .protocol import (
+    ADVERSARY,
     MAX_SHOTS,
     Channel,
     Measure,
@@ -62,8 +65,6 @@ from .protocol import (
     split_shot_series,
 )
 from .qudit import QuditState, apply_copy, apply_iqft, draw_outcome
-
-ADVERSARY_REGISTER = "E"
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def _iqft_transmitted(state: QuditState) -> QuditState:
 
 
 def _copy_to_adversary(state: QuditState) -> QuditState:
-    return apply_copy(state, TRANSMITTED, ADVERSARY_REGISTER)
+    return apply_copy(state, TRANSMITTED, ADVERSARY)
 
 
 # Intercept-resend measures T in the computational basis at one hop and
@@ -224,12 +225,12 @@ def _copy_to_adversary(state: QuditState) -> QuditState:
 # to undo the reconstructor's transform: entanglement with H leaves the
 # outcome uniform, and the collapsed T no longer matches H, so the uncopy
 # trips the ancilla check. The simplified entangle-measure model copies T
-# onto a private register at one hop, forwards T untouched and measures the
-# private register after the reconstructor's uncopy (_probe_ancilla_hook).
+# onto the adversary's register E at one hop and forwards T untouched; its
+# channel has an adversary, so E is read out right after the reconstructor's
+# uncopy.
 _measure_resend_hook = (Measure(TRANSMITTED),)
 _fourier_intercept_hook = (_iqft_transmitted, Measure(TRANSMITTED))
 _entangle_hook = (_copy_to_adversary,)
-_probe_ancilla_hook = (Measure(ADVERSARY_REGISTER),)
 
 
 def _observed_values(leaf: PassResult) -> list[int]:
@@ -298,9 +299,9 @@ def _observe(
 
 
 def _intercept_attack(
-    instance: ProtocolInstance, spec: AttackSpec, hook, **channel_fields
+    instance: ProtocolInstance, spec: AttackSpec, hook, adversary: bool = False
 ) -> AttackReport:
-    channel = Channel(hooks={spec.hop_index: hook}, **channel_fields)
+    channel = Channel(hooks={spec.hop_index: hook}, adversary=adversary)
     series, observations, leakage, histograms = _observe(
         instance, spec, channel, _intercepted_value, 1
     )
@@ -365,10 +366,7 @@ def _collusion_probe(instance: ProtocolInstance, spec: AttackSpec) -> AttackRepo
 _RUNNERS: dict[str, Callable[[ProtocolInstance, AttackSpec], AttackReport]] = {
     "intercept_resend": partial(_intercept_attack, hook=_measure_resend_hook),
     "intercept_iqft": partial(_intercept_attack, hook=_fourier_intercept_hook),
-    "entangle_measure": partial(
-        _intercept_attack, hook=_entangle_hook,
-        post_uncopy=_probe_ancilla_hook, ancilla_register=ADVERSARY_REGISTER,
-    ),
+    "entangle_measure": partial(_intercept_attack, hook=_entangle_hook, adversary=True),
     "forgery": _forgery,
     "collusion_probe": _collusion_probe,
 }

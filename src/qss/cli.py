@@ -29,7 +29,7 @@ from .dealer import DealerConfig, choose_modulus
 from .errors import PresetInfeasible, QssError
 from .field import is_prime
 from .protocol import (
-    HOME, MAX_SHOTS, TRANSMITTED, VERDICT_ACCEPTED, ProtocolInstance, instance_from_deal,
+    HOME, TRANSMITTED, VERDICT_ACCEPTED, ProtocolInstance, instance_from_deal,
     split_batch, split_shot_series,
 )
 from .qudit import RegisterLayout
@@ -102,8 +102,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if not 1 <= args.shots <= MAX_SHOTS:
-        raise QssError(f"--shots must be in [1, {MAX_SHOTS}]")
     if args.preset is not None:
         if (args.n, args.t, args.d) != (None, None, None):
             raise QssError("--preset fixes n, t and d; drop --n, --t and --d")

@@ -15,9 +15,10 @@ iff both ancilla outcomes were 0 and SHA1(f(0)') mod d equals g(0)'.
 
 The channel is an in-process token ring: per-hop adversary hooks stand in
 for whatever sits on the (otherwise assumed authenticated) quantum link.
-Hooks may only act on the transmitted register and the optional adversary
-ancilla; H never leaves P1. A hook is a tuple of steps, gates (state ->
-state) or Measure(register), whose outcome is filed under the pass and hop.
+Hooks may only act on the transmitted register T and, on a channel with an
+adversary, the adversary's register E; H never leaves P1. A hook is a tuple
+of steps, gates (state -> state) or Measure(register), whose outcome is
+filed under the pass and hop.
 
 A pass is one list of steps, from P1's preparation to P1's readout, that
 run_pass walks depth first, once per distinct measurement branch. At every
@@ -38,6 +39,7 @@ inverse CDF, the independent reference the tests check the engine against.
 """
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
@@ -62,6 +64,7 @@ from .qudit import (
 
 HOME = "H"
 TRANSMITTED = "T"
+ADVERSARY = "E"
 
 PassName = Literal["secret", "hash"]
 
@@ -92,17 +95,17 @@ class Channel:
     A ring of t > 1 players has t hops; a lone reconstructor has none. hooks
     maps a 0-based hop index (hop j carries T from position j+1 to position
     j+2, the last hop returning to P1) to a tuple of steps run in order.
-    post_uncopy runs after P1's uncopy, just before the ancilla measurement;
-    what it measures is filed with hop None. ancilla_register, when set, adds
-    a third register of the same dimension for the adversary.
+    adversary, when set, adds the adversary's register E (ADVERSARY) of the
+    same dimension, which hooks may entangle with T, and measures it right
+    after P1's uncopy, before P1's checks; that outcome is filed with hop
+    None. Such a channel always measures, so a batch refuses it.
 
     A step cannot see an outcome, so an adaptive hook, one that acts on its
     own measurement, cannot be written; no attack here needs one.
     """
 
     hooks: Mapping[int, tuple[Step, ...]] = dataclass_field(default_factory=dict)
-    post_uncopy: tuple[Step, ...] = ()
-    ancilla_register: str | None = None
+    adversary: bool = False
 
 
 @dataclass(frozen=True)
@@ -328,7 +331,10 @@ def split_batch(
 ) -> list[ShotSeries]:
     """split_shot_series(instances[b], shots[b], rngs[b], channel) for each
     member b of a batch sharing d and t, one walk per pass. Members sharing a
-    generator draw from it in batch order, pass by pass (see run_pass)."""
+    generator draw from it in batch order, pass by pass (see run_pass).
+    Raises ValueOutOfRange before any gate for a shot count that is not an
+    int in [1, MAX_SHOTS]."""
+    _check_shots(shots)
     channel = channel or Channel()
     policies = [partial(_split, rng) for rng in rngs]
     secrets = run_pass(instances, channel, "secret", shots, policies)
@@ -352,8 +358,22 @@ def secret_pass(
     instance: ProtocolInstance, shots: int, rng: np.random.Generator, channel: Channel
 ) -> list[tuple[PassResult, int]]:
     """The secret-pass leaves of `shots` runs, the engine's first draws from
-    rng: what split_shot_series pairs, and all an attacker observes."""
+    rng: what split_shot_series pairs, and all an attacker observes. Takes
+    the shot counts split_batch takes."""
+    _check_shots([shots])
     return run_pass([instance], channel, "secret", [shots], [partial(_split, rng)])[0]
+
+
+def _check_shots(shots: Sequence[int]) -> None:
+    """Refuse each shot count that is not an int in [1, MAX_SHOTS], the
+    counts a split can draw; a bool is not a count."""
+    for n in shots:
+        try:
+            ok = not isinstance(n, bool) and 1 <= operator.index(n) <= MAX_SHOTS
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueOutOfRange(f"shots must be an int in [1, {MAX_SHOTS}], got {n!r}")
 
 
 def _split(rng: np.random.Generator, probs: np.ndarray, shots: int) -> list[tuple[int, int]]:
@@ -385,10 +405,11 @@ def run_pass(
     each other outcome is walked on in turn with the members that got shots on
     it. A batch takes each step in one gate call, and each policy is called as
     in a walk of its member alone. A batch of two or more raises ValueError
-    before any gate if a hook measures: a part of it would meet a shadow phase
-    that takes the whole batch's shadows. Returns, per member, (pass result,
-    shots) per leaf in walk order, the leaves a measurement ends after those
-    of the outcomes it walks on."""
+    before any gate if a step before P1's checks measures: a part of it would
+    meet a shadow phase that takes the whole batch's shadows. The rule takes
+    the adversary's read-out too, though no shadow phase follows it. Returns,
+    per member, (pass result, shots) per leaf in walk order, the leaves a
+    measurement ends after those of the outcomes it walks on."""
     if not instances or not len(instances) == len(shots) == len(branches):
         raise ValueError("a batch takes one shot count and one branch policy per member")
     d, t = instances[0].modulus.d, instances[0].t
@@ -398,9 +419,7 @@ def run_pass(
     stray = [k for k in channel.hooks if k not in range(hops)]
     if stray:
         raise ValueError(f"channel hooks {stray} lie outside the {hops} hops of a t={t} ring")
-    registers = (HOME, TRANSMITTED)
-    if channel.ancilla_register is not None:
-        registers = registers + (channel.ancilla_register,)
+    registers = (HOME, TRANSMITTED, ADVERSARY) if channel.adversary else (HOME, TRANSMITTED)
     layout = RegisterLayout(d=d, registers=registers)
     table = [i.shadows_secret if pass_name == "secret" else i.shadows_hash for i in instances]
     # A lone walk holds its shadows as values, a batch as lists.
@@ -414,7 +433,8 @@ def run_pass(
         if hop_index < t - 1:
             steps.append((hop_index, apply_shadow_phase, (TRANSMITTED, shadows[hop_index + 1])))
     steps.append((None, apply_copy, (HOME, TRANSMITTED)))
-    steps += [(None, step, ()) for step in channel.post_uncopy]
+    if channel.adversary:
+        steps.append((None, Measure(ADVERSARY), ()))
     if len(instances) > 1 and any(isinstance(step, Measure) for _, step, _ in steps):
         raise ValueError("a batch of two or more instances takes no measuring hook: its members "
                          "would part before a shadow phase that takes the whole batch's shadows")

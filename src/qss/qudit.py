@@ -82,7 +82,7 @@ _FFT_MIN_D = 41
 @dataclass(frozen=True)
 class RegisterLayout:
     """Dimension d and ordered register labels (home H, transmitted T, and
-    optionally one adversary ancilla)."""
+    optionally the adversary's register E)."""
 
     d: int
     registers: tuple[str, ...]

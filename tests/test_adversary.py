@@ -12,14 +12,12 @@ import qss.adversary
 import qss.dealer
 import qss.protocol
 from qss.adversary import (
-    ADVERSARY_REGISTER,
     ATTACK_KINDS,
     AttackSpec,
     _chi2_sf,
     _entangle_hook,
     _fourier_intercept_hook,
     _measure_resend_hook,
-    _probe_ancilla_hook,
     run_attack,
     run_shot_series,
     series_digest,
@@ -223,10 +221,7 @@ class TestSplitSeriesMatchesPerShot:
     SHOTS = 4000
     INTERCEPT = Channel(hooks={0: _measure_resend_hook})
     IQFT = Channel(hooks={0: _fourier_intercept_hook})
-    ENTANGLE = Channel(
-        hooks={0: _entangle_hook}, post_uncopy=_probe_ancilla_hook,
-        ancilla_register=ADVERSARY_REGISTER,
-    )
+    ENTANGLE = Channel(hooks={0: _entangle_hook}, adversary=True)
     COLLUDE = Channel(hooks={1: _measure_resend_hook, 2: _measure_resend_hook})
 
     # measured: hook measurements per secret pass
@@ -483,10 +478,7 @@ class TestWorkPerSeries:
         assert thousand == million == 2
 
     def test_one_shot_follows_one_path(self, monkeypatch):
-        channel = Channel(
-            hooks={0: _entangle_hook}, post_uncopy=_probe_ancilla_hook,
-            ancilla_register=ADVERSARY_REGISTER,
-        )
+        channel = Channel(hooks={0: _entangle_hook}, adversary=True)
         split = self.passes(monkeypatch, lambda: split_shot_series(instance(), 1, 6, channel))
         run = self.passes(monkeypatch, lambda: instance().run(channel=channel, seed=6))
         assert split == run == 2

@@ -152,8 +152,9 @@ class TestBatchRuns:
 
     @pytest.mark.parametrize("d", [5, 41])
     def test_measuring_hooks_take_a_lone_instance(self, d, monkeypatch):
-        # A batch of two or more refuses a channel whose hop or post_uncopy
-        # step measures, before any gate; a lone instance runs it.
+        # A batch of two or more refuses a channel whose hook measures, or
+        # that reads out the adversary's register, before any gate; a lone
+        # instance runs it.
         gates = []
         for name in ("basis_state", "apply_qft", "apply_iqft", "apply_copy",
                      "apply_shadow_phase", "outcome_probabilities", "collapse"):
@@ -175,8 +176,7 @@ class TestBatchRuns:
 
         channels = {
             (0, 2): Channel(hooks={0: (iqft_t, Measure("T"), qft_t), 2: (Measure("T"),)}),
-            (None,): Channel(hooks={1: (copy_t,)}, post_uncopy=(Measure("E"),),
-                             ancilla_register="E"),
+            (None,): Channel(hooks={1: (copy_t,)}, adversary=True),
         }
         insts = self.members(d, 3)
         for hops, channel in channels.items():
@@ -402,6 +402,28 @@ class TestValidation:
         single = instance_from_players(build_players(3, 1, 0, seed=0))
         with pytest.raises(ValueError):
             single.run(channel=Channel(hooks={0: noop}), seed=0)
+
+    @pytest.mark.parametrize("shots", [0, -3, 2.5, True, "3", None, 2**63, 2**64])
+    def test_shot_counts_off_the_rule_rejected_before_any_gate(self, shots, monkeypatch):
+        # The engine takes an int in [1, MAX_SHOTS] per member: a bool is
+        # not a count, and a float is not rounded.
+        def no_gate(*args):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(qss.protocol, "basis_state", no_gate)
+        inst = instance_from_shadows(5, (1, 2))
+        rng = np.random.default_rng(0)
+        for call in (partial(split_shot_series, inst, shots, 1),
+                     partial(split_batch, [inst, inst], [3, shots], [rng, rng]),
+                     partial(qss.protocol.secret_pass, inst, shots, rng, Channel())):
+            with pytest.raises(ValueOutOfRange, match="shots must be an int"):
+                call()
+
+    def test_shot_counts_on_the_rule_run(self):
+        inst = instance_from_shadows(5, (1, 2))
+        for shots in (1, np.int64(3), qss.protocol.MAX_SHOTS):
+            series = split_shot_series(inst, shots, 1)
+            assert sum(series.runs.values()) == shots
 
     def test_shadow_instance_lengths(self):
         with pytest.raises(InconsistentPackets):

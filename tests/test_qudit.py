@@ -3,7 +3,7 @@ import itertools
 import hashlib
 import math
 import tracemalloc
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -835,6 +835,55 @@ class TestStateGolden:
         assert total == self.DIGEST
 
 
+class TestWholePassRoutes:
+    """One attacked run through the fibers (_FFT_MIN_D = 41) and through the
+    dense product (_FFT_MIN_D = 1025) makes the same gate calls, and each
+    call's dense output agrees to 1e-12. The hooks apply the inverse QFT to
+    states whose fibers hold one point each (T after the copy for
+    intercept_iqft, the three registers after the copy onto E for
+    entangle_measure), and no attack law pinned elsewhere moves under a
+    wrong sign on those rows."""
+
+    @staticmethod
+    def gate_outputs(threshold, run):
+        """The dense output of every gate call `run` makes, and the number
+        of one-point row gathers among them, with _FFT_MIN_D at threshold."""
+        outputs, gathers = [], []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(qudit, "_FFT_MIN_D", threshold)
+            real_rows = qudit._one_point_rows
+            m.setattr(qudit, "_one_point_rows", lambda *a: gathers.append(1) or real_rows(*a))
+            for name in TestStateGolden.NAMES:
+                def wrapper(*args, real=getattr(qudit, name), name=name):
+                    result = real(*args)
+                    outputs.append((name, result if name == "outcome_probabilities"
+                                    else result.amplitudes))
+                    return result
+
+                for module in (qudit, protocol, adversary):
+                    if hasattr(module, name):
+                        m.setattr(module, name, wrapper)
+            run()
+        return outputs, len(gathers)
+
+    @pytest.mark.parametrize("kind, d", [
+        ("intercept_iqft", 41), ("intercept_iqft", 43),
+        ("entangle_measure", 13), ("entangle_measure", 43),
+    ])
+    def test_fibers_match_dense_product(self, kind, d):
+        hook = {"intercept_iqft": adversary._fourier_intercept_hook,
+                "entangle_measure": adversary._entangle_hook}[kind]
+        channel = protocol.Channel(hooks={0: hook}, adversary=kind == "entangle_measure")
+        instance = instance_from_deal(DealerConfig(n=4, t=3, secret=1, rng_seed=1, d_override=d))
+        run = partial(instance.run, channel, 3)
+        fibers, gathered = self.gate_outputs(_FFT_MIN_D, run)
+        dense, none = self.gate_outputs(1025, run)
+        assert gathered > 0 and none == 0
+        assert [name for name, _ in fibers] == [name for name, _ in dense]
+        for (name, a), (_, b) in zip(fibers, dense):
+            assert np.max(np.abs(a - b)) < 1e-12, name
+
+
 class TestMemory:
     """The state is its support, so memory follows the support, not d**k:
     an honest run holds d amplitudes and an entangle-measure pass at most
@@ -886,9 +935,7 @@ class TestMemory:
             return apply_iqft(state, "E")
 
         instance = protocol.instance_from_shadows(257, (3, 5))
-        channel = protocol.Channel(
-            hooks={0: (copy_t_to_e, iqft_t, iqft_e)}, ancilla_register="E"
-        )
+        channel = protocol.Channel(hooks={0: (copy_t_to_e, iqft_t, iqft_e)}, adversary=True)
 
         def refused():
             with pytest.raises(ValueOutOfRange, match="support budget"):
