@@ -7,10 +7,11 @@ simulates a shot series drawing from one generator seeded once per series,
 and distills it into an AttackReport. The three intercept kinds share one
 runner and differ only in their channels: each installs its own hook, and
 entangle-measure's alone has an adversary (protocol.Channel), whose
-register E is read out after P1's uncopy. They and collusion observe the ring, and _observe runs their
-series and, given two hypotheses, the secret pass with a shadow forced to
-each. "Information gain" is the total-variation distance between the
-observations under the two; "detected" means any abort.
+register E is read out after P1's uncopy. They and collusion observe the
+ring, and _observe runs their series and, given two hypotheses, the secret
+pass with a shadow forced to each. "Information gain" is the
+total-variation distance between the observations under the two;
+"detected" means any abort.
 
 Every series starts at protocol.split_batch, which walks each distinct
 measurement branch once: at every measurement one multinomial draw splits
