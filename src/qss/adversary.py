@@ -50,7 +50,6 @@ import numpy as np
 from .errors import ValueOutOfRange
 from .protocol import (
     ADVERSARY,
-    MAX_SHOTS,
     Channel,
     Measure,
     PassResult,
@@ -59,6 +58,7 @@ from .protocol import (
     TRANSMITTED,
     VERDICT_ABORT_HASH,
     VERDICT_ACCEPTED,
+    check_shots,
     run_pass,
     secret_pass,
     shot_series,
@@ -83,8 +83,7 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if not 1 <= self.shots <= MAX_SHOTS:
-            raise ValueError(f"shots must be in [1, {MAX_SHOTS}]")
+        check_shots([self.shots])
         if self.kind == "forgery" and self.hypotheses is not None:
             raise ValueError("forgery has no leakage statistic to condition on hypotheses")
         if self.hypotheses is not None and len(self.hypotheses) != 2:
@@ -138,7 +137,8 @@ def run_shot_series(
     Generator is drawn from as it is), every pass through run_pass and every
     outcome drawn by qudit.draw_outcome. Returns one one-shot series per shot:
     one secret-pass leaf and, if it passed, one hash-pass leaf, and the one
-    run they make."""
+    run they make. Takes the shot count split_shot_series takes."""
+    check_shots([shots])
     rng = np.random.default_rng(seed)
     channel = channel or Channel()
 

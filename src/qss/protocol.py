@@ -334,7 +334,7 @@ def split_batch(
     generator draw from it in batch order, pass by pass (see run_pass).
     Raises ValueOutOfRange before any gate for a shot count that is not an
     int in [1, MAX_SHOTS]."""
-    _check_shots(shots)
+    check_shots(shots)
     channel = channel or Channel()
     policies = [partial(_split, rng) for rng in rngs]
     secrets = run_pass(instances, channel, "secret", shots, policies)
@@ -360,11 +360,11 @@ def secret_pass(
     """The secret-pass leaves of `shots` runs, the engine's first draws from
     rng: what split_shot_series pairs, and all an attacker observes. Takes
     the shot counts split_batch takes."""
-    _check_shots([shots])
+    check_shots([shots])
     return run_pass([instance], channel, "secret", [shots], [partial(_split, rng)])[0]
 
 
-def _check_shots(shots: Sequence[int]) -> None:
+def check_shots(shots: Sequence[int]) -> None:
     """Refuse each shot count that is not an int in [1, MAX_SHOTS], the
     counts a split can draw; a bool is not a count."""
     for n in shots:

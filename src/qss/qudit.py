@@ -15,8 +15,11 @@ builds a d**k array except the Fourier gates below d = _FFT_MIN_D (41), and
 only when that dense view has fewer than 41**2 entries per member. Only the
 Fourier gates grow a support, and on the dense path the dense view bounds it,
 so only the fiber path checks MAX_SUPPORT, which bounds a whole batch. Each
-gate re-checks the 2-norm of each member's support and raises NotNormalized
-if it drifted beyond 1e-9. The copy gate remaps the target's digit column,
+gate, and each measurement before it reads its law, checks the 2-norm of
+each member's support and raises NotNormalized if it is off 1 by more than
+one tolerance, 1e-9 (_NORM_TOL): a state a pass measures comes out of a gate
+or of a collapse, which renormalises by the law it was cut from, so no
+looser bound is needed. The copy gate remaps the target's digit column,
 the shadow phase multiplies each amplitude by the phase of its digit, a
 marginal is a bincount of one digit column, and a collapse keeps the entries
 holding the outcome. A measurement is outcome_probabilities (the norm-checked
@@ -55,8 +58,7 @@ from .errors import (
     ValueOutOfRange,
 )
 
-_GATE_NORM_TOL = 1e-9
-_MEASURE_NORM_TOL = 1e-6
+_NORM_TOL = 1e-9
 # Largest support a gate may build (2**24 complex128 is 256 MB): a Fourier gate
 # whose output could hold more raises ValueOutOfRange before it allocates it.
 MAX_SUPPORT = 2**24
@@ -209,16 +211,16 @@ def _qft_matrix(d: int) -> np.ndarray:
     return m
 
 
-def _check_norm(state: QuditState, tol: float) -> QuditState:
-    """The state, once its 2-norm (each member's) is 1 within tol, else NotNormalized."""
+def _check_norm(state: QuditState) -> QuditState:
+    """The state, once its 2-norm (each member's) is 1 within _NORM_TOL, else NotNormalized."""
     values = state.values
     if state.batch is None:
         n2 = float(np.vdot(values, values).real)
     else:  # the member whose norm is furthest from 1
         n2s = np.bincount(state.digits[0], values.real**2 + values.imag**2, state.batch)
         n2 = float(n2s[np.abs(n2s - 1.0).argmax()])
-    if abs(n2 - 1.0) > 2 * tol:
-        raise NotNormalized(f"state norm {math.sqrt(n2)} deviates from 1 beyond {tol}")
+    if abs(n2 - 1.0) > 2 * _NORM_TOL:
+        raise NotNormalized(f"state norm {math.sqrt(n2)} deviates from 1 beyond {_NORM_TOL}")
     return state
 
 
@@ -300,7 +302,7 @@ def _apply_fourier(state: QuditState, register: str, inverse: bool) -> QuditStat
         held = [c[rows] for c in others]
         digits = tuple(held[:axis] + [column] + held[axis:])
         result = QuditState(layout, digits, out[rows, column], batch)
-    return _check_norm(result, _GATE_NORM_TOL)
+    return _check_norm(result)
 
 
 def apply_qft(state: QuditState, register: str) -> QuditState:
@@ -331,7 +333,7 @@ def apply_copy(state: QuditState, control: str, target: str) -> QuditState:
     x = state.column(control) ^ t
     digits = list(state.digits)
     digits[t_axis] = np.where(x < layout.d, x, t)
-    _check_norm(state, _GATE_NORM_TOL)
+    _check_norm(state)
     return QuditState(layout, tuple(digits), state.values, state.batch)
 
 
@@ -353,13 +355,14 @@ def apply_shadow_phase(state: QuditState, register: str, shadow: int | list[int]
         shadow = np.array(shadow)[state.digits[0]]
     phases = _roots(d)[shadow * column % d]
     result = QuditState(state.layout, state.digits, state.values * phases, state.batch)
-    return _check_norm(result, _GATE_NORM_TOL)
+    return _check_norm(result)
 
 
 def outcome_probabilities(state: QuditState, register: str) -> np.ndarray:
     """Distribution of a computational-basis measurement of one register,
-    after the measurement norm check; on a batch, one row per member."""
-    return _check_norm(state, _MEASURE_NORM_TOL).marginal(register)
+    after the norm check every gate makes (1e-9); on a batch, one row per
+    member."""
+    return _check_norm(state).marginal(register)
 
 
 def collapse(state: QuditState, register: str, value, probs: np.ndarray) -> QuditState:

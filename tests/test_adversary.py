@@ -86,7 +86,7 @@ class TestSpecValidation:
             AttackSpec(kind="replay")
 
     def test_shots_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueOutOfRange):
             AttackSpec(kind="forgery", shots=0)
 
     def test_hop_out_of_range(self):
