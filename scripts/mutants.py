@@ -12,7 +12,8 @@ digest. A pinned digest moves under any change, so only a test of a law, a
 count or an equality between two routes can tell whether the mutant broke
 the simulation. The unpatched copy is run first and must pass. The script
 prints one line per mutant with the tests that failed, and exits 1 if the
-unpatched copy fails or any mutant passes. Each run takes about as long as
+unpatched copy fails or any mutant is not killed: a mutant is killed when
+the suite reports a failed test, not when it stops without one. Each run takes about as long as
 the tier-1 suite. Standard library only; the tier-1 test extras must be
 installed.
 """
@@ -161,8 +162,8 @@ def main() -> int:
             if name is None:
                 ok = code == 0
                 print(f"unpatched: {'passes' if ok else 'FAILS ' + '; '.join(failed)}", flush=True)
-            else:
-                ok = code != 0
+            else:  # a session that stops before it reports a failure kills nothing
+                ok = code != 0 and bool(failed)
                 shown = "; ".join(failed[:5]) + (f" (+{len(failed) - 5})" if len(failed) > 5 else "")
                 print(f"{name}: {f'killed by {len(failed)}: {shown}' if ok else 'SURVIVED'}",
                       flush=True)

@@ -30,8 +30,11 @@ through run_pass with a one-shot policy that draws the outcome by inverse
 CDF (qudit.draw_outcome), and calls neither ProtocolInstance.run nor the
 splitting engine. It returns one one-shot series per shot, built by the
 engine's protocol.shot_series, which makes no draw for one shot, so the
-same counters read it; it is kept as the independent per-shot reference
-the tests check the engine against.
+same counters read it. It is the per-shot reference the tests check the
+engine against, but not an independent one: it shares run_pass, the gates
+and shot_series with the engine, so it checks the split draws and the
+pairing, not the walk. It and AttackSpec take the engine's shot rule
+(protocol.check_shots), and AttackSpec its int rule (protocol.check_int).
 
 An attack hook is a tuple of steps (see protocol.Channel); its gates look up
 the qudit gate when called, so a wrapper installed on the gate sees them.
@@ -58,6 +61,7 @@ from .protocol import (
     TRANSMITTED,
     VERDICT_ABORT_HASH,
     VERDICT_ACCEPTED,
+    check_int,
     check_shots,
     run_pass,
     secret_pass,
@@ -84,6 +88,10 @@ class AttackSpec:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         check_shots([self.shots])
+        for what, value in (("hop_index", self.hop_index), ("player_id", self.player_id),
+                            *(("hypothesis", h) for h in self.hypotheses or ())):
+            if value is not None:
+                check_int(what, value)
         if self.kind == "forgery" and self.hypotheses is not None:
             raise ValueError("forgery has no leakage statistic to condition on hypotheses")
         if self.hypotheses is not None and len(self.hypotheses) != 2:

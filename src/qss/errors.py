@@ -14,7 +14,9 @@ class DuplicatePoint(QssError):
 
 
 class ValueOutOfRange(QssError):
-    """A register value or field value lies outside [0, d)."""
+    """A value lies outside its range (a register or field value outside
+    [0, d), a shot count outside [1, MAX_SHOTS]), or is not an int where
+    one is needed."""
 
 
 class UnknownRegister(QssError):

@@ -35,7 +35,10 @@ walks one instance, or a batch of instances of equal d and t whose hooks
 measure nothing, with one gate call per step; split_batch, the one batch
 entry, gives each member the series it would get alone: sweep cells and forged
 rings run through it. adversary.run_shot_series walks each shot on its own by
-inverse CDF, the independent reference the tests check the engine against.
+inverse CDF, the reference the tests check the engine against; it shares
+run_pass, the gates and shot_series with the engine, so it checks the split
+draws and the pairing, not the walk. check_shots is the one shot rule, and
+check_int the one int rule, for whatever a caller hands the engine.
 """
 from __future__ import annotations
 
@@ -227,7 +230,8 @@ def instance_from_shadows(
     shadows_secret: tuple[int, ...],
     shadows_hash: tuple[int, ...] | None = None,
 ) -> ProtocolInstance:
-    """Shadow-level instance for harness runs that bypass the dealing phase."""
+    """Shadow-level instance for harness runs that bypass the dealing phase;
+    each shadow must be an int (check_int), and is reduced mod d."""
     if not shadows_secret:
         raise ValueError("shadow list must not be empty")
     modulus = PrimeModulus(d)
@@ -238,8 +242,8 @@ def instance_from_shadows(
     return ProtocolInstance(
         modulus=modulus,
         xs=tuple(range(1, len(shadows_secret) + 1)),
-        shadows_secret=tuple(v % d for v in shadows_secret),
-        shadows_hash=tuple(v % d for v in shadows_hash),
+        shadows_secret=tuple(check_int("shadow", v) % d for v in shadows_secret),
+        shadows_hash=tuple(check_int("shadow", v) % d for v in shadows_hash),
     )
 
 
@@ -364,15 +368,23 @@ def secret_pass(
     return run_pass([instance], channel, "secret", [shots], [partial(_split, rng)])[0]
 
 
+def check_int(what: str, value) -> int:
+    """value as an int, else ValueOutOfRange naming `what`: an int is what
+    operator.index takes, but not a bool, so a float is not truncated and
+    True is not a count, a position or a shadow."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueOutOfRange(f"{what} must be an int, got {value!r}")
+
+
 def check_shots(shots: Sequence[int]) -> None:
-    """Refuse each shot count that is not an int in [1, MAX_SHOTS], the
-    counts a split can draw; a bool is not a count."""
+    """Refuse each shot count that is not an int (check_int) in [1,
+    MAX_SHOTS], the counts a split can draw."""
     for n in shots:
-        try:
-            ok = not isinstance(n, bool) and 1 <= operator.index(n) <= MAX_SHOTS
-        except TypeError:
-            ok = False
-        if not ok:
+        if not 1 <= check_int("shots", n) <= MAX_SHOTS:
             raise ValueOutOfRange(f"shots must be an int in [1, {MAX_SHOTS}], got {n!r}")
 
 

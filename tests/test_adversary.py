@@ -89,6 +89,25 @@ class TestSpecValidation:
         with pytest.raises(ValueOutOfRange):
             AttackSpec(kind="forgery", shots=0)
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("intercept_resend", {"hop_index": 1.0}),
+        ("intercept_resend", {"hop_index": True}),
+        ("forgery", {"player_id": True}),
+        ("collusion_probe", {"player_id": 3.0}),
+        ("intercept_resend", {"hypotheses": (1.5, 2)}),
+        ("collusion_probe", {"hypotheses": (1, True)}),
+    ])
+    def test_int_fields_take_ints_only(self, kind, fields):
+        # Each was echoed in the report while the run truncated it or read
+        # True as 1.
+        with pytest.raises(ValueOutOfRange, match="must be an int"):
+            AttackSpec(kind=kind, shots=4, **fields)
+
+    def test_int_fields_take_numpy_ints(self):
+        AttackSpec(kind="intercept_resend", shots=np.int64(4), hop_index=np.int64(1),
+                   hypotheses=(np.int64(1), 2))
+        AttackSpec(kind="forgery", shots=4, player_id=np.int64(2))
+
     def test_hop_out_of_range(self):
         with pytest.raises(ValueError):
             run_attack(instance(), AttackSpec(kind="intercept_resend", hop_index=3, shots=2))

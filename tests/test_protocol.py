@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qss.adversary
 import qss.dealer
 import qss.field
 import qss.protocol
@@ -403,10 +404,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             single.run(channel=Channel(hooks={0: noop}), seed=0)
 
-    @pytest.mark.parametrize("shots", [0, -3, 2.5, True, "3", None, 2**63, 2**64])
+    @pytest.mark.parametrize("shots", [0, -3, -1, 2.5, True, "3", None, 2**63, 2**64])
     def test_shot_counts_off_the_rule_rejected_before_any_gate(self, shots, monkeypatch):
         # The engine takes an int in [1, MAX_SHOTS] per member: a bool is
-        # not a count, and a float is not rounded.
+        # not a count, and a float is not rounded. An attack spec and the
+        # per-shot reference take the same rule: a forgery drew its split
+        # from a spec's 2.5 shots, and the reference ran True as one shot.
         def no_gate(*args):
             raise AssertionError("a gate ran")
 
@@ -415,7 +418,9 @@ class TestValidation:
         rng = np.random.default_rng(0)
         for call in (partial(split_shot_series, inst, shots, 1),
                      partial(split_batch, [inst, inst], [3, shots], [rng, rng]),
-                     partial(qss.protocol.secret_pass, inst, shots, rng, Channel())):
+                     partial(qss.protocol.secret_pass, inst, shots, rng, Channel()),
+                     partial(qss.adversary.AttackSpec, kind="forgery", shots=shots),
+                     partial(qss.adversary.run_shot_series, inst, shots, 1)):
             with pytest.raises(ValueOutOfRange, match="shots must be an int"):
                 call()
 
@@ -424,6 +429,18 @@ class TestValidation:
         for shots in (1, np.int64(3), qss.protocol.MAX_SHOTS):
             series = split_shot_series(inst, shots, 1)
             assert sum(series.runs.values()) == shots
+
+    @pytest.mark.parametrize("secret, hashed", [((1.5, 2), None), ((True, 2), None),
+                                                ((1, 2), (0, 2.0))])
+    def test_shadow_instance_takes_ints_only(self, secret, hashed):
+        # A shadow of 1.5 would run as 1 while expected_value() said 3.5.
+        with pytest.raises(ValueOutOfRange, match="shadow must be an int"):
+            instance_from_shadows(5, secret, hashed)
+
+    def test_shadow_instance_reads_numpy_ints_as_ints(self):
+        inst = instance_from_shadows(5, (np.int64(7), 2), (np.int64(1), 0))
+        assert inst.shadows_secret == (2, 2) and inst.shadows_hash == (1, 0)
+        assert all(type(v) is int for v in inst.shadows_secret + inst.shadows_hash)
 
     def test_shadow_instance_lengths(self):
         with pytest.raises(InconsistentPackets):

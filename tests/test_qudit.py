@@ -489,6 +489,19 @@ class TestMeasure:
         assert abs(post.norm() - 1.0) < 1e-12
         assert np.allclose(post.marginal("T")[value], 1.0)
 
+    def test_one_norm_tolerance(self):
+        # Gates and measurements share one bound, 1e-9: a norm off by 1e-7
+        # fails a measurement as it fails a gate, and one off by 1e-10 passes both.
+        lay = layout(5, "H", "T")
+        psi = random_state(lay, np.random.default_rng(2))
+        rng = np.random.default_rng(0)
+        for check in (lambda s: apply_qft(s, "H"), lambda s: apply_copy(s, "H", "T"),
+                      lambda s: apply_shadow_phase(s, "T", 2),
+                      lambda s: outcome_probabilities(s, "T"), lambda s: measure(s, "T", rng)):
+            check(QuditState(lay, psi.digits, psi.values * (1 + 1e-10)))
+            with pytest.raises(NotNormalized):
+                check(QuditState(lay, psi.digits, psi.values * (1 + 1e-7)))
+
     def test_unnormalized_rejected(self):
         lay = layout(2)
         bad = QuditState.from_amplitudes(lay, np.array([1.0, 1.0]))
