@@ -13,9 +13,9 @@ count or an equality between two routes can tell whether the mutant broke
 the simulation. The unpatched copy is run first and must pass. The script
 prints one line per mutant with the tests that failed, and exits 1 if the
 unpatched copy fails or any mutant is not killed: a mutant is killed when
-the suite reports a failed test, not when it stops without one. Each run takes about as long as
-the tier-1 suite. Standard library only; the tier-1 test extras must be
-installed.
+the suite reports a failed test, not when it stops without one. Each run
+takes about as long as the tier-1 suite. Standard library only; the tier-1
+test extras must be installed.
 """
 from __future__ import annotations
 
