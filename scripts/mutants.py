@@ -119,8 +119,12 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     # Every forged ring gets the first forged shadow, whatever value its shots drew.
     "forged rings share the first forged shadow": [(
         ADVERSARY,
-        "forged = [instance.with_shadow(position, (true_value + 1 + k) % d) for k in hit]",
-        "forged = [instance.with_shadow(position, (true_value + 1 + hit[0]) % d) for k in hit]",
+        "forged = [instance.with_shadow(position, true_value + 1 + k) for k in hit]",
+        "forged = [instance.with_shadow(position, true_value + 1 + hit[0]) for k in hit]",
+    )],
+    # An instance stores a shadow of 1.5 or True as given, reduced mod d.
+    "an instance skips the int rule": [(
+        PROTOCOL, 'check_int("shadow", v) % self.modulus.d', "v % self.modulus.d",
     )],
     # Every sweep cell reads the first member's run of its batch.
     "sweep cells read the first member's run": [(

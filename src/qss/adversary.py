@@ -34,7 +34,8 @@ same counters read it. It is the per-shot reference the tests check the
 engine against, but not an independent one: it shares run_pass, the gates
 and shot_series with the engine, so it checks the split draws and the
 pairing, not the walk. It and AttackSpec take the engine's shot rule
-(protocol.check_shots), and AttackSpec its int rule (protocol.check_int).
+(protocol.check_shots), and AttackSpec the int rule (field.check_int), keeping
+the ints it checked.
 
 An attack hook is a tuple of steps (see protocol.Channel); its gates look up
 the qudit gate when called, so a wrapper installed on the gate sees them.
@@ -51,6 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValueOutOfRange
+from .field import check_int
 from .protocol import (
     ADVERSARY,
     Channel,
@@ -61,7 +63,6 @@ from .protocol import (
     TRANSMITTED,
     VERDICT_ABORT_HASH,
     VERDICT_ACCEPTED,
-    check_int,
     check_shots,
     run_pass,
     secret_pass,
@@ -88,10 +89,12 @@ class AttackSpec:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         check_shots([self.shots])
-        for what, value in (("hop_index", self.hop_index), ("player_id", self.player_id),
-                            *(("hypothesis", h) for h in self.hypotheses or ())):
-            if value is not None:
-                check_int(what, value)
+        for what in ("shots", "hop_index", "player_id"):
+            if getattr(self, what) is not None:
+                object.__setattr__(self, what, check_int(what, getattr(self, what)))
+        if self.hypotheses is not None:
+            hypotheses = tuple(check_int("hypothesis", h) for h in self.hypotheses)
+            object.__setattr__(self, "hypotheses", hypotheses)
         if self.kind == "forgery" and self.hypotheses is not None:
             raise ValueError("forgery has no leakage statistic to condition on hypotheses")
         if self.hypotheses is not None and len(self.hypotheses) != 2:
@@ -339,7 +342,7 @@ def _forgery(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
     # one shadow draws only from point masses, so no draw order reaches the output.
     counts = rng.multinomial(spec.shots, np.full(d - 1, 1 / (d - 1)))
     hit = counts.nonzero()[0].tolist()
-    forged = [instance.with_shadow(position, (true_value + 1 + k) % d) for k in hit]
+    forged = [instance.with_shadow(position, true_value + 1 + k) for k in hit]
     series = split_batch(forged, counts[hit].tolist(), [rng] * len(hit))
     secret = [leaf for part in series for leaf in part.secret]
     observations = tally(secret, lambda leaf: leaf.value)
@@ -385,7 +388,7 @@ ATTACK_KINDS = tuple(_RUNNERS)
 def run_attack(instance: ProtocolInstance, spec: AttackSpec) -> AttackReport:
     """Run the attack spec.kind names on the instance: the only way to run one."""
     d = instance.modulus.d
-    # with_shadow reduces a forced value mod d, so a hypothesis outside
+    # An instance reduces every shadow mod d, so a hypothesis outside
     # [0, d) would run as another value while the report names it.
     for value in spec.hypotheses or ():
         if not 0 <= value < d:

@@ -15,16 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidThreshold, SecretOutOfRange, ValueOutOfRange
-from .field import PrimeModulus, eval_poly, is_prime
+from .field import PrimeModulus, check_int, eval_poly, is_prime
 
 
 @dataclass(frozen=True)
 class DealerConfig:
+    """What a deal takes. n, t, secret and d_override (when set) must be ints
+    (check_int), and are kept as ints; their ranges are checked by the deal."""
+
     n: int
     t: int
     secret: int
     rng_seed: int = 0
     d_override: int | None = None
+
+    def __post_init__(self) -> None:
+        for what in ("n", "t", "secret", "d_override"):
+            if getattr(self, what) is not None:
+                object.__setattr__(self, what, check_int(what, getattr(self, what)))
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,30 @@ and the reconstruction phase.
 
 A field value is a plain int in [0, d). PrimeModulus is the one validated
 field type; every function takes it once per call and returns ints in
-[0, d)."""
+[0, d). check_int is the one int rule: the modulus, the dealer's config, a
+protocol instance's shadows, the engine's shot counts and an attack spec
+take it."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DuplicatePoint, ValueOutOfRange, ZeroInverse
 
 # Witnesses that make Miller-Rabin deterministic for all 64-bit integers.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def check_int(what: str, value) -> int:
+    """value as an int, else ValueOutOfRange naming `what`: an int is what
+    operator.index takes, but not a bool, so a float is not truncated and
+    True is not a count, a position or a shadow."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueOutOfRange(f"{what} must be an int, got {value!r}")
 
 
 def is_prime(p: int) -> bool:
@@ -41,11 +56,13 @@ def is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """The prime d defining the field Z_d. Must fit in 64 bits."""
+    """The prime d defining the field Z_d: an int (check_int, kept as an
+    int) that fits in 64 bits."""
 
     d: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", check_int("modulus", self.d))
         if self.d >= 1 << 64:
             raise ValueOutOfRange(f"modulus {self.d} does not fit in 64 bits")
         if not is_prime(self.d):
@@ -77,17 +94,17 @@ def eval_poly(coefficients: tuple[int, ...], x: int, modulus: PrimeModulus) -> i
 
 def lagrange_coeff(x_r: int, xs: list[int], modulus: PrimeModulus) -> int:
     """Interpolation weight at zero for the point x_r among the points xs:
-    prod_{j != r} x_j * (x_j - x_r)^-1."""
+    prod_{j != r} x_j * (prod_{j != r} (x_j - x_r))^-1, one inversion."""
     if len(set(xs)) != len(xs):
         raise DuplicatePoint("interpolation points repeat")
     if x_r not in xs:
         raise DuplicatePoint(f"{x_r} is not one of the interpolation points")
     d = modulus.d
-    acc = 1
+    num = den = 1
     for x_j in xs:
         if x_j != x_r:
-            acc = acc * x_j * field_inv(x_j - x_r, modulus) % d
-    return acc
+            num, den = num * x_j % d, den * (x_j - x_r) % d
+    return num * field_inv(den, modulus) % d
 
 
 def shadow(share: int, x_r: int, xs: list[int], modulus: PrimeModulus) -> int:

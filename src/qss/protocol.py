@@ -37,12 +37,13 @@ entry, gives each member the series it would get alone: sweep cells and forged
 rings run through it. adversary.run_shot_series walks each shot on its own by
 inverse CDF, the reference the tests check the engine against; it shares
 run_pass, the gates and shot_series with the engine, so it checks the split
-draws and the pairing, not the walk. check_shots is the one shot rule, and
-check_int the one int rule, for whatever a caller hands the engine.
+draws and the pairing, not the walk. check_shots is the one shot rule for
+whatever a caller hands the engine, and ProtocolInstance's own check the one
+shadow rule, however an instance is built; both take the int rule
+field.check_int.
 """
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
@@ -52,7 +53,7 @@ import numpy as np
 
 from .dealer import DealerConfig, SharePacket, _deal, hash_to_field, resolve_modulus
 from .errors import InconsistentPackets, ValueOutOfRange
-from .field import PrimeModulus, lagrange_coeff
+from .field import PrimeModulus, check_int, lagrange_coeff
 from .qudit import (
     RegisterLayout,
     QuditState,
@@ -153,6 +154,10 @@ class ProtocolInstance:
     attack harness exercise the quantum pipeline directly (e.g. d=2 admits
     only a single share point, so multi-player d=2 rings exist only at the
     shadow level).
+
+    However it is built (a deal, shadows, with_shadow or dataclasses.replace),
+    an instance checks its shadows here: one per player and pass, each an int
+    (check_int), stored reduced mod d.
     """
 
     modulus: PrimeModulus
@@ -160,17 +165,26 @@ class ProtocolInstance:
     shadows_secret: tuple[int, ...]
     shadows_hash: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if not self.xs:
+            raise ValueError("an instance needs at least one player")
+        for key in ("shadows_secret", "shadows_hash"):
+            values = getattr(self, key)
+            if len(values) != len(self.xs):
+                raise InconsistentPackets(f"{len(values)} {key} for {len(self.xs)} players")
+            object.__setattr__(self, key, tuple(check_int("shadow", v) % self.modulus.d for v in values))
+
     @property
     def t(self) -> int:
         return len(self.shadows_secret)
 
     def with_shadow(self, position: int, value: int, pass_name: PassName = "secret") -> "ProtocolInstance":
         """Copy of this instance with one player's shadow forced (1-based position)."""
-        if not 1 <= position <= self.t:
+        if not 1 <= check_int("position", position) <= self.t:
             raise ValueOutOfRange(f"position {position} not in [1, {self.t}]")
         key = "shadows_secret" if pass_name == "secret" else "shadows_hash"
         values = list(getattr(self, key))
-        values[position - 1] = value % self.modulus.d
+        values[position - 1] = value
         return replace(self, **{key: tuple(values)})
 
     def expected_value(self, pass_name: PassName = "secret") -> int:
@@ -207,13 +221,12 @@ def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:
     if len(set(xs)) != len(xs):
         raise InconsistentPackets("packets repeat evaluation points")
     modulus = moduli.pop()
-    d = modulus.d
     weights = [lagrange_coeff(x, xs, modulus) for x in xs]
     return ProtocolInstance(
         modulus=modulus,
         xs=tuple(xs),
-        shadows_secret=tuple(p.f_share * w % d for p, w in zip(packets, weights)),
-        shadows_hash=tuple(p.g_share * w % d for p, w in zip(packets, weights)),
+        shadows_secret=tuple(p.f_share * w for p, w in zip(packets, weights)),
+        shadows_hash=tuple(p.g_share * w for p, w in zip(packets, weights)),
     )
 
 
@@ -230,21 +243,11 @@ def instance_from_shadows(
     shadows_secret: tuple[int, ...],
     shadows_hash: tuple[int, ...] | None = None,
 ) -> ProtocolInstance:
-    """Shadow-level instance for harness runs that bypass the dealing phase;
-    each shadow must be an int (check_int), and is reduced mod d."""
-    if not shadows_secret:
-        raise ValueError("shadow list must not be empty")
-    modulus = PrimeModulus(d)
-    if shadows_hash is None:
-        shadows_hash = tuple(0 for _ in shadows_secret)
-    if len(shadows_hash) != len(shadows_secret):
-        raise InconsistentPackets("shadow lists must have equal length")
-    return ProtocolInstance(
-        modulus=modulus,
-        xs=tuple(range(1, len(shadows_secret) + 1)),
-        shadows_secret=tuple(check_int("shadow", v) % d for v in shadows_secret),
-        shadows_hash=tuple(check_int("shadow", v) % d for v in shadows_hash),
-    )
+    """Shadow-level instance for harness runs that bypass the dealing phase,
+    players at x = 1..t, the hash shadows 0 unless given."""
+    xs = tuple(range(1, len(shadows_secret) + 1))
+    hashed = (0,) * len(xs) if shadows_hash is None else shadows_hash
+    return ProtocolInstance(PrimeModulus(d), xs, shadows_secret, hashed)
 
 
 class PassResult(NamedTuple):
@@ -366,18 +369,6 @@ def secret_pass(
     the shot counts split_batch takes."""
     check_shots([shots])
     return run_pass([instance], channel, "secret", [shots], [partial(_split, rng)])[0]
-
-
-def check_int(what: str, value) -> int:
-    """value as an int, else ValueOutOfRange naming `what`: an int is what
-    operator.index takes, but not a bool, so a float is not truncated and
-    True is not a count, a position or a shadow."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueOutOfRange(f"{what} must be an int, got {value!r}")
 
 
 def check_shots(shots: Sequence[int]) -> None:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -104,9 +105,19 @@ class TestSpecValidation:
             AttackSpec(kind=kind, shots=4, **fields)
 
     def test_int_fields_take_numpy_ints(self):
-        AttackSpec(kind="intercept_resend", shots=np.int64(4), hop_index=np.int64(1),
-                   hypotheses=(np.int64(1), 2))
-        AttackSpec(kind="forgery", shots=4, player_id=np.int64(2))
+        spec = AttackSpec(kind="intercept_resend", shots=np.int64(4), hop_index=np.int64(1),
+                          hypotheses=(np.int64(1), 2))
+        forgery = AttackSpec(kind="forgery", shots=4, player_id=np.int64(2))
+        # A spec keeps the ints it checked.
+        kept = (spec.shots, spec.hop_index, *spec.hypotheses, forgery.player_id)
+        assert kept == (4, 1, 1, 2, 2) and all(type(v) is int for v in kept)
+
+    def test_numpy_int_spec_reports_serialise(self):
+        # The numpy ints were stored as given and reached the report's JSON.
+        inst = instance_from_shadows(5, (1, 2, 3))
+        spec = AttackSpec(kind="intercept_resend", shots=np.int64(4), hop_index=np.int64(1), seed=1)
+        blob = json.loads(json.dumps(run_attack(inst, spec).to_json()))
+        assert blob["shots"] == 4 and blob["extra"]["hop_index"] == 1
 
     def test_hop_out_of_range(self):
         with pytest.raises(ValueError):

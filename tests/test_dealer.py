@@ -2,6 +2,7 @@ import hashlib
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qss.dealer import DealerConfig, SharePacket, choose_modulus, deal, hash_to_field
@@ -111,6 +112,22 @@ class TestDeal:
     def test_d_override_must_be_prime(self):
         with pytest.raises(ValueOutOfRange):
             deal(DealerConfig(n=5, t=2, secret=1, rng_seed=0, d_override=9))
+
+    def test_numpy_ints_deal_as_ints(self):
+        # hash_to_field called to_bytes on the numpy secret.
+        config = DealerConfig(n=np.int64(4), t=np.int64(3), secret=np.int64(2), d_override=np.int64(7))
+        kept = (config.n, config.t, config.secret, config.d_override)
+        assert kept == (4, 3, 2, 7) and all(type(v) is int for v in kept)
+        assert deal(config) == deal(DealerConfig(n=4, t=3, secret=2, d_override=7))
+
+    @pytest.mark.parametrize("fields", [
+        {"t": True}, {"secret": True}, {"secret": 2.5}, {"n": 4.0}, {"d_override": 7.0},
+    ])
+    def test_config_takes_ints_only(self, fields):
+        # t=True dealt a one-player ring, secret=True ran secret 1, and the
+        # floats failed deep in the deal.
+        with pytest.raises(ValueOutOfRange, match="must be an int"):
+            DealerConfig(**{"n": 4, "t": 3, "secret": 2, **fields})
 
     @pytest.mark.parametrize(
         "config, d, shares",

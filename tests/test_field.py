@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,14 @@ class TestPrimality:
 
     def test_large_prime_accepted(self):
         PrimeModulus((1 << 61) - 1)  # Mersenne prime
+
+    def test_modulus_takes_ints_only(self):
+        # 5.0 passed the primality test, and a numpy d made every shadow of
+        # an instance a numpy int.
+        for d in (5.0, True):
+            with pytest.raises(ValueOutOfRange, match="modulus must be an int"):
+                PrimeModulus(d)
+        assert type(PrimeModulus(np.int64(5)).d) is int
 
 
 class TestFieldElement:
@@ -94,6 +103,11 @@ class TestLagrange:
             lagrange_coeff(1, [1, 1], PrimeModulus(7))
         with pytest.raises(DuplicatePoint):
             lagrange_coeff(3, [1, 2], PrimeModulus(7))
+
+    def test_points_equal_mod_d_have_no_weight(self):
+        # 1 and 6 differ as ints but are one point of Z_5.
+        with pytest.raises(ZeroInverse):
+            lagrange_coeff(1, [1, 6], PrimeModulus(5))
 
     def test_weights_sum_to_one(self):
         # Interpolating the constant polynomial 1 must give 1.

@@ -437,14 +437,20 @@ class TestValidation:
         with pytest.raises(ValueOutOfRange, match="shadow must be an int"):
             instance_from_shadows(5, secret, hashed)
 
-    def test_shadow_instance_reads_numpy_ints_as_ints(self):
-        inst = instance_from_shadows(5, (np.int64(7), 2), (np.int64(1), 0))
+    @pytest.mark.parametrize("d", [5, np.int64(5)])
+    def test_shadow_instance_reads_numpy_ints_as_ints(self, d):
+        inst = instance_from_shadows(d, (np.int64(7), 2), (np.int64(1), 0))
         assert inst.shadows_secret == (2, 2) and inst.shadows_hash == (1, 0)
         assert all(type(v) is int for v in inst.shadows_secret + inst.shadows_hash)
+        json.dumps(inst.run(seed=1).to_json())
 
     def test_shadow_instance_lengths(self):
-        with pytest.raises(InconsistentPackets):
-            instance_from_shadows(5, (1, 2), (1,))
+        # An instance takes one shadow per player and pass, however it is built.
+        for build in (partial(instance_from_shadows, 5, (1, 2), (1,)),
+                      partial(ProtocolInstance, PrimeModulus(5), (1, 2), (1, 2), (0,)),
+                      partial(ProtocolInstance, PrimeModulus(5), (1,), (1, 2), (0, 0))):
+            with pytest.raises(InconsistentPackets):
+                build()
 
     def test_shadow_instance_empty_rejected(self):
         # instance_from_players([]) raises ValueError the same way.
@@ -452,6 +458,8 @@ class TestValidation:
             instance_from_players([])
         with pytest.raises(ValueError):
             instance_from_shadows(5, ())
+        with pytest.raises(ValueError):
+            ProtocolInstance(PrimeModulus(5), (), (), ())
 
     def test_with_shadow_position_checked(self):
         inst = instance_from_shadows(5, (1, 2, 3))
@@ -460,6 +468,22 @@ class TestValidation:
         for position in (0, 4):
             with pytest.raises(ValueOutOfRange):
                 inst.with_shadow(position, 4)
+
+    @pytest.mark.parametrize("position, value", [(True, 4), (2, 2.5), (np.float64(2.0), 4)])
+    def test_with_shadow_takes_ints_only(self, position, value):
+        # True forced P1's shadow, and 2.5 failed inside the shadow phase.
+        with pytest.raises(ValueOutOfRange, match="must be an int"):
+            instance_from_shadows(5, (1, 2, 3)).with_shadow(position, value)
+
+    def test_with_shadow_reduces_mod_d(self):
+        forced = instance_from_shadows(5, (1, 2, 3)).with_shadow(2, np.int64(-1))
+        assert forced.shadows_secret == (1, 4, 3) and type(forced.shadows_secret[1]) is int
+
+    def test_replace_checks_shadows(self):
+        inst = instance_from_shadows(5, (1, 2, 3))
+        with pytest.raises(ValueOutOfRange, match="shadow must be an int"):
+            replace(inst, shadows_secret=(1.5, 2, 3))
+        assert replace(inst, shadows_hash=[7, 5, -1]).shadows_hash == (2, 0, 4)
 
 
 class TestTranscript:
