@@ -29,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL, QUDIT, ADVERSARY = "src/qss/protocol.py", "src/qss/qudit.py", "src/qss/adversary.py"
-CLI = "src/qss/cli.py"
+CLI, DEALER = "src/qss/cli.py", "src/qss/dealer.py"
 # What the copy leaves out: version control, caches and benchmark results.
 LEFT_OUT = (".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")
 PINNED = [
@@ -125,6 +125,14 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     # An instance stores a shadow of 1.5 or True as given, reduced mod d.
     "an instance skips the int rule": [(
         PROTOCOL, 'check_int("shadow", v) % self.modulus.d', "v % self.modulus.d",
+    )],
+    # A member of a batch of longer rings meets a phase of shadow 1 at each extra hop.
+    "a shorter ring pads with shadow 1": [(
+        PROTOCOL, "zip_longest(*table, fillvalue=0)", "zip_longest(*table, fillvalue=1)",
+    )],
+    # The array deal evaluates at x = 0..T-1: P1 holds f(0), the secret itself.
+    "Vandermonde rows start at x = 0": [(
+        DEALER, "x = np.arange(1, width + 1)", "x = np.arange(width)",
     )],
     # Every sweep cell reads the first member's run of its batch.
     "sweep cells read the first member's run": [(

@@ -1,8 +1,9 @@
 """Command-line front end: honest runs, shot-count simulation presets,
 attack scenarios, and parameter sweeps. All outputs are deterministic for a
 fixed seed; JSON files are written with sorted keys so reruns are
-byte-identical. A sweep runs each stretch of consecutive cells of equal
-(d, t) as one batch through the protocol engine. A sweep of enough cells runs
+byte-identical. A sweep deals the consecutive cells of each d, whatever
+their t, as one array and runs them as one batch through the protocol engine
+(a batch of bounded size, MAX_BATCH_POINTS). A sweep of enough cells runs
 them in worker processes, one per CPU the process may use, and writes the
 same bytes as a run in one process.
 The argument parser is built once, when the module is imported, and
@@ -30,7 +31,7 @@ from .errors import PresetInfeasible, QssError
 from .field import is_prime
 from .protocol import (
     HOME, TRANSMITTED, VERDICT_ACCEPTED, ProtocolInstance, instance_from_deal,
-    split_batch, split_shot_series,
+    instances_from_deals, split_batch, split_shot_series,
 )
 from .qudit import RegisterLayout
 
@@ -38,11 +39,16 @@ PRESET_PLAYERS = (3, 4, 15)
 MAX_PRESET_QUBITS = 3
 # A sweep holds about 1.1 kB per cell (cell, seed and row): 2**20 cells is 1 GB.
 MAX_SWEEP_CELLS = 2**20
-# Starting and joining a pool of two sweep workers takes 17-26 ms on a 2-vCPU
-# Xeon host, the time of 45-70 batched cells of 0.22-0.37 ms each
-# (scripts/sweep_pool_cost.py); a worker given fewer cells would not repay
-# its start-up.
-MIN_CELLS_PER_WORKER = 60
+# Starting and joining a pool of two sweep workers takes 9.5-20 ms on a 2-vCPU
+# Xeon host, the time of 52-134 batched cells of 0.15-0.20 ms each, 65-87 in
+# the medians of five runs (scripts/sweep_pool_cost.py); a worker given fewer
+# cells would not repay its start-up.
+MIN_CELLS_PER_WORKER = 75
+# A sweep batch holds at most this many support points: its cells times d,
+# the points of each cell's state after P1's QFT. Without it, `sweep --d-max
+# 1021 --t-max 13 --n-max 1020`, within MAX_SWEEP_CELLS, would walk d = 1021
+# as one batch of 13.5M points, over half a gigabyte of state.
+MAX_BATCH_POINTS = 2**18
 # Chunks of cells handed out per worker, so that one slow chunk (cells grow
 # dearer along the list) does not leave the other workers idle.
 CHUNKS_PER_WORKER = 4
@@ -176,31 +182,41 @@ def _sweep_rows(seed: int, start: int, cells: list[tuple[int, int, int]]) -> lis
     Cell i draws from SeedSequence(seed, spawn_key=(i,)), which is child i of
     SeedSequence(seed).spawn(...), so any contiguous chunk of cells can be run
     on its own, in any process, and gives the rows it would give in a serial run.
-    Consecutive cells of equal (d, t) run as one batch of one-shot series
-    (protocol.split_batch), each member drawing as a run of its own would."""
+    Consecutive cells of equal d, whatever their t, are dealt as one array
+    (protocol.instances_from_deals) and run as one batch of one-shot series
+    (protocol.split_batch), each member drawing as a run of its own would; a
+    batch holds at most MAX_BATCH_POINTS // d cells."""
     rows = []
-    for (d, t), stretch in groupby(enumerate(cells, start), key=lambda cell: cell[1][:2]):
-        configs, seeds, rngs = [], [], []
-        for i, (_, _, n) in stretch:
-            child = np.random.SeedSequence(seed, spawn_key=(i,))
-            seeds.append(int(child.generate_state(1, dtype=np.uint64)[0]))
-            rngs.append(np.random.default_rng(seeds[-1]))
-            secret = int(rngs[-1].integers(d))
-            # A dealer seeded with the cell seed would draw the secret again as a1.
-            dealer_seed = int(rngs[-1].integers(2**63))
-            configs.append(
-                DealerConfig(n=n, t=t, secret=secret, rng_seed=dealer_seed, d_override=d)
-            )
-        instances = [instance_from_deal(config) for config in configs]
-        series = split_batch(instances, [1] * len(instances), rngs)
-        for config, cell_seed, instance, part in zip(configs, seeds, instances, series):
-            (run,) = part.runs
-            rows.append({
-                "d": d, "t": t, "n": config.n, "seed": cell_seed,
-                "verdict": run.verdict, "f0": run.f0,
-                "expected": instance.expected_value("secret"),
-                "correct": run.f0 == config.secret and run.verdict == VERDICT_ACCEPTED,
-            })
+    for d, group in groupby(enumerate(cells, start), key=lambda cell: cell[1][0]):
+        group = list(group)
+        size = max(1, MAX_BATCH_POINTS // d)
+        for batch in (group[k:k + size] for k in range(0, len(group), size)):
+            rows += _batch_rows(seed, d, batch)
+    return rows
+
+
+def _batch_rows(seed: int, d: int, batch: list[tuple[int, tuple[int, int, int]]]) -> list[dict]:
+    """The rows of the numbered cells of one batch, all of modulus d."""
+    configs, seeds, rngs = [], [], []
+    for i, (_, t, n) in batch:
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        seeds.append(int(child.generate_state(1, dtype=np.uint64)[0]))
+        rngs.append(np.random.default_rng(seeds[-1]))
+        secret = int(rngs[-1].integers(d))
+        # A dealer seeded with the cell seed would draw the secret again as a1.
+        dealer_seed = int(rngs[-1].integers(2**63))
+        configs.append(DealerConfig(n=n, t=t, secret=secret, rng_seed=dealer_seed, d_override=d))
+    instances = instances_from_deals(configs)
+    series = split_batch(instances, [1] * len(instances), rngs)
+    rows = []
+    for config, cell_seed, instance, part in zip(configs, seeds, instances, series):
+        (run,) = part.runs
+        rows.append({
+            "d": d, "t": config.t, "n": config.n, "seed": cell_seed,
+            "verdict": run.verdict, "f0": run.f0,
+            "expected": instance.expected_value("secret"),
+            "correct": run.f0 == config.secret and run.verdict == VERDICT_ACCEPTED,
+        })
     return rows
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +57,9 @@ def choose_modulus(n: int) -> PrimeModulus:
 
 
 def hash_to_field(secret: int, d: PrimeModulus) -> int:
-    """SHA1 of the secret's 8-byte big-endian encoding, reduced mod d."""
+    """SHA1 of the secret's 8-byte big-endian encoding, reduced mod d. The
+    secret must be an int (check_int): a numpy int hashes as the equal int."""
+    secret = check_int("secret", secret)
     if not 0 <= secret < 1 << 64:
         raise ValueOutOfRange(f"secret {secret} does not fit in 8 unsigned bytes")
     digest = hashlib.sha1(secret.to_bytes(8, "big")).digest()
@@ -80,17 +83,8 @@ def resolve_modulus(config: DealerConfig) -> PrimeModulus:
 def deal(config: DealerConfig) -> list[SharePacket]:
     """Draw both polynomials from the seeded rng and evaluate at x = 1..n;
     packet i - 1 is player i's, and every packet carries the modulus."""
-    return _deal(config, resolve_modulus(config), config.n)
-
-
-def _deal(config: DealerConfig, modulus: PrimeModulus, count: int) -> list[SharePacket]:
-    """deal over an already resolved modulus, for players 1..count only."""
-    if not 0 <= config.secret < modulus.d:
-        raise SecretOutOfRange(f"secret {config.secret} not in [0, {modulus.d})")
-
-    rng = np.random.default_rng(config.rng_seed)
-    f = _random_polynomial(config.secret, modulus, config.t, rng)
-    g = _random_polynomial(hash_to_field(config.secret, modulus), modulus, config.t, rng)
+    modulus = resolve_modulus(config)
+    f, g = draw_polynomials(config, modulus)
     return [
         SharePacket(
             player_id=i,
@@ -98,15 +92,41 @@ def _deal(config: DealerConfig, modulus: PrimeModulus, count: int) -> list[Share
             f_share=eval_poly(f, i, modulus),
             g_share=eval_poly(g, i, modulus),
         )
-        for i in range(1, count + 1)
+        for i in range(1, config.n + 1)
     ]
 
 
-def _random_polynomial(
-    constant: int, modulus: PrimeModulus, t: int, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Coefficients, constant term first, of a degree-(t-1) polynomial.
+def draw_polynomials(config: DealerConfig, modulus: PrimeModulus) -> tuple[tuple[int, ...], ...]:
+    """The two polynomials of a deal over a resolved modulus, coefficients
+    constant term first: f hides the secret, g its hash. Both draw their t - 1
+    other coefficients from default_rng(rng_seed), f's first.
 
     Coefficients are uniform over all of Z_d; a zero leading coefficient only
     lowers the effective degree, which never hurts reconstruction."""
-    return (constant, *rng.integers(0, modulus.d, size=t - 1).tolist())
+    if not 0 <= config.secret < modulus.d:
+        raise SecretOutOfRange(f"secret {config.secret} not in [0, {modulus.d})")
+    rng = np.random.default_rng(config.rng_seed)
+    d, others = modulus.d, config.t - 1
+    f = (config.secret, *rng.integers(0, d, size=others).tolist())
+    g = (hash_to_field(config.secret, modulus), *rng.integers(0, d, size=others).tolist())
+    return f, g
+
+
+def share_table(configs: Sequence[DealerConfig], modulus: PrimeModulus) -> np.ndarray:
+    """Both polynomials of each config (draw_polynomials) at x = 1..T, T the
+    largest t, as one Vandermonde product mod d: entry [c, 0, x - 1] is
+    config c's f(x), [c, 1, x - 1] its g(x). A shorter polynomial is padded
+    with zero coefficients. The product is in int64: each dot product, T < d
+    terms below d**2, stays below d**3, which int64 holds only up to d of
+    about 2e6, so callers check the register cap (d <= 1024) first."""
+    width = max(config.t for config in configs)
+    coefficients = np.zeros((len(configs), 2, width), dtype=np.int64)
+    for row, config in zip(coefficients, configs):
+        f, g = draw_polynomials(config, modulus)
+        row[:, :config.t] = f, g
+    # powers[k, x - 1] = x**k mod d.
+    powers = np.ones((width, width), dtype=np.int64)
+    x = np.arange(1, width + 1)
+    for k in range(1, width):
+        powers[k] = powers[k - 1] * x % modulus.d
+    return coefficients @ powers % modulus.d

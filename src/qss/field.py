@@ -9,6 +9,7 @@ protocol instance's shadows, the engine's shot counts and an attack spec
 take it."""
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -105,6 +106,16 @@ def lagrange_coeff(x_r: int, xs: list[int], modulus: PrimeModulus) -> int:
         if x_j != x_r:
             num, den = num * x_j % d, den * (x_j - x_r) % d
     return num * field_inv(den, modulus) % d
+
+
+def consecutive_weights(t: int, modulus: PrimeModulus) -> list[int]:
+    """lagrange_coeff(r, [1, ..., t], modulus) for r = 1..t, in closed form:
+    prod_{j != r} j / (j - r) = (-1)**(r - 1) * C(t, r). Needs t < d, so that
+    no point is 0 mod d."""
+    d = modulus.d
+    if not 1 <= t < d:
+        raise ValueOutOfRange(f"need 1 <= t < d for the points 1..t, got t={t}, d={d}")
+    return [(-1) ** (r - 1) * math.comb(t, r) % d for r in range(1, t + 1)]
 
 
 def shadow(share: int, x_r: int, xs: list[int], modulus: PrimeModulus) -> int:

@@ -31,11 +31,13 @@ hash-pass leaves and the shots per RunOutcome, the passes paired by the keys a
 report reads (shot_series). Reports count shots from those, so their work
 follows the pass leaves and the keys, not the shots, and build no transcript;
 ProtocolInstance.run builds the one transcript of a one-shot series. run_pass
-walks one instance, or a batch of instances of equal d and t whose hooks
-measure nothing, with one gate call per step; split_batch, the one batch
-entry, gives each member the series it would get alone: sweep cells and forged
-rings run through it. adversary.run_shot_series walks each shot on its own by
-inverse CDF, the reference the tests check the engine against; it shares
+walks one instance, or a batch of instances of equal d whose hooks measure
+nothing, with one gate call per step; on a channel with no hooks and no
+adversary the members may differ in t, and the walk takes the longest ring.
+split_batch, the one batch entry, gives each member the series it would get
+alone: the sweep runs the cells of one d through it, forged rings too.
+adversary.run_shot_series walks each shot on its own by inverse CDF, the
+reference the tests check the engine against; it shares
 run_pass, the gates and shot_series with the engine, so it checks the split
 draws and the pairing, not the walk. check_shots is the one shot rule for
 whatever a caller hands the engine, and ProtocolInstance's own check the one
@@ -47,13 +49,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
+from itertools import zip_longest
 from typing import Callable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dealer import DealerConfig, SharePacket, _deal, hash_to_field, resolve_modulus
+from .dealer import DealerConfig, SharePacket, hash_to_field, resolve_modulus, share_table
 from .errors import InconsistentPackets, ValueOutOfRange
-from .field import PrimeModulus, check_int, lagrange_coeff
+from .field import PrimeModulus, check_int, consecutive_weights, lagrange_coeff
 from .qudit import (
     RegisterLayout,
     QuditState,
@@ -231,11 +234,35 @@ def instance_from_players(packets: list[SharePacket]) -> ProtocolInstance:
 
 
 def instance_from_deal(config: DealerConfig) -> ProtocolInstance:
-    """Check t and the register cap, then deal P1..Pt only (with d fixed,
-    their packets do not depend on n) and assemble them."""
-    modulus = resolve_modulus(config)
+    """P1..Pt of the config's deal: instances_from_deals with one config."""
+    return instances_from_deals([config])[0]
+
+
+def instances_from_deals(configs: Sequence[DealerConfig]) -> list[ProtocolInstance]:
+    """instance_from_players(deal(config)[:t]) for each config, for configs
+    whose moduli resolve to one d, dealt as arrays. Checks every config's t
+    and the register cap before any deal, then deals P1..Pt only (with d
+    fixed, their packets do not depend on n): the shares of every config are
+    one share_table, and the weights of the points 1..t (consecutive_weights)
+    are computed once per t."""
+    moduli = {resolve_modulus(config) for config in configs}
+    if len(moduli) != 1:
+        raise ValueError("the configs of one deal must resolve to one modulus")
+    (modulus,) = moduli
     RegisterLayout(d=modulus.d, registers=(HOME, TRANSMITTED))
-    return instance_from_players(_deal(config, modulus, config.t))
+    shares = share_table(configs, modulus)
+    weights = {t: np.array(consecutive_weights(t, modulus)) for t in {c.t for c in configs}}
+    instances = []
+    for config, (f, g) in zip(configs, shares):
+        t = config.t
+        w = weights[t]
+        instances.append(ProtocolInstance(
+            modulus=modulus,
+            xs=tuple(range(1, t + 1)),
+            shadows_secret=tuple((f[:t] * w).tolist()),
+            shadows_hash=tuple((g[:t] * w).tolist()),
+        ))
+    return instances
 
 
 def instance_from_shadows(
@@ -337,7 +364,8 @@ def split_batch(
     rngs: Sequence[np.random.Generator], channel: Channel | None = None,
 ) -> list[ShotSeries]:
     """split_shot_series(instances[b], shots[b], rngs[b], channel) for each
-    member b of a batch sharing d and t, one walk per pass. Members sharing a
+    member b of a batch sharing d, and t too unless the channel has neither
+    hooks nor an adversary (see run_pass), one walk per pass. Members sharing a
     generator draw from it in batch order, pass by pass (see run_pass).
     Raises ValueOutOfRange before any gate for a shot count that is not an
     int in [1, MAX_SHOTS]."""
@@ -401,23 +429,31 @@ def run_pass(
     branches: Sequence[Callable[[np.ndarray, int], list[tuple[int, int]]]],
 ) -> list[list[tuple[PassResult, int]]]:
     """One pass of the ring on the secret or hash shadows for a batch of
-    instances sharing d and t, member b with shots[b] shots, walked depth
-    first. At each Measure, P1's checks included, branches[b](probs, shots)
-    splits member b's shots as [(outcome, shots), ...] in increasing outcome
-    order; H and a nonzero ancilla at P1's check end the pass as leaves, and
-    each other outcome is walked on in turn with the members that got shots on
-    it. A batch takes each step in one gate call, and each policy is called as
-    in a walk of its member alone. A batch of two or more raises ValueError
-    before any gate if a step before P1's checks measures: a part of it would
-    meet a shadow phase that takes the whole batch's shadows. The rule takes
-    the adversary's read-out too, though no shadow phase follows it. Returns,
-    per member, (pass result, shots) per leaf in walk order, the leaves a
-    measurement ends after those of the outcomes it walks on."""
+    instances sharing d, member b with shots[b] shots, walked depth first.
+    On a channel with no hooks and no adversary the members may differ in t:
+    the walk takes the largest t, and a shorter ring's shadows are padded
+    with 0, a phase of exactly 1, so each member keeps its lone state, law
+    and draws. A channel with either raises ValueError before any gate for
+    members of unequal t. At each Measure, P1's checks included,
+    branches[b](probs, shots) splits member b's shots as [(outcome, shots),
+    ...] in increasing outcome order; H and a nonzero ancilla at P1's check
+    end the pass as leaves, and each other outcome is walked on in turn with
+    the members that got shots on it. A batch takes each step in one gate
+    call, and each policy is called as in a walk of its member alone. A batch
+    of two or more raises ValueError before any gate if a step before P1's
+    checks measures: a part of it would meet a shadow phase that takes the
+    whole batch's shadows. The rule takes the adversary's read-out too, though
+    no shadow phase follows it. Returns, per member, (pass result, shots) per
+    leaf in walk order, the leaves a measurement ends after those of the
+    outcomes it walks on."""
     if not instances or not len(instances) == len(shots) == len(branches):
         raise ValueError("a batch takes one shot count and one branch policy per member")
-    d, t = instances[0].modulus.d, instances[0].t
-    if any(inst.modulus.d != d or inst.t != t for inst in instances):
-        raise ValueError("the instances of a batch must share d and t")
+    d, t = instances[0].modulus.d, max(inst.t for inst in instances)
+    if any(inst.modulus.d != d for inst in instances):
+        raise ValueError("the instances of a batch must share d")
+    if (channel.hooks or channel.adversary) and any(inst.t != t for inst in instances):
+        raise ValueError("the instances of a batch on a channel with hooks or an adversary "
+                         "must share t")
     hops = t if t > 1 else 0
     stray = [k for k in channel.hooks if k not in range(hops)]
     if stray:
@@ -425,8 +461,11 @@ def run_pass(
     registers = (HOME, TRANSMITTED, ADVERSARY) if channel.adversary else (HOME, TRANSMITTED)
     layout = RegisterLayout(d=d, registers=registers)
     table = [i.shadows_secret if pass_name == "secret" else i.shadows_hash for i in instances]
-    # A lone walk holds its shadows as values, a batch as lists.
-    shadows = table[0] if len(instances) == 1 else [list(c) for c in zip(*table)]
+    # A lone walk holds its shadows as values, a batch as lists. A shorter
+    # ring's shadows are padded with 0, whose phase, _roots(d)[0], is exactly
+    # 1: its member takes the extra hops as it would take no step at all.
+    shadows = (table[0] if len(instances) == 1
+               else [list(c) for c in zip_longest(*table, fillvalue=0)])
     # (hop, step, args), from P1's preparation on; hop files a hook's Measure.
     steps: list[tuple[int | None, Step, tuple]] = [
         (None, apply_qft, (HOME,)), (None, apply_copy, (HOME, TRANSMITTED))]

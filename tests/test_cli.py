@@ -17,7 +17,7 @@ import qss.qudit
 from qss.cli import main, resolve_preset
 from qss.dealer import deal
 from qss.errors import PresetInfeasible, QssError
-from qss.protocol import instance_from_deal
+from qss.protocol import instance_from_deal, instances_from_deals
 from test_cli_golden import GOLDEN
 
 
@@ -64,7 +64,7 @@ class TestRun:
         def no_deal(*args):
             raise AssertionError("dealt despite an oversized modulus")
 
-        monkeypatch.setattr(qss.protocol, "_deal", no_deal)
+        monkeypatch.setattr(qss.protocol, "share_table", no_deal)
         for argv in (("--n", "400000", "--t", "2"), ("--n", "3", "--t", "2", "--d", "1031")):
             code, out, err = run_cli(capsys, "run", *argv, "--secret", "1")
             assert code == 2 and out == ""
@@ -112,7 +112,7 @@ class TestRun:
 
     def test_out_directory_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(qss.cli, "instance_from_deal", calls.append)
+        monkeypatch.setattr(qss.cli, "instances_from_deals", calls.append)
         code, out, err = run_cli(
             capsys, "sweep", "--d-max", "5", "--t-max", "2", "--n-max", "2",
             "--out", str(tmp_path),
@@ -232,7 +232,7 @@ class TestSimulate:
         def no_deal(*args):
             raise AssertionError("dealt despite a rejected flag")
 
-        monkeypatch.setattr(qss.protocol, "_deal", no_deal)
+        monkeypatch.setattr(qss.protocol, "share_table", no_deal)
         base = ("simulate", "--preset", "players-3", "--shots", "4")
         for extra in (
             ("--n", "9"), ("--t", "2"), ("--d", "11"), ("--n", "9", "--t", "2", "--d", "11"),
@@ -418,10 +418,10 @@ class TestSweep:
         assert out == "d,t,n,seed,verdict,f0,expected,correct\r\n"
 
     def test_modulus_above_cap_exits_2_before_any_cell(self, capsys, monkeypatch):
-        def no_cell(config):
+        def no_cell(configs):
             raise AssertionError("ran a cell despite an oversized modulus")
 
-        monkeypatch.setattr(qss.cli, "instance_from_deal", no_cell)
+        monkeypatch.setattr(qss.cli, "instances_from_deals", no_cell)
         code, out, err = run_cli(
             capsys, "sweep", "--d-max", "1100", "--t-max", "1", "--n-max", "1"
         )
@@ -447,18 +447,18 @@ class TestSweep:
         assert len(calls) <= 200
 
     def test_cell_cap_checked_before_any_cell(self, capsys, monkeypatch):
-        def no_cell(config):
+        def no_cell(configs):
             raise AssertionError("ran a cell above the cell cap")
 
         # Primes 2, 3, 5 and 7 give 1 + 3 + 9 + 9 = 22 cells.
         argv = ("sweep", "--d-max", "7", "--t-max", "3", "--n-max", "4")
         monkeypatch.setattr(qss.cli, "MAX_SWEEP_CELLS", 21)
-        monkeypatch.setattr(qss.cli, "instance_from_deal", no_cell)
+        monkeypatch.setattr(qss.cli, "instances_from_deals", no_cell)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: sweep has 22 cells, above the cap of 21\n"
         monkeypatch.setattr(qss.cli, "MAX_SWEEP_CELLS", 22)
-        monkeypatch.setattr(qss.cli, "instance_from_deal", instance_from_deal)
+        monkeypatch.setattr(qss.cli, "instances_from_deals", instances_from_deals)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out.count("\n") == 1 + 22
 
@@ -505,11 +505,11 @@ class TestSweep:
         # single share f(1) = 2s would reveal it.
         configs = []
 
-        def record(config):
-            configs.append(config)
-            return instance_from_deal(config)
+        def record(batch):
+            configs.extend(batch)
+            return instances_from_deals(batch)
 
-        monkeypatch.setattr(qss.cli, "instance_from_deal", record)
+        monkeypatch.setattr(qss.cli, "instances_from_deals", record)
         code, _, _ = run_cli(
             capsys, "sweep", "--d-max", "13", "--t-max", "2", "--n-max", "6", "--seed", "4"
         )
@@ -518,6 +518,26 @@ class TestSweep:
         assert len(pairs) > 10
         same = sum((deal(c)[0].f_share - c.secret) % c.d_override == c.secret for c in pairs)
         assert same < len(pairs) / 2
+
+    def test_one_batch_per_d_up_to_the_point_cap(self, capsys, monkeypatch):
+        # The cells of one d, whatever their t, run as one batch of at most
+        # MAX_BATCH_POINTS // d cells; smaller batches give the same rows.
+        sizes = []
+        real = qss.cli.split_batch
+
+        def spy(instances, *args):
+            sizes.append(len(instances))
+            return real(instances, *args)
+
+        monkeypatch.setattr(qss.cli, "split_batch", spy)
+        argv = ("sweep", "--d-max", "13", "--t-max", "4", "--n-max", "12", "--seed", "3")
+        whole = run_cli(capsys, *argv)
+        assert sizes == [1, 3, 10, 18, 34, 42]
+        sizes.clear()
+        monkeypatch.setattr(qss.cli, "MAX_BATCH_POINTS", 100)
+        assert run_cli(capsys, *argv) == whole
+        assert sizes == [1, 3, 10, 14, 4, 9, 9, 9, 7, *[7] * 6]
+        assert whole[0] == 0 and whole[1].count("\n") == 1 + 108
 
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -564,11 +584,11 @@ class TestSweepWorkers:
         assert pooled[0] == 0 and pooled[1].count("\n") == 1 + 2055
 
     def test_worker_error_exits_2_and_leaves_no_child(self, capsys, monkeypatch, pools):
-        def no_cell(config):
+        def no_cell(configs):
             raise QssError("no cell")
 
         # Forked workers inherit the patch.
-        monkeypatch.setattr(qss.cli, "instance_from_deal", no_cell)
+        monkeypatch.setattr(qss.cli, "instances_from_deals", no_cell)
         results = []
         for count in (1, 2):
             cpus(monkeypatch, count)
@@ -589,22 +609,24 @@ class TestSweepWorkers:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_chunks_cut_inside_stretches_give_the_serial_rows(self, seed):
-        # Cells of equal (d, t) run as one batch; a chunk boundary that cuts
-        # such a stretch splits it into two batches, each of whose cells
-        # still draws from its own generator. Cuts 7, 257 and 1003 fall
-        # inside a stretch, 1 and 1000 between two.
+        # The cells of one d run as one batch, whatever their t; a chunk
+        # boundary that cuts such a d-batch splits it into two batches, each
+        # of whose cells still draws from its own generator. Cuts 7, 257,
+        # 1000 and 1003 fall inside a d-batch (1000 between two values of t),
+        # 1 and 955 between two.
         cells = qss.cli._sweep_cells(97, 8, 16)
-        cuts = [0, 1, 7, 257, 1000, 1003, len(cells)]
-        inside = [c for c in cuts[1:-1] if cells[c - 1][:2] == cells[c][:2]]
-        assert inside == [7, 257, 1003]
+        cuts = [0, 1, 7, 257, 955, 1000, 1003, len(cells)]
+        inside = [c for c in cuts[1:-1] if cells[c - 1][0] == cells[c][0]]
+        assert inside == [7, 257, 1000, 1003]
+        assert cells[999][1] < cells[1000][1]
         chunks = [qss.cli._sweep_rows(seed, a, cells[a:b]) for a, b in zip(cuts, cuts[1:])]
         assert [row for chunk in chunks for row in chunk] == qss.cli._sweep_rows(seed, 0, cells)
 
     def test_negative_seed_fails_before_any_worker(self, capsys, monkeypatch, pools):
-        def no_cell(config):
+        def no_cell(configs):
             raise AssertionError("ran a cell despite a negative seed")
 
-        monkeypatch.setattr(qss.cli, "instance_from_deal", no_cell)
+        monkeypatch.setattr(qss.cli, "instances_from_deals", no_cell)
         cpus(monkeypatch, 2)
         code, out, err = run_cli(capsys, *POOLED_SWEEP, "--seed", "-1")
         assert (code, out, err) == (2, "", "error: expected non-negative integer\n")

@@ -56,6 +56,17 @@ class TestHashToField:
             with pytest.raises(ValueOutOfRange):
                 hash_to_field(secret, PrimeModulus(7))
 
+    def test_takes_the_int_rule(self):
+        # A numpy secret called to_bytes, which numpy ints lack; True hashed as 1.
+        for d in (5, 7, 13):
+            mod = PrimeModulus(d)
+            for secret in (0, 2, 4):
+                assert hash_to_field(np.int64(secret), mod) == hash_to_field(secret, mod)
+                assert hash_to_field(np.uint8(secret), mod) == hash_to_field(secret, mod)
+        for secret in (True, False, 2.0):
+            with pytest.raises(ValueOutOfRange, match="secret must be an int"):
+                hash_to_field(secret, PrimeModulus(5))
+
 
 class TestDeal:
     def test_threshold_one_gives_constant_shares(self):

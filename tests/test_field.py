@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qss.errors import DuplicatePoint, ValueOutOfRange, ZeroInverse
 from qss.field import (
     PrimeModulus,
+    consecutive_weights,
     eval_poly,
     field_inv,
     interpolate_at_zero,
@@ -117,6 +118,20 @@ class TestLagrange:
                 for xs in itertools.combinations(range(1, d), t):
                     total = sum(lagrange_coeff(x, xs, mod) for x in xs) % d
                     assert total == 1
+
+    @pytest.mark.parametrize("d", [3, 5, 97])
+    def test_consecutive_weights_are_lagrange_coeffs(self, d):
+        # The closed form (-1)**(r - 1) * C(t, r) of the points 1..t, every t < d.
+        mod = PrimeModulus(d)
+        for t in range(1, d):
+            xs = list(range(1, t + 1))
+            assert consecutive_weights(t, mod) == [lagrange_coeff(x, xs, mod) for x in xs], t
+
+    def test_consecutive_weights_need_t_below_d(self):
+        # At t = d the point d is 0 mod d.
+        for t in (0, 5, 6):
+            with pytest.raises(ValueOutOfRange):
+                consecutive_weights(t, PrimeModulus(5))
 
 
 class TestShadow:

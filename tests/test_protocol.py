@@ -22,6 +22,7 @@ from qss.protocol import (
     instance_from_deal,
     instance_from_players,
     instance_from_shadows,
+    instances_from_deals,
     run_pass,
     split_batch,
     split_shot_series,
@@ -212,6 +213,42 @@ class TestBatchRuns:
                 assert any(p.ancilla for p, _ in series.secret)
                 assert any(p.ancilla == 0 for p, _ in series.secret)
 
+    @pytest.mark.parametrize("d", [5, 43])
+    def test_members_of_unequal_t_get_their_own_runs(self, d, monkeypatch):
+        # On a channel with no hooks, a shorter ring's shadows are padded with
+        # 0, whose phase is exactly 1: each member keeps its lone series. d = 5
+        # takes the dense Fourier path, d = 43 the fibers.
+        insts = [inst for t in (3, 1, 4, 2) for inst in self.members(d, t)]
+        rng = np.random.default_rng(d)
+        insts.insert(3, instance_from_shadows(d, tuple(int(v) for v in rng.integers(d, size=6))))
+        assert len({inst.t for inst in insts}) == 5
+        alone = [split_shot_series(inst, 1, seed) for seed, inst in enumerate(insts)]
+        calls = []
+        real = qss.protocol.apply_qft
+        monkeypatch.setattr(qss.protocol, "apply_qft", lambda *a: calls.append(a) or real(*a))
+        assert self.batch(insts) == alone
+        assert self.batch(insts, Channel()) == alone
+        assert len(calls) == 4
+        # Several shots per member, so that the draws of each split count too.
+        shots = list(range(1, 2 * len(insts), 2))
+        rngs = [np.random.default_rng(b) for b in range(len(insts))]
+        assert split_batch(insts, shots, rngs) == [
+            split_shot_series(inst, m, b) for b, (inst, m) in enumerate(zip(insts, shots))]
+
+    @pytest.mark.parametrize("d", [5, 43])
+    def test_members_of_unequal_t_need_a_bare_channel(self, d, monkeypatch):
+        # A hook, even one that measures nothing, or an adversary, still
+        # needs equal t: raised before any gate.
+        gates = []
+        real = qss.protocol.basis_state
+        monkeypatch.setattr(qss.protocol, "basis_state", lambda *a: gates.append(a) or real(*a))
+        insts = [*self.members(d, 3)[:2], *self.members(d, 2)[:2]]
+        for channel in (Channel(hooks={0: (partial(apply_iqft, register="T"),)}),
+                        Channel(adversary=True)):
+            with pytest.raises(ValueError, match="must share t"):
+                self.batch(insts, channel)
+        assert gates == []
+
     def test_one_generator_per_member(self):
         insts = self.members(5, 3)
         shots = [1] * len(insts)
@@ -235,18 +272,19 @@ class TestInstanceFromDeal:
     """instance_from_deal deals P1..Pt only; their packets do not depend on n."""
 
     def test_deals_two_evaluations_per_player(self, monkeypatch):
-        calls = []
-        real = qss.dealer.eval_poly
+        # One share table: both polynomials at x = 1..t, whatever n.
+        tables = []
+        real = qss.protocol.share_table
 
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
+        def recording(*args):
+            tables.append(real(*args))
+            return tables[-1]
 
-        monkeypatch.setattr(qss.dealer, "eval_poly", counting)
+        monkeypatch.setattr(qss.protocol, "share_table", recording)
         for n, t in [(1, 1), (6, 2), (16, 8)]:
-            calls.clear()
+            tables.clear()
             instance_from_deal(DealerConfig(n=n, t=t, secret=1, rng_seed=3))
-            assert len(calls) == 2 * t, (n, t)
+            assert [table.shape for table in tables] == [(1, 2, t)], (n, t)
 
     def test_threshold_above_n_rejected(self):
         for d_override in (None, 7):
@@ -266,6 +304,30 @@ class TestInstanceFromDeal:
         monkeypatch.setattr(qss.field, "is_prime", spy)
         instance_from_deal(DealerConfig(n=6, t=4, secret=3, rng_seed=2, d_override=13))
         assert checked == [13]
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 41, 97, 1021])
+    def test_array_deal_equals_the_packet_deal(self, d):
+        # One instances_from_deals call over configs of mixed t and n gives
+        # each config the instance its first t packets assemble.
+        rng = np.random.default_rng(d)
+        ts = [*range(1, min(d - 1, 12) + 1), *([d - 1] if d == 97 else [])]
+        configs = [
+            DealerConfig(n=int(rng.integers(t, d)), t=t, secret=int(rng.integers(d)),
+                         rng_seed=int(rng.integers(2**63)), d_override=d)
+            for t in ts for _ in range(3)
+        ]
+        rng.shuffle(configs)
+        expected = [instance_from_players(deal(config)[:config.t]) for config in configs]
+        assert instances_from_deals(configs) == expected
+        assert [instance_from_deal(config) for config in configs] == expected
+
+    def test_array_deal_takes_one_modulus(self):
+        configs = [DealerConfig(n=3, t=2, secret=1, d_override=d) for d in (5, 7)]
+        with pytest.raises(ValueError, match="one modulus"):
+            instances_from_deals(configs)
+        # n = 3 and n = 4 both resolve to 5.
+        same = [DealerConfig(n=n, t=2, secret=1, rng_seed=n) for n in (3, 4)]
+        assert [i.modulus.d for i in instances_from_deals(same)] == [5, 5]
 
     def test_equals_first_t_packets_of_full_deal(self):
         for n, t, d, seed in itertools.product((1, 3, 6), (1, 2, 3), (None, 7, 13), (0, 5)):
