@@ -138,6 +138,10 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "sweep cells read the first member's run": [(
         CLI, "(run,) = part.runs", "(run,) = series[0].runs",
     )],
+    # A batch numbers its cells from 0, not from its first cell in the sweep.
+    "a batch numbers its cells from 0": [(
+        CLI, "enumerate(cells, first)", "enumerate(cells)",
+    )],
 }
 
 

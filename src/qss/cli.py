@@ -1,11 +1,12 @@
 """Command-line front end: honest runs, shot-count simulation presets,
 attack scenarios, and parameter sweeps. All outputs are deterministic for a
 fixed seed; JSON files are written with sorted keys so reruns are
-byte-identical. A sweep deals the consecutive cells of each d, whatever
-their t, as one array and runs them as one batch through the protocol engine
-(a batch of bounded size, MAX_BATCH_POINTS). A sweep of enough cells runs
-them in worker processes, one per CPU the process may use, and writes the
-same bytes as a run in one process.
+byte-identical. A sweep is planned once, as batches of the consecutive
+cells of one d, whatever their t (a batch of bounded size,
+MAX_BATCH_POINTS); each batch is dealt as one array and run as one batch
+through the protocol engine. A sweep of enough cells hands whole batches of
+that plan to worker processes, one per CPU the process may use, and writes
+the same bytes as a run in one process.
 The argument parser is built once, when the module is imported, and
 main(argv) may be called repeatedly in one process.
 
@@ -20,7 +21,6 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
@@ -39,19 +39,16 @@ PRESET_PLAYERS = (3, 4, 15)
 MAX_PRESET_QUBITS = 3
 # A sweep holds about 1.1 kB per cell (cell, seed and row): 2**20 cells is 1 GB.
 MAX_SWEEP_CELLS = 2**20
-# Starting and joining a pool of two sweep workers takes 9.5-20 ms on a 2-vCPU
-# Xeon host, the time of 52-134 batched cells of 0.15-0.20 ms each, 65-87 in
-# the medians of five runs (scripts/sweep_pool_cost.py); a worker given fewer
-# cells would not repay its start-up.
+# Starting and joining a pool of two sweep workers takes 13.8-32.7 ms on a
+# 2-vCPU Xeon host, the time of 39-131 batched cells of 0.19-0.40 ms each,
+# 46-96 in the medians of five runs (scripts/sweep_pool_cost.py); a worker
+# given fewer cells would not repay its start-up.
 MIN_CELLS_PER_WORKER = 75
 # A sweep batch holds at most this many support points: its cells times d,
 # the points of each cell's state after P1's QFT. Without it, `sweep --d-max
 # 1021 --t-max 13 --n-max 1020`, within MAX_SWEEP_CELLS, would walk d = 1021
 # as one batch of 13.5M points, over half a gigabyte of state.
 MAX_BATCH_POINTS = 2**18
-# Chunks of cells handed out per worker, so that one slow chunk (cells grow
-# dearer along the list) does not leave the other workers idle.
-CHUNKS_PER_WORKER = 4
 
 
 def resolve_preset(n: int, c: int) -> tuple[int, int, bool]:
@@ -152,10 +149,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cells(d_max: int, t_max: int, n_max: int) -> list[tuple[int, int, int]]:
-    """The (d, t, n) cells of a sweep, prime d up to d_max and t <= n < d, in
-    output order; work grows with the cells listed, not with the bounds, and
-    more than MAX_SWEEP_CELLS are refused before any is listed."""
+def _sweep_batches(
+    d_max: int, t_max: int, n_max: int
+) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """The plan of a sweep: its cells (d, t, n), prime d up to d_max and
+    t <= n < d, in output order, cut into batches (d, i, [(t, n), ...]) of
+    the cells i, i + 1, ... of one d, at most MAX_BATCH_POINTS // d cells
+    each. Work grows with the cells listed, not with the bounds, and more
+    than MAX_SWEEP_CELLS are refused before any is listed."""
     if t_max < 1 or n_max < 1:
         return []
     # Every prime d has the cell (d, 1, 1), so the largest modulus is the
@@ -169,36 +170,27 @@ def _sweep_cells(d_max: int, t_max: int, n_max: int) -> list[tuple[int, int, int
     count = sum(max(0, min(n_max + 1, d) - t) for d in primes for t in range(1, min(t_max + 1, d)))
     if count > MAX_SWEEP_CELLS:
         raise QssError(f"sweep has {count} cells, above the cap of {MAX_SWEEP_CELLS}")
-    return [
-        (d, t, n)
-        for d in primes
-        for t in range(1, min(t_max, d - 1) + 1)
-        for n in range(t, min(n_max, d - 1) + 1)
-    ]
-
-
-def _sweep_rows(seed: int, start: int, cells: list[tuple[int, int, int]]) -> list[dict]:
-    """The rows of `cells`, which are cells start, start + 1, ... of the sweep.
-    Cell i draws from SeedSequence(seed, spawn_key=(i,)), which is child i of
-    SeedSequence(seed).spawn(...), so any contiguous chunk of cells can be run
-    on its own, in any process, and gives the rows it would give in a serial run.
-    Consecutive cells of equal d, whatever their t, are dealt as one array
-    (protocol.instances_from_deals) and run as one batch of one-shot series
-    (protocol.split_batch), each member drawing as a run of its own would; a
-    batch holds at most MAX_BATCH_POINTS // d cells."""
-    rows = []
-    for d, group in groupby(enumerate(cells, start), key=lambda cell: cell[1][0]):
-        group = list(group)
+    batches, first = [], 0
+    for d in primes:
+        cells = [(t, n) for t in range(1, min(t_max, d - 1) + 1)
+                 for n in range(t, min(n_max, d - 1) + 1)]
         size = max(1, MAX_BATCH_POINTS // d)
-        for batch in (group[k:k + size] for k in range(0, len(group), size)):
-            rows += _batch_rows(seed, d, batch)
-    return rows
+        batches += [(d, first + k, cells[k:k + size]) for k in range(0, len(cells), size)]
+        first += len(cells)
+    return batches
 
 
-def _batch_rows(seed: int, d: int, batch: list[tuple[int, tuple[int, int, int]]]) -> list[dict]:
-    """The rows of the numbered cells of one batch, all of modulus d."""
+def _batch_rows(seed: int, batch: tuple[int, int, list[tuple[int, int]]]) -> list[dict]:
+    """The rows of one batch (d, i, cells) of the plan, whose cells are cells
+    i, i + 1, ... of the sweep. Cell i draws from SeedSequence(seed,
+    spawn_key=(i,)), child i of SeedSequence(seed).spawn(...), so a batch
+    gives the same rows in any process. Its cells, whatever their t, are
+    dealt as one array (protocol.instances_from_deals) and run as one batch
+    of one-shot series (protocol.split_batch), each member drawing as a run
+    of its own would."""
+    d, first, cells = batch
     configs, seeds, rngs = [], [], []
-    for i, (_, t, n) in batch:
+    for i, (t, n) in enumerate(cells, first):
         child = np.random.SeedSequence(seed, spawn_key=(i,))
         seeds.append(int(child.generate_state(1, dtype=np.uint64)[0]))
         rngs.append(np.random.default_rng(seeds[-1]))
@@ -235,26 +227,20 @@ def _sweep_workers(cells: int) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cells = _sweep_cells(args.d_max, args.t_max, args.n_max)
-    workers = _sweep_workers(len(cells))
+    np.random.SeedSequence(args.seed)  # a bad seed fails before any planning
+    batches = _sweep_batches(args.d_max, args.t_max, args.n_max)
+    workers = _sweep_workers(sum(len(cells) for _, _, cells in batches))
+    rows_of = partial(_batch_rows, args.seed)
     if workers == 1:
-        rows = _sweep_rows(args.seed, 0, cells)
+        done = [rows_of(batch) for batch in batches]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        np.random.SeedSequence(args.seed)  # a bad seed fails before any worker starts
-        # Contiguous chunks keep each worker on one d at a time (cells are
-        # listed by d, and qudit caches the QFT table of one d); several per
-        # worker even out the cost, which grows with t and d along the list.
-        size = -(-len(cells) // (workers * CHUNKS_PER_WORKER))
-        starts = range(0, len(cells), size)
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            chunks = pool.map(
-                partial(_sweep_rows, args.seed), starts, [cells[i:i + size] for i in starts]
-            )
-            rows = [row for chunk in chunks for row in chunk]
+            done = list(pool.map(rows_of, batches))
+    rows = [row for batch_rows in done for row in batch_rows]
     if args.format == "json":
         _emit(_envelope(args, rows=rows), args.out)
     else:

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qss
@@ -539,6 +540,21 @@ class TestSweep:
         assert sizes == [1, 3, 10, 14, 4, 9, 9, 9, 7, *[7] * 6]
         assert whole[0] == 0 and whole[1].count("\n") == 1 + 108
 
+    def test_rows_draw_from_the_child_of_their_cell_index(self, capsys, monkeypatch):
+        # Batches cut inside a d still number their cells from the sweep's
+        # first cell: row i's seed is that of child i of SeedSequence(seed).
+        monkeypatch.setattr(qss.cli, "MAX_BATCH_POINTS", 100)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--d-max", "13", "--t-max", "4", "--n-max", "12", "--seed", "3"
+        )
+        assert code == 0
+        seeds = [int(line.split(",")[3]) for line in out.splitlines()[1:]]
+        assert len(seeds) == 108
+        assert seeds == [
+            int(np.random.SeedSequence(3, spawn_key=(i,)).generate_state(1, np.uint64)[0])
+            for i in range(len(seeds))
+        ]
+
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--d-max", "3", "--t-max", "2", "--n-max", "2",
@@ -582,6 +598,12 @@ class TestSweepWorkers:
         assert pools == [(2,)]
         assert pooled == serial
         assert pooled[0] == 0 and pooled[1].count("\n") == 1 + 2055
+        # Batches cut inside each d, which forked workers inherit.
+        monkeypatch.setattr(qss.cli, "MAX_BATCH_POINTS", 100)
+        cpus(monkeypatch, 2)
+        assert run_cli(capsys, *POOLED_SWEEP, "--seed", "1") == serial
+        assert pools == [(2,), (2,)]
+        assert multiprocessing.active_children() == []
 
     def test_worker_error_exits_2_and_leaves_no_child(self, capsys, monkeypatch, pools):
         def no_cell(configs):
@@ -608,27 +630,30 @@ class TestSweepWorkers:
         assert pools == []
 
     @pytest.mark.parametrize("seed", [1, 7])
-    def test_chunks_cut_inside_stretches_give_the_serial_rows(self, seed):
-        # The cells of one d run as one batch, whatever their t; a chunk
-        # boundary that cuts such a d-batch splits it into two batches, each
-        # of whose cells still draws from its own generator. Cuts 7, 257,
-        # 1000 and 1003 fall inside a d-batch (1000 between two values of t),
-        # 1 and 955 between two.
-        cells = qss.cli._sweep_cells(97, 8, 16)
-        cuts = [0, 1, 7, 257, 955, 1000, 1003, len(cells)]
-        inside = [c for c in cuts[1:-1] if cells[c - 1][0] == cells[c][0]]
-        assert inside == [7, 257, 1000, 1003]
-        assert cells[999][1] < cells[1000][1]
-        chunks = [qss.cli._sweep_rows(seed, a, cells[a:b]) for a, b in zip(cuts, cuts[1:])]
-        assert [row for chunk in chunks for row in chunk] == qss.cli._sweep_rows(seed, 0, cells)
+    def test_batches_run_alone_give_the_serial_rows(self, capsys, monkeypatch, seed):
+        # A batch of the plan gives its rows in whatever order, and beside
+        # whatever other batches, a worker runs it.
+        cpus(monkeypatch, 1)
+        code, out, _ = run_cli(capsys, *POOLED_SWEEP, "--seed", str(seed), "--format", "json")
+        assert code == 0
+        batches = qss.cli._sweep_batches(97, 8, 16)
+        assert len(batches) == 25
+        alone = [qss.cli._batch_rows(seed, batch) for batch in reversed(batches)]
+        assert [row for rows in reversed(alone) for row in rows] == json.loads(out)["rows"]
 
-    def test_negative_seed_fails_before_any_worker(self, capsys, monkeypatch, pools):
+    # A grid of no cells draws nothing, and still refuses the seed.
+    @pytest.mark.parametrize("argv", [
+        (*POOLED_SWEEP, "--seed", "-1"),
+        ("sweep", "--t-max", "0", "--seed", "-1"),
+        ("sweep", "--d-max", "1", "--seed", "-5", "--format", "json"),
+    ], ids=["pooled", "no-t", "no-d"])
+    def test_negative_seed_fails_before_any_worker(self, capsys, monkeypatch, pools, argv):
         def no_cell(configs):
             raise AssertionError("ran a cell despite a negative seed")
 
         monkeypatch.setattr(qss.cli, "instances_from_deals", no_cell)
         cpus(monkeypatch, 2)
-        code, out, err = run_cli(capsys, *POOLED_SWEEP, "--seed", "-1")
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
         assert pools == []
 
